@@ -154,9 +154,10 @@ class SsdController:
         """Accept a logical IO dispatched by the OS."""
         self.submitted_ios += 1
         hints = self.hints_of(io)
-        self.tracer.record(
-            self.sim.now, "controller", "accept", f"{io.io_type} lpn={io.lpn} #{io.id}"
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now, "controller", "accept", f"{io.io_type} lpn={io.lpn} #{io.id}"
+            )
         if self.reliability is not None and self.reliability.reject_if_read_only(io):
             return
         if self.overload is not None and not self.overload.admit(io):
@@ -242,9 +243,10 @@ class SsdController:
     # ------------------------------------------------------------------
     def complete_io(self, io: IoRequest) -> None:
         io.complete_time = self.sim.now
-        self.tracer.record(
-            self.sim.now, "controller", "complete", f"{io.io_type} lpn={io.lpn} #{io.id}"
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now, "controller", "complete", f"{io.io_type} lpn={io.lpn} #{io.id}"
+            )
         self.on_io_complete(io)
 
     def complete_quick(self, io: IoRequest) -> None:

@@ -29,6 +29,7 @@ from repro.core.config import SchedulerConfig, SsdSchedulerPolicy
 from repro.core.engine import Simulator
 from repro.hardware.array import SsdArray
 from repro.hardware.commands import CommandKind, CommandSource, FlashCommand
+from repro.hardware.flash import Lun
 
 #: Sources rotation order used by the FAIR policy.
 _FAIR_ORDER = (
@@ -120,8 +121,22 @@ class SsdScheduler:
         self.queues: dict[tuple[int, int], LunCommandQueue] = {
             key: LunCommandQueue() for key in array.luns
         }
+        luns_per_channel = array.geometry.luns_per_channel
+        #: Per channel, the ``(lun, queue, lun_key)`` of every LUN,
+        #: indexed by LUN id: the dispatch scan walks these directly.
+        self._slots: list[list[tuple[Lun, LunCommandQueue, tuple[int, int]]]] = [
+            [
+                (array.lun(channel, lun_id), self.queues[(channel, lun_id)], (channel, lun_id))
+                for lun_id in range(luns_per_channel)
+            ]
+            for channel in range(len(array.channels))
+        ]
+        #: Queued commands per channel and in total, kept in step with
+        #: the queues by enqueue, dispatch and abort.
+        self._channel_pending = [0] * len(array.channels)
+        self._pending = 0
         #: Per-channel rotation pointer for LUN tie-breaking.
-        self._lun_rotation: dict[int, int] = {c.channel_id: 0 for c in array.channels}
+        self._lun_rotation = [0] * len(array.channels)
         #: Per-LUN rotation pointer over sources, for the FAIR policy.
         self._fair_rotation: dict[tuple[int, int], int] = {key: 0 for key in array.luns}
         self._pumping = False
@@ -134,6 +149,8 @@ class SsdScheduler:
         """Add a command to its LUN's pending queue and try to dispatch."""
         cmd.enqueue_time = self.sim.now
         self.queues[cmd.lun_key].append(cmd)
+        self._channel_pending[cmd.address.channel] += 1
+        self._pending += 1
         self.enqueued_commands += 1
         self.pump()
 
@@ -143,13 +160,18 @@ class SsdScheduler:
         return len(self.queues[lun_key])
 
     def total_pending(self) -> int:
-        return sum(len(queue) for queue in self.queues.values())
+        return self._pending
 
     def abort(self, cmd: FlashCommand) -> None:
         """Remove a still-queued command (overload timeout abort).  The
         caller owns the flash-state cleanup (in-flight read accounting)
         and the IO completion."""
-        self.queues[cmd.lun_key].remove(cmd)
+        self._take(self.queues[cmd.lun_key], cmd)
+
+    def _take(self, queue: LunCommandQueue, cmd: FlashCommand) -> None:
+        queue.remove(cmd)
+        self._channel_pending[cmd.address.channel] -= 1
+        self._pending -= 1
 
     def max_queue_high_watermark(self) -> int:
         """Deepest any LUN queue has ever been (overload statistics)."""
@@ -163,44 +185,54 @@ class SsdScheduler:
 
         Called on every enqueue and on every resource-free notification
         from the array.  Re-entrant calls collapse into the outer loop.
+        Channels with no queued work are skipped without a scan; the
+        others are re-scanned until a full pass starts nothing, because
+        a start changes the device and allocator state that eligibility
+        on other channels depends on (``can_bind`` for programs).
         """
         if self._pumping:
             return
         self._pumping = True
         try:
+            now = self.sim.now
+            channel_pending = self._channel_pending
             progress = True
             while progress:
                 progress = False
                 for channel in self.array.channels:
-                    if not channel.is_free(self.sim.now) or channel.has_continuations:
+                    if (
+                        not channel_pending[channel.channel_id]
+                        or not channel.is_free(now)
+                        or channel.has_continuations
+                    ):
                         continue
-                    started = self._dispatch_on_channel(channel.channel_id)
-                    progress = progress or started
+                    if self._dispatch_on_channel(channel.channel_id):
+                        progress = True
         finally:
             self._pumping = False
 
     def _dispatch_on_channel(self, channel_id: int) -> bool:
         """Start the best eligible command on one free channel."""
-        luns_per_channel = self.array.geometry.luns_per_channel
+        slots = self._slots[channel_id]
+        luns_per_channel = len(slots)
         rotation = self._lun_rotation[channel_id]
-        best: Optional[tuple[tuple, FlashCommand]] = None
+        best: Optional[tuple[tuple, FlashCommand, LunCommandQueue]] = None
         best_lun_offset = 0
         for offset in range(luns_per_channel):
-            lun_id = (rotation + offset) % luns_per_channel
-            lun = self.array.lun(channel_id, lun_id)
-            if lun.is_busy:
+            lun, queue, lun_key = slots[(rotation + offset) % luns_per_channel]
+            if not queue or lun.is_busy:
                 continue
-            candidate = self._select(lun.key)
+            candidate = self._select(lun_key)
             if candidate is None:
                 continue
             key = self._sort_key(candidate)
             if best is None or key < best[0]:
-                best = (key, candidate)
+                best = (key, candidate, queue)
                 best_lun_offset = offset
         if best is None:
             return False
-        cmd = best[1]
-        self.queues[cmd.lun_key].remove(cmd)
+        _, cmd, queue = best
+        self._take(queue, cmd)
         if self.config.policy is SsdSchedulerPolicy.FAIR:
             self._advance_fair(cmd)
         self._lun_rotation[channel_id] = (rotation + best_lun_offset + 1) % luns_per_channel

@@ -88,6 +88,11 @@ class SsdArray:
             )
             for c, l in iter_luns(geometry)
         }
+        #: The same LUNs indexed ``[channel][lun]`` for the hot lookups.
+        self._lun_grid: list[list[Lun]] = [
+            [self.luns[(channel, lun)] for lun in range(geometry.luns_per_channel)]
+            for channel in range(geometry.channels)
+        ]
         #: Blocks retired at runtime after reaching endurance_cycles.
         self.retired_blocks = 0
         #: Set by the controller: invoked whenever a channel or LUN frees,
@@ -109,10 +114,11 @@ class SsdArray:
         return self.channels[channel_id]
 
     def lun(self, channel_id: int, lun_id: int) -> Lun:
-        return self.luns[(channel_id, lun_id)]
+        return self._lun_grid[channel_id][lun_id]
 
     def lun_of(self, cmd: FlashCommand) -> Lun:
-        return self.luns[cmd.lun_key]
+        address = cmd.address
+        return self._lun_grid[address.channel][address.lun]
 
     # ------------------------------------------------------------------
     # Dispatch interface (called by the SSD scheduler)
@@ -144,7 +150,8 @@ class SsdArray:
         if not self.interleaving:
             total = sum(duration for _, duration in phases)
             self.channels[cmd.address.channel].occupy(now, total)
-        self.tracer.record(now, "hardware", "start", self._describe(cmd))
+        if self.tracer.enabled:
+            self.tracer.record(now, "hardware", "start", self._describe(cmd))
         self._run_phase(cmd, phases, 0)
 
     # ------------------------------------------------------------------
@@ -344,7 +351,8 @@ class SsdArray:
         cmd.complete_time = now
         self._release_lun(cmd)
         self.completed_commands += 1
-        self.tracer.record(now, "hardware", "complete", self._describe(cmd))
+        if self.tracer.enabled:
+            self.tracer.record(now, "hardware", "complete", self._describe(cmd))
         if decode_ns > 0:
             # ECC decode: delay only the delivery -- the LUN and channel
             # are already free for the next operation.

@@ -270,9 +270,10 @@ class OperatingSystem:
         """
         io.issue_time = self.sim.now
         record.issued += 1
-        self.tracer.record(
-            self.sim.now, "os", "issue", f"{io.io_type} lpn={io.lpn} by {record.name}"
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now, "os", "issue", f"{io.io_type} lpn={io.lpn} by {record.name}"
+            )
         overload = self._overload
         if (
             overload is not None
@@ -314,9 +315,10 @@ class OperatingSystem:
             self.outstanding += 1
             if self.track_inflight:
                 self._inflight[io.id] = io
-            self.tracer.record(
-                self.sim.now, "os", "dispatch", f"{io.io_type} lpn={io.lpn} #{io.id}"
-            )
+            if self.tracer.enabled:
+                self.tracer.record(
+                    self.sim.now, "os", "dispatch", f"{io.io_type} lpn={io.lpn} #{io.id}"
+                )
             self.controller.submit_io(io)
 
     def _interrupt(self, io: IoRequest) -> None:
