@@ -1,18 +1,19 @@
 """Chaos smoke: SIGKILL a live campaign, resume it, audit the cache.
 
-The executable proof behind PR 8's robustness claims, and the script CI
-runs as the ``chaos-smoke`` job:
+The executable proof of the service's crash-safety claims, and the
+script CI runs as the ``chaos-smoke`` job:
 
 1. run a reference 16-cell sweep to completion (separate store);
-2. start the same sweep in a child process, SIGKILL it after a few
-   cells have been journalled (no cleanup, no atexit -- the OOM-killer
-   treatment);
+2. start the same sweep in a child process, SIGKILL it once a few cells
+   have been published to its cache (no cleanup, no atexit -- the
+   OOM-killer treatment);
 3. ``python -m repro.service resume`` the dead job and assert
    - the grid completes,
-   - every journalled cell was *replayed*, zero re-runs,
+   - every cell published before the kill was a cache hit, zero re-runs,
    - every summary is byte-identical to the uninterrupted reference;
-4. ``cache verify`` must come back clean;
-5. corruption drill: truncate one cache entry and scribble over
+4. resume again: nothing runs;
+5. ``cache verify`` must come back clean;
+6. corruption drill: truncate one cache entry and scribble over
    another, assert ``cache verify`` fails loudly, ``cache repair``
    quarantines both, and a final ``cache verify`` is clean.
 
@@ -70,27 +71,26 @@ def run_flags(work: Path, ios: int, tag: str) -> list[str]:
     flags += [
         "--ios", str(ios),
         "--cache-dir", str(work / f"cache-{tag}"),
-        "--journal-dir", str(work / f"journals-{tag}"),
         "--no-watch",
         "--json", str(work / f"report-{tag}.json"),
     ]
     return flags
 
 
-def journalled_cells(journal: Path) -> list[int]:
-    """Spec positions of intact cell records in a (possibly torn)
-    journal -- the same prefix-tolerant read the journal itself does."""
-    if not journal.exists():
-        return []
-    positions = []
-    for line in journal.read_text(encoding="utf-8").splitlines():
-        try:
-            record = json.loads(line)
-        except ValueError:
-            break  # torn tail
-        if record.get("type") == "cell":
-            positions.append(int(record["index"]))
-    return positions
+def published_entries(version_dir: Path) -> list[Path]:
+    """Cache entries published so far (each is complete: the cache
+    writes a tmp file and renames it into place)."""
+    return sorted(version_dir.glob("*.json"))
+
+
+def resume(work: Path, report: str) -> dict:
+    run_cli(
+        "resume", "job-0001",
+        "--cache-dir", str(work / "cache-chaos"),
+        "--no-watch",
+        "--json", str(work / report),
+    )
+    return json.loads((work / report).read_text())
 
 
 def main() -> int:
@@ -98,7 +98,7 @@ def main() -> int:
     parser.add_argument("--ios", type=int, default=2000, help="IOs per cell")
     parser.add_argument(
         "--kill-after", type=int, default=3,
-        help="SIGKILL the child once this many cells are journalled",
+        help="SIGKILL the child once this many cells are cached",
     )
     parser.add_argument(
         "--work-dir", default=".chaos-smoke",
@@ -123,55 +123,48 @@ def main() -> int:
     # 2. The doomed pass: SIGKILL mid-sweep.
     # ------------------------------------------------------------------
     log("chaos pass: starting the same sweep, then SIGKILL")
-    journal = work / "journals-chaos" / "job-0001.jsonl"
+    # Same code, same fingerprint: the chaos store's version directory
+    # has the reference store's name.
+    version_dir = work / "cache-chaos" / reference["cache"]["fingerprint"][:16]
     child = subprocess.Popen(
         service_cmd("run", *run_flags(work, args.ios, "chaos")),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
     deadline = time.monotonic() + 300.0
-    while len(journalled_cells(journal)) < args.kill_after:
+    while len(published_entries(version_dir)) < args.kill_after:
         if child.poll() is not None:
             return fail("chaos child finished before it could be killed")
         if time.monotonic() > deadline:
             child.kill()
-            return fail("chaos child made no journalled progress in 300s")
+            return fail("chaos child cached no progress in 300s")
         time.sleep(0.02)
     os.kill(child.pid, signal.SIGKILL)
     child.wait(timeout=30)
-    killed_at = journalled_cells(journal)
-    log(f"SIGKILLed with {len(killed_at)} cells journalled: {sorted(killed_at)}")
-    if not killed_at or len(killed_at) >= CELLS:
+    hits = len(published_entries(version_dir))
+    log(f"SIGKILLed with {hits} cells cached")
+    if not hits or hits >= CELLS:
         return fail("kill did not land mid-sweep")
 
     # ------------------------------------------------------------------
     # 3. Resume and compare bytes.
     # ------------------------------------------------------------------
-    log("resume pass: finishing the dead job from its journal")
-    run_cli(
-        "resume", "job-0001",
-        "--cache-dir", str(work / "cache-chaos"),
-        "--journal-dir", str(work / "journals-chaos"),
-        "--no-watch",
-        "--json", str(work / "report-resumed.json"),
-    )
-    resumed = json.loads((work / "report-resumed.json").read_text())
+    log("resume pass: re-running the dead job against its cache")
+    resumed = resume(work, "report-resumed.json")
     if resumed["state"] != "done" or resumed["completed_cells"] != CELLS:
         return fail(f"resumed job did not complete: {resumed['state']}")
-
-    if resumed["resumed_cells"] != len(killed_at):
+    if (resumed["cache_hits"], resumed["cache_misses"]) != (hits, CELLS - hits):
         return fail(
-            f"{len(killed_at)} cells were journalled but "
-            f"{resumed['resumed_cells']} were replayed"
+            f"{hits} cells were cached at the kill but the resume served "
+            f"{resumed['cache_hits']} hits and ran {resumed['cache_misses']}"
         )
-    for position in killed_at:
+    # A serial sweep publishes in spec order: the cached cells are the
+    # first ``hits``.
+    for position in range(hits):
         state = resumed["cells"][position]["state"]
-        if state != "resumed":
-            return fail(
-                f"journalled cell #{position} was {state}, not replayed "
-                "(it re-ran)"
-            )
-    log(f"zero re-runs: all {len(killed_at)} journalled cells replayed")
+        if state != "cached":
+            return fail(f"pre-kill cell #{position} was {state} (it re-ran)")
+    log(f"zero re-runs: all {hits} pre-kill cells served from the cache")
 
     mismatches = [
         index
@@ -185,7 +178,17 @@ def main() -> int:
     log(f"bit-identical: {CELLS}/{CELLS} summaries byte-equal to the reference")
 
     # ------------------------------------------------------------------
-    # 4. The surviving store must audit clean.
+    # 4. Resuming a finished job runs nothing.
+    # ------------------------------------------------------------------
+    again = resume(work, "report-resumed-again.json")
+    if (again["cache_hits"], again["cache_misses"]) != (CELLS, 0):
+        return fail(
+            f"second resume ran {again['cache_misses']} cells instead of none"
+        )
+    log(f"second resume: {CELLS}/{CELLS} hits, nothing ran")
+
+    # ------------------------------------------------------------------
+    # 5. The surviving store must audit clean.
     # ------------------------------------------------------------------
     verify = run_cli(
         "cache", "verify", "--cache-dir", str(work / "cache-chaos"), check=False
@@ -195,14 +198,10 @@ def main() -> int:
     log("cache verify clean after the kill + resume")
 
     # ------------------------------------------------------------------
-    # 5. Corruption drill: verify fails loudly, repair quarantines.
+    # 6. Corruption drill: verify fails loudly, repair quarantines.
     # ------------------------------------------------------------------
     cache_dir = work / "cache-chaos"
-    entries = sorted(
-        path
-        for path in cache_dir.rglob("*.json")
-        if path.parent.name != "quarantine"
-    )
+    entries = published_entries(version_dir)
     if len(entries) < 2:
         return fail(f"expected >= 2 cache entries, found {len(entries)}")
     entries[0].write_bytes(entries[0].read_bytes()[:-30])  # truncated

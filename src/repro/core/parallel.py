@@ -30,16 +30,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Iterator,
-    Mapping,
-    Optional,
-    Protocol,
-    Sequence,
-    Union,
-)
+from typing import Any, Callable, Iterator, Optional, Protocol, Sequence, Union
 
 from repro.core.canonical import canonical_value, canonical_workload, content_hash
 from repro.core.config import SimulationConfig
@@ -63,26 +54,6 @@ class ResultSource(Protocol):
     def lookup(self, spec: "RunSpec") -> Optional[SimulationResult]: ...
 
     def store(self, spec: "RunSpec", result: SimulationResult) -> None: ...
-
-
-class SweepJournalSource(Protocol):
-    """What :class:`SweepExecutor` needs from a sweep journal.
-
-    Implemented by :class:`repro.service.journal.SweepJournal`; defined
-    here as a protocol so the core never imports the service layer.
-    ``replay`` returns every already-completed cell of a sweep keyed by
-    spec *position* (raising when the given specs are not the grid the
-    journal was written for); ``record`` durably appends one freshly
-    completed cell so a later ``replay`` can skip it.
-    """
-
-    def replay(
-        self, specs: Sequence["RunSpec"]
-    ) -> Mapping[int, SimulationResult]: ...
-
-    def record(
-        self, position: int, spec: "RunSpec", result: SimulationResult
-    ) -> None: ...
 
 
 class WorkerStalledError(RuntimeError):
@@ -202,6 +173,11 @@ class RunSpec:
         return content_hash({"fingerprint": fingerprint, "spec": self.canonical()})
 
 
+#: The sweep progress callback: ``progress(spec, result)``, invoked in
+#: spec order as each run's result becomes available.
+ProgressCallback = Callable[[RunSpec, SimulationResult], None]
+
+
 def _execute_spec(spec: RunSpec) -> SimulationResult:
     """Module-level worker entry point (picklable under every start
     method)."""
@@ -314,11 +290,6 @@ class SweepExecutor:
       carries ``partial_results`` -- every completed
       :class:`SimulationResult` so far, keyed by spec index.
 
-    Crash-safety (surviving the *orchestrator* dying, see the service
-    layer): ``map``/``imap`` accept a ``journal`` -- completed cells
-    recorded there by an earlier, killed process are replayed instead
-    of re-run, and every fresh completion is appended durably.
-
     With the default ``timeout=None, retries=0, stall_timeout=None``
     the executor behaves exactly as it always has (streaming results
     lazily in spec order); the hardened path buffers a pass before
@@ -360,9 +331,8 @@ class SweepExecutor:
     def map(
         self,
         specs: Sequence[RunSpec],
-        progress: Optional[Callable[[RunSpec, SimulationResult], None]] = None,
+        progress: Optional[ProgressCallback] = None,
         cache: Optional[ResultSource] = None,
-        journal: Optional[SweepJournalSource] = None,
     ) -> list[SimulationResult]:
         """Execute every spec; return results in spec order.
 
@@ -371,24 +341,19 @@ class SweepExecutor:
         :class:`SweepRunError` identifying it (outstanding runs are
         cancelled where possible).  With a ``cache``, previously stored
         results are served without re-running and fresh results are
-        stored back (see :meth:`imap`).  With a ``journal``, cells a
-        previous (killed) process already completed are replayed and
-        fresh completions are appended durably.
+        stored back (see :meth:`imap`).
         """
-        return list(self.imap(specs, progress=progress, cache=cache, journal=journal))
+        return list(self.imap(specs, progress=progress, cache=cache))
 
     def imap(
         self,
         specs: Sequence[RunSpec],
-        progress: Optional[Callable[[RunSpec, SimulationResult], None]] = None,
+        progress: Optional[ProgressCallback] = None,
         cache: Optional[ResultSource] = None,
-        journal: Optional[SweepJournalSource] = None,
     ) -> Iterator[SimulationResult]:
         """Like :meth:`map` but yields results lazily, in spec order."""
         specs = list(specs)
-        if journal is not None:
-            yield from self._run_journaled(specs, progress, cache, journal)
-        elif cache is not None:
+        if cache is not None:
             yield from self._run_cached(specs, progress, cache)
         elif self.workers == 1 or len(specs) <= 1:
             yield from self._run_serial(specs, progress)
@@ -404,47 +369,10 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Execution strategies
     # ------------------------------------------------------------------
-    def _run_journaled(
-        self,
-        specs: Sequence[RunSpec],
-        progress: Optional[Callable[[RunSpec, SimulationResult], None]],
-        cache: Optional[ResultSource],
-        journal: SweepJournalSource,
-    ) -> Iterator[SimulationResult]:
-        """Replay journaled cells, run the rest, append each fresh
-        completion before yielding it.
-
-        The journal is the crash-consistency layer: by the time a
-        result is delivered downstream it is already durable, so a
-        process killed at *any* instant loses at most the cell in
-        flight.  Replay happens up front (the journal validates that
-        the specs are the grid it was written for); the remaining cells
-        flow through the normal cache/serial/parallel strategies.
-        """
-        replayed = journal.replay(specs)
-        pending = [
-            spec for position, spec in enumerate(specs) if position not in replayed
-        ]
-        fresh = self.imap(pending, cache=cache) if pending else iter(())
-        try:
-            for position, spec in enumerate(specs):
-                if position in replayed:
-                    result = replayed[position]
-                else:
-                    result = next(fresh)
-                    journal.record(position, spec, result)
-                if progress is not None:
-                    progress(spec, result)
-                yield result
-        finally:
-            close = getattr(fresh, "close", None)
-            if close is not None:
-                close()
-
     def _run_cached(
         self,
         specs: Sequence[RunSpec],
-        progress: Optional[Callable[[RunSpec, SimulationResult], None]],
+        progress: Optional[ProgressCallback],
         cache: ResultSource,
     ) -> Iterator[SimulationResult]:
         """Serve cache hits, execute the misses through the normal
@@ -453,7 +381,9 @@ class SweepExecutor:
         Hits resolve up front; the misses keep their relative order, so
         the recursive :meth:`imap` over them streams back exactly the
         results the walk below needs next -- no buffering, and one hung
-        miss never delays a hit that precedes it in spec order.
+        miss never delays a hit that precedes it in spec order.  Each
+        fresh result is stored before ``progress`` sees it, so a process
+        killed at any instant loses at most the run in flight.
         """
         hits: dict[int, SimulationResult] = {}
         misses: list[RunSpec] = []
@@ -480,7 +410,7 @@ class SweepExecutor:
                 close()
 
     def _run_serial(
-        self, specs: Sequence[RunSpec], progress: Optional[Callable[[int, int], None]]
+        self, specs: Sequence[RunSpec], progress: Optional[ProgressCallback]
     ) -> Iterator[SimulationResult]:
         completed: dict[int, SimulationResult] = {}
         for spec in specs:
@@ -502,7 +432,7 @@ class SweepExecutor:
             yield result
 
     def _run_parallel(
-        self, specs: Sequence[RunSpec], progress: Optional[Callable[[int, int], None]]
+        self, specs: Sequence[RunSpec], progress: Optional[ProgressCallback]
     ) -> Iterator[SimulationResult]:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -535,7 +465,7 @@ class SweepExecutor:
                     future.cancel()
 
     def _run_hardened(
-        self, specs: Sequence[RunSpec], progress: Optional[Callable[[int, int], None]]
+        self, specs: Sequence[RunSpec], progress: Optional[ProgressCallback]
     ) -> Iterator[SimulationResult]:
         """Parallel execution with timeout enforcement, heartbeat
         supervision and bounded retries.  Runs in passes: each pass
@@ -563,7 +493,7 @@ class SweepExecutor:
     def _run_hardened_passes(
         self,
         specs: Sequence[RunSpec],
-        progress: Optional[Callable[[int, int], None]],
+        progress: Optional[ProgressCallback],
         beats: Optional[Any],
     ) -> Iterator[SimulationResult]:
         from concurrent.futures import ProcessPoolExecutor

@@ -9,14 +9,15 @@ the road from batch sweeps to continuous experiment traffic:
   materialised :class:`~repro.core.parallel.RunSpec` hashes (with a
   code-version fingerprint) to a SHA-256 key under which its summary is
   persisted, so repeated sweep cells are served from disk and a config
-  or code change re-runs only the invalidated cells.
+  or code change re-runs only the invalidated cells.  A small per-job
+  manifest (``<root>/jobs/<job_id>.json``) lists a job's cell keys.
 * :mod:`repro.service.jobs` -- :class:`ExperimentService`, the async
   runner: ``submit(specs | grid) -> job_id``, ``status``, ``results``,
-  ``cancel``, with PR 5's timeout/retry hardening underneath.
-* :mod:`repro.service.journal` -- crash-safe per-job sweep journals:
-  every completed cell is durably appended, so a killed campaign
-  resumes bit-identically (``resume(job_id)`` replays the journal and
-  runs only the remainder).
+  ``cancel`` and ``resume``, with PR 5's timeout/retry hardening
+  underneath.  Every cell is cached before it is reported, so a killed
+  campaign resumes bit-identically: ``resume(job_id)`` rebuilds the
+  job's specs from its manifest and runs them against the cache, where
+  the finished cells are ordinary hits.
 * :mod:`repro.service.dashboard` -- live terminal and static-HTML views
   of a running job.
 * ``python -m repro.service`` -- submit a grid from the command line,
@@ -39,15 +40,9 @@ from repro.service.jobs import (
     JobFailedError,
     JobState,
     JobStatus,
+    ResumeMismatchError,
     UnknownJobError,
     run_to_completion,
-)
-from repro.service.journal import (
-    JournalError,
-    JournalMismatchError,
-    ReplayedResult,
-    SweepJournal,
-    default_journal_root,
 )
 
 __all__ = [
@@ -60,14 +55,10 @@ __all__ = [
     "JobFailedError",
     "JobState",
     "JobStatus",
-    "JournalError",
-    "JournalMismatchError",
-    "ReplayedResult",
     "ResultCache",
-    "SweepJournal",
+    "ResumeMismatchError",
     "UnknownJobError",
     "default_cache_root",
-    "default_journal_root",
     "render_job",
     "render_job_html",
     "run_to_completion",

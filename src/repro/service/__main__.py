@@ -3,9 +3,10 @@
 Submit a full-factorial grid to the :class:`~repro.service.jobs.
 ExperimentService`, watch it live, and manage the content-addressed
 result cache.  Re-running the same command is (almost) free: every cell
-already in the cache is served from disk -- and every run is journalled,
-so a run that dies (OOM kill, preemption, ctrl-C) is *resumable*: the
-completed cells replay from the journal and only the remainder executes.
+already in the cache is served from disk -- and every run records a job
+manifest in the cache, so a run that dies (OOM kill, preemption, ctrl-C)
+is *resumable*: the completed cells are cache hits and only the
+remainder executes.
 
 Examples::
 
@@ -14,8 +15,8 @@ Examples::
         --axis controller.gc_greediness=1,2,3,4 \\
         --axis host.max_outstanding=4,8,16,32 --ios 2000
 
-    # the run above was killed?  finish it -- journalled cells are
-    # replayed byte-identically, zero re-runs
+    # the run above was killed?  finish it -- finished cells are
+    # served from the cache byte-identically, zero re-runs
     python -m repro.service resume job-0001
 
     # inspect / audit / heal the store
@@ -24,9 +25,9 @@ Examples::
     python -m repro.service cache repair     # quarantine corrupt entries
     python -m repro.service cache clear
 
-``--cache-dir`` (or ``$REPRO_CACHE_DIR``) relocates the store;
-``--journal-dir`` (or ``$REPRO_JOURNAL_DIR``) relocates the journals;
-``--no-cache`` runs uncached, ``--no-journal`` unjournalled.
+``--cache-dir`` (or ``$REPRO_CACHE_DIR``) relocates the store (job
+manifests live in its ``jobs/`` directory); ``--no-cache`` runs uncached,
+and such a run cannot be resumed.
 ``--expect-min-hit-rate 0.9`` turns the run into an assertion (CI's
 warm-pass gate).  On SIGINT/SIGTERM the service checkpoints at the next
 cell boundary and exits 130 with a resume hint; a second signal force
@@ -45,8 +46,12 @@ from repro.core.statistics import serialize_summary
 from repro.service.cache import ResultCache
 from repro.service.dashboard import DEFAULT_METRICS, render_job, watch, write_html
 from repro.service.grids import grid_manifest, grid_specs, parse_axis
-from repro.service.jobs import ExperimentService, JobState, JobStatus
-from repro.service.journal import default_journal_root
+from repro.service.jobs import (
+    ExperimentService,
+    JobState,
+    JobStatus,
+    ResumeMismatchError,
+)
 
 #: The paper-demo default: GC greediness x host queue depth, 16 cells.
 DEFAULT_AXES = (
@@ -75,15 +80,6 @@ def _add_execution_arguments(command: argparse.ArgumentParser) -> None:
     command.add_argument("--cache-dir", default=None, help="result-store directory")
     command.add_argument(
         "--no-cache", action="store_true", help="run without the result store"
-    )
-    command.add_argument(
-        "--journal-dir", default=None,
-        help="sweep-journal directory (default: $REPRO_JOURNAL_DIR or "
-             "~/.cache/repro-journals)",
-    )
-    command.add_argument(
-        "--no-journal", action="store_true",
-        help="run without the crash-safe journal (job is not resumable)",
     )
     command.add_argument(
         "--no-watch", action="store_true",
@@ -127,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     resume = commands.add_parser(
-        "resume", help="finish an interrupted job from its journal"
+        "resume", help="finish an interrupted job against the cache"
     )
     resume.add_argument("job_id", help="the job id printed by the killed run")
     _add_execution_arguments(resume)
@@ -150,16 +146,11 @@ def _build_service(args: argparse.Namespace) -> ExperimentService:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if cache is not None:
         print(f"cache {cache.root} (version {cache.fingerprint[:16]})")
-    journal_dir = None
-    if not args.no_journal:
-        journal_dir = args.journal_dir or default_journal_root()
-        print(f"journal {journal_dir}")
     return ExperimentService(
         cache=cache,
         workers=_workers(args.workers),
         timeout=args.timeout,
         retries=args.retries,
-        journal_dir=journal_dir,
         stall_timeout=args.stall_timeout,
     )
 
@@ -210,7 +201,6 @@ def _write_report(service: ExperimentService, status: JobStatus,
         "completed_cells": status.completed_cells,
         "cache_hits": status.cache_hits,
         "cache_misses": status.cache_misses,
-        "resumed_cells": status.resumed_cells,
         "elapsed_s": round(status.elapsed_s, 3),
         "events": list(status.events),
         "cells": [
@@ -288,28 +278,25 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    if args.no_journal:
-        print("resume requires the journal (drop --no-journal)", file=sys.stderr)
+    if args.no_cache:
+        print("resume runs the job against the cache (drop --no-cache)", file=sys.stderr)
         return 2
     metrics = [name.strip() for name in args.metrics.split(",") if name.strip()]
     service = _build_service(args)
     _install_signal_handlers(service)
     with service:
-        job_id = service.resume(args.job_id)
-        status = service.status(job_id)
-        print(
-            f"resuming {job_id}: "
-            f"{status.total_cells} cells, journal replay in progress"
-        )
+        try:
+            job_id = service.resume(args.job_id)
+        except ResumeMismatchError as error:
+            print(error, file=sys.stderr)
+            return 2
+        print(f"resuming {job_id}: {service.status(job_id).total_cells} cells")
         status = _drive(service, job_id, args, metrics)
 
     code = _epilogue(service, status, args)
     if code:
         return code
-    print(
-        f"resumed {status.resumed_cells} cells from the journal, "
-        f"{status.cache_hits} from cache, {status.cache_misses} computed"
-    )
+    print(f"resumed: {status.cache_hits} cells from cache, {status.cache_misses} computed")
     return 0
 
 

@@ -20,6 +20,7 @@ Invalidation is entirely structural -- nothing expires by time:
 Layout on disk (human-greppable JSON, one file per result)::
 
     <root>/<fingerprint[:16]>/<key>.json
+    <root>/jobs/<job_id>.json        # job manifests (see write_job)
 
 The payload stores the spec's canonical description next to the summary
 so entries are auditable, and files are written atomically (tmp +
@@ -86,6 +87,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Subdirectory (per version dir) corrupt entries are moved into.
 QUARANTINE_DIR = "quarantine"
 
+#: Subdirectory of the root holding job manifests (not result entries).
+JOBS_DIR = "jobs"
+
 #: Stale ``*.tmp`` files older than this are reaped on cache open; the
 #: age guard keeps a concurrent process's in-flight publish safe.
 TMP_MAX_AGE_S = 3600.0
@@ -122,6 +126,38 @@ def ensure_headroom(path: Path, payload_bytes: int) -> None:
             f"refusing to write {payload_bytes} bytes under {path}: "
             f"only {free} bytes free (< {needed} required headroom)"
         )
+
+
+def _publish(path: Path, payload: str) -> None:
+    """Write ``payload`` to ``path`` atomically and durably.
+
+    tmp file + ``fsync`` + ``os.replace``: a concurrent reader sees the
+    old file or the new one, never a torn one, and a process killed
+    mid-publish strands only a ``.*.tmp``.  Raises
+    :class:`CacheWriteError` first when the disk lacks headroom.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    ensure_headroom(path.parent, len(payload.encode("utf-8")))
+    handle = tempfile.NamedTemporaryFile(
+        mode="w",
+        encoding="utf-8",
+        dir=path.parent,
+        prefix=f".{path.stem[:16]}.",
+        suffix=".tmp",
+        delete=False,
+    )
+    try:
+        with handle:
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(handle.name, path)
+    except BaseException:
+        try:
+            os.unlink(handle.name)
+        except OSError:
+            pass
+        raise
 
 
 def envelope_checksum(envelope: dict) -> str:
@@ -273,35 +309,58 @@ class ResultCache:
         if key is None:
             self.uncacheable += 1
             return
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = self._encode(spec, result, key)
-        ensure_headroom(path.parent, len(payload.encode("utf-8")))
-        # Atomic publish: a concurrent reader sees the old entry or the
-        # new one, never a torn file.  The version-dir lock keeps a
-        # concurrent repair/clear from sweeping the tmp mid-publish.
+        # The version-dir lock keeps a concurrent repair/clear from
+        # sweeping the tmp mid-publish.
         with self._locked():
-            handle = tempfile.NamedTemporaryFile(
-                mode="w",
-                encoding="utf-8",
-                dir=path.parent,
-                prefix=f".{key[:16]}.",
-                suffix=".tmp",
-                delete=False,
-            )
-            try:
-                with handle:
-                    handle.write(payload)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(handle.name, path)
-            except BaseException:
-                try:
-                    os.unlink(handle.name)
-                except OSError:
-                    pass
-                raise
+            _publish(self.path_for(key), self._encode(spec, result, key))
         self.stores += 1
+
+    # ------------------------------------------------------------------
+    # Job manifests
+    # ------------------------------------------------------------------
+    def job_path(self, job_id: str) -> Path:
+        return self.root / JOBS_DIR / f"{job_id}.json"
+
+    def write_job(
+        self,
+        job_id: str,
+        name: str,
+        keys: list[str],
+        grid: Optional[dict] = None,
+    ) -> None:
+        """Publish the manifest of a job whose cells are ``keys``.
+
+        The manifest names a job's cells; their results are ordinary
+        entries, so resuming a job is re-running its specs against this
+        store.  ``grid`` (a :func:`~repro.service.grids.grid_manifest`)
+        lets a fresh process rebuild the specs from the job id alone.
+        """
+        manifest = {
+            "version": 1,
+            "job_id": job_id,
+            "name": name,
+            "fingerprint": self.fingerprint,
+            "keys": keys,
+            "grid": grid,
+        }
+        manifest["checksum"] = envelope_checksum(manifest)
+        _publish(self.job_path(job_id), canonical_json(manifest) + "\n")
+
+    def read_job(self, job_id: str) -> dict:
+        """The job's manifest; raises :class:`CacheIntegrityError` when
+        it is missing or fails its checksum."""
+        path = self.job_path(job_id)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError:
+            raise CacheIntegrityError(f"no manifest {path}") from None
+        try:
+            manifest = json.loads(text)
+            if manifest["checksum"] != envelope_checksum(manifest):
+                raise ValueError("checksum mismatch")
+        except (ValueError, KeyError, TypeError):
+            raise CacheIntegrityError(f"manifest {path} is corrupt") from None
+        return manifest
 
     # ------------------------------------------------------------------
     # Encoding
@@ -386,21 +445,25 @@ class ResultCache:
         except OSError:
             return False
 
+    def _version_dirs(self, all_versions: bool) -> list[Path]:
+        """Version directories in deterministic order (``jobs/`` holds
+        manifests, not entries)."""
+        if not all_versions:
+            return [self._version_dir()]
+        if not self.root.is_dir():
+            return []
+        return sorted(
+            child
+            for child in self.root.iterdir()
+            if child.is_dir() and child.name != JOBS_DIR
+        )
+
     def _entry_paths(self, all_versions: bool = False) -> list[Path]:
         """Live entry files, quarantine excluded, deterministic order."""
-        if all_versions:
-            roots = (
-                sorted(child for child in self.root.iterdir() if child.is_dir())
-                if self.root.is_dir()
-                else []
-            )
-        else:
-            roots = [self._version_dir()]
         paths: list[Path] = []
-        for root in roots:
-            if root.name == QUARANTINE_DIR or not root.is_dir():
-                continue
-            paths.extend(sorted(root.glob("*.json")))
+        for root in self._version_dirs(all_versions):
+            if root.is_dir():
+                paths.extend(sorted(root.glob("*.json")))
         return paths
 
     def verify(self, *, all_versions: bool = False) -> dict[str, object]:
@@ -482,12 +545,12 @@ class ResultCache:
 
         Default scope is the current code version; ``all_versions=True``
         also sweeps entries stranded by old fingerprints.  Quarantined
-        entries and stale ``*.tmp`` leftovers (any age) go with them.
+        entries and stale ``*.tmp`` leftovers (any age) go with them; job
+        manifests stay.
         """
-        roots = [self.root] if all_versions else [self._version_dir()]
         removed = 0
         with self._locked():
-            for root in roots:
+            for root in self._version_dirs(all_versions):
                 if not root.is_dir():
                     continue
                 for path in sorted(root.rglob("*.json")):
@@ -518,18 +581,15 @@ class ResultCache:
         entry_bytes = 0
         entry_count = 0
         stale = 0
-        if self.root.is_dir():
-            for child in self.root.iterdir():
-                if not child.is_dir() or child.name == QUARANTINE_DIR:
-                    continue
-                count = sum(1 for _ in child.glob("*.json"))
-                if child == version_dir:
-                    entry_count = count
-                    entry_bytes = sum(
-                        path.stat().st_size for path in child.glob("*.json")
-                    )
-                else:
-                    stale += count
+        for child in self._version_dirs(all_versions=True):
+            count = sum(1 for _ in child.glob("*.json"))
+            if child == version_dir:
+                entry_count = count
+                entry_bytes = sum(
+                    path.stat().st_size for path in child.glob("*.json")
+                )
+            else:
+                stale += count
         total = self.hits + self.misses
         return {
             "root": str(self.root),

@@ -44,20 +44,14 @@ _STATE_GLYPHS = MappingProxyType({
     CellState.PENDING: ".",
     CellState.CACHED: "c",
     CellState.COMPUTED: "#",
-    CellState.RESUMED: "r",
     CellState.FAILED: "!",
     CellState.SKIPPED: "-",
 })
 
-#: Where a completed cell's summary came from (table "src" column).
-_SOURCES = MappingProxyType({
-    CellState.CACHED: "cache",
-    CellState.RESUMED: "journal",
-})
-
 
 def _source(cell) -> str:
-    return _SOURCES.get(cell.state, "run")
+    """Where a completed cell's summary came from (table "src" column)."""
+    return "cache" if cell.state is CellState.CACHED else "run"
 
 
 def _progress_bar(status: JobStatus, width: int = 32) -> str:
@@ -96,14 +90,13 @@ def render_job(
     width: int = 32,
 ) -> str:
     """The full terminal panel for one status snapshot."""
-    resumed = f"  journal {status.resumed_cells} replayed" if status.resumed_cells else ""
     lines = [
         f"== {status.name} ({status.job_id}) ==",
         (
             f"state {status.state.value:<11} {_progress_bar(status, width)} "
             f"{status.completed_cells}/{status.total_cells} cells  "
             f"cache {status.cache_hits} hit / {status.cache_misses} miss"
-            f"{resumed}  {status.elapsed_s:.1f}s"
+            f"  {status.elapsed_s:.1f}s"
         ),
         "cells " + "".join(_STATE_GLYPHS[cell.state] for cell in status.cells),
     ]
@@ -157,10 +150,6 @@ def render_job_html(
     error = (
         f'<p class="error">{html.escape(status.error)}</p>' if status.error else ""
     )
-    resumed = (
-        f" &mdash; journal {status.resumed_cells} replayed"
-        if status.resumed_cells else ""
-    )
     events = ""
     if status.events:
         items = "".join(
@@ -180,12 +169,11 @@ def render_job_html(
   .cell {{ display: inline-block; width: .7rem; height: .7rem; margin: 1px; background: #ddd; }}
   .cell.cached {{ background: #58c; }}
   .cell.computed {{ background: #4a7; }}
-  .cell.resumed {{ background: #a6d; }}
   .cell.failed {{ background: #c44; }}
   .cell.skipped {{ background: #aaa; }}
   table {{ border-collapse: collapse; margin-top: 1rem; }}
   td, th {{ border: 1px solid #ccc; padding: .25rem .6rem; text-align: right; }}
-  td.cache {{ color: #58c; }} td.run {{ color: #4a7; }} td.journal {{ color: #a6d; }}
+  td.cache {{ color: #58c; }} td.run {{ color: #4a7; }}
   .error {{ color: #c44; }}
   .events {{ color: #666; list-style: none; padding-left: 0; font-size: .85rem; }}
 </style>
@@ -194,7 +182,7 @@ def render_job_html(
 <h1>{html.escape(status.name)} <small>({html.escape(status.job_id)})</small></h1>
 <p>state <strong>{status.state.value}</strong> &mdash;
 {status.completed_cells}/{status.total_cells} cells &mdash;
-cache {status.cache_hits} hit / {status.cache_misses} miss{resumed} &mdash;
+cache {status.cache_hits} hit / {status.cache_misses} miss &mdash;
 {status.elapsed_s:.1f}s</p>
 <div class="bar"><div></div></div>
 <p>{glyphs}</p>

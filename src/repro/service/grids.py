@@ -117,9 +117,9 @@ def grid_manifest(
 ) -> dict:
     """A JSON-able description of a :func:`grid_specs` grid.
 
-    Stored in the sweep journal manifest so ``python -m repro.service
-    resume <job>`` can rebuild the exact spec list in a fresh process
-    (see :func:`specs_from_manifest`).
+    Stored in the job manifest so ``python -m repro.service resume
+    <job>`` can rebuild the exact spec list in a fresh process (see
+    :func:`specs_from_manifest`).
     """
     return {
         "kind": "grid",
@@ -134,10 +134,10 @@ def grid_manifest(
 def specs_from_manifest(manifest: dict) -> list[RunSpec]:
     """Rebuild the spec list described by :func:`grid_manifest`.
 
-    The round trip is exact: the journal's grid signature (computed
-    over per-spec cache keys) is re-verified against the rebuilt specs
-    before any cell is replayed, so drift here fails loudly rather
-    than silently replaying the wrong experiment.
+    The round trip is exact: ``resume`` compares the rebuilt specs'
+    cache keys with the ones the job manifest recorded before any cell
+    runs, so drift here fails loudly rather than silently resuming the
+    wrong experiment.
     """
     if manifest.get("kind") != "grid":
         raise ValueError(

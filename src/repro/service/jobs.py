@@ -18,6 +18,13 @@ served from disk.
     results = service.results(job_id)       # blocks until done, spec order
     service.cancel(job_id)                  # queued: dropped; running: stops
                                             # at the next cell boundary
+    service.resume(job_id)                  # after a kill: re-run the job's
+                                            # specs against the cache
+
+A job is resumable when the cache holds its manifest (every cell is
+cacheable): the cache stores each cell durably before ``progress`` sees
+it, so a process killed at any instant loses at most the cell in flight,
+and a resumed job serves every finished cell as an ordinary cache hit.
 
 Everything observable is a *snapshot*: :meth:`status` returns plain
 dataclasses copied under the service lock, so dashboards may poll from
@@ -32,10 +39,8 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from repro.core.canonical import code_fingerprint
 from repro.core.experiments import ExperimentTemplate, GridExperiment
 from repro.core.parallel import (
     RunSpec,
@@ -44,12 +49,8 @@ from repro.core.parallel import (
     WorkerCount,
 )
 from repro.core.simulation import SimulationResult
-from repro.service.cache import CachedResult, ResultCache
-from repro.service.journal import (
-    JournalMismatchError,
-    ReplayedResult,
-    SweepJournal,
-)
+from repro.service.cache import CachedResult, CacheIntegrityError, ResultCache
+from repro.service.grids import specs_from_manifest
 
 __all__ = [
     "CellState",
@@ -58,6 +59,7 @@ __all__ = [
     "JobFailedError",
     "JobState",
     "JobStatus",
+    "ResumeMismatchError",
     "UnknownJobError",
 ]
 
@@ -72,7 +74,7 @@ class JobState(enum.Enum):
     FAILED = "failed"
     CANCELLED = "cancelled"
     #: Stopped at a cell boundary by a signal or service shutdown; the
-    #: journal holds every completed cell and the job is resumable.
+    #: cache holds every completed cell and the job is resumable.
     INTERRUPTED = "interrupted"
 
     @property
@@ -91,14 +93,17 @@ class CellState(enum.Enum):
     CACHED = "cached"
     #: Completed by running the simulation.
     COMPUTED = "computed"
-    #: Completed by an earlier interrupted run, replayed from its journal.
-    RESUMED = "resumed"
     FAILED = "failed"
     SKIPPED = "skipped"
 
 
 class UnknownJobError(KeyError):
     """No job with that id was ever submitted to this service."""
+
+
+class ResumeMismatchError(RuntimeError):
+    """``resume`` refused: the job's manifest is missing or corrupt, was
+    written under other code, or lists other cells than the specs."""
 
 
 class JobFailedError(RuntimeError):
@@ -146,10 +151,8 @@ class JobStatus:
     error: Optional[str]
     #: Wall-clock seconds: queued -> now while live, queued -> finish after.
     elapsed_s: float
-    #: Cells replayed from a sweep journal (neither cache hit nor run).
-    resumed_cells: int = 0
     #: Human-readable lifecycle log, oldest first: submitted, started,
-    #: replayed-from-journal, interrupted, ...
+    #: interrupted, resumed, ...
     events: list[str] = field(default_factory=list)
     cells: list[CellStatus] = field(default_factory=list)
 
@@ -167,7 +170,7 @@ class _Cancelled(Exception):
 class _Interrupted(Exception):
     """Internal: unwinds the executor at the next cell boundary when the
     service is asked to stop (signal / shutdown).  Unlike cancellation
-    the job stays resumable: completed cells are in the journal."""
+    the job stays resumable: completed cells are in the cache."""
 
 
 #: Keep at most this many lifecycle events per job (oldest dropped).
@@ -177,17 +180,10 @@ _MAX_EVENTS = 50
 class _Job:
     """Service-internal mutable job record (guarded by the service lock)."""
 
-    def __init__(
-        self,
-        job_id: str,
-        name: str,
-        specs: list[RunSpec],
-        journal: Optional[SweepJournal] = None,
-    ) -> None:
+    def __init__(self, job_id: str, name: str, specs: list[RunSpec]) -> None:
         self.id = job_id
         self.name = name
         self.specs = specs
-        self.journal = journal
         self.state = JobState.QUEUED
         self.cells = [
             CellStatus(index=position, label=str(spec.label))
@@ -196,7 +192,6 @@ class _Job:
         self.results: dict[int, object] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        self.resumed_cells = 0
         self.error: Optional[str] = None
         self.cancel_requested = False
         self.interrupt_requested = False
@@ -226,15 +221,15 @@ class ExperimentService:
     The service is a context manager: leaving the ``with`` block shuts
     the worker down after the queue drains; leaving it on
     ``KeyboardInterrupt`` interrupts live jobs instead (they become
-    ``INTERRUPTED`` and, when journalled, resumable).
+    ``INTERRUPTED`` and, when a manifest was written, resumable).
 
-    ``journal_dir`` opts a service into crash-safe checkpointing: every
-    submitted job gets an append-only journal there
-    (``<journal_dir>/<job_id>.jsonl``) and :meth:`resume` can finish an
-    interrupted or SIGKILLed job bit-identically, skipping every
-    journalled cell.  ``stall_timeout`` arms the executor's heartbeat
-    supervision (a run whose event counter freezes that long is killed
-    as *hung*, distinct from a merely slow straggler).
+    With a cache, every submitted job whose cells are all cacheable
+    gets a manifest (:meth:`ResultCache.write_job`), and :meth:`resume`
+    finishes an interrupted or SIGKILLed job bit-identically, serving
+    every finished cell from the cache.  ``stall_timeout`` arms the
+    executor's heartbeat supervision (a run whose event counter freezes
+    that long is killed as *hung*, distinct from a merely slow
+    straggler).
     """
 
     def __init__(
@@ -244,14 +239,12 @@ class ExperimentService:
         workers: WorkerCount = 1,
         timeout: Optional[float] = None,
         retries: int = 0,
-        journal_dir: "str | Path | None" = None,
         stall_timeout: Optional[float] = None,
     ) -> None:
         if cache is None or isinstance(cache, ResultCache):
             self.cache = cache
         else:
             self.cache = ResultCache(cache)
-        self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self._executor = SweepExecutor(
             workers=workers,
             timeout=timeout,
@@ -264,19 +257,6 @@ class ExperimentService:
         self._ids = itertools.count(1)
         self._worker: Optional[threading.Thread] = None
         self._shutdown = False
-
-    def _fingerprint(self) -> str:
-        """The fingerprint journals are written under -- the cache's when
-        one is attached (so journal keys and cache keys agree), the code
-        fingerprint otherwise."""
-        if self.cache is not None:
-            return self.cache.fingerprint
-        return code_fingerprint()
-
-    def journal_path(self, job_id: str) -> Path:
-        if self.journal_dir is None:
-            raise RuntimeError("service has no journal_dir configured")
-        return self.journal_dir / f"{job_id}.jsonl"
 
     # ------------------------------------------------------------------
     # Public API
@@ -292,10 +272,9 @@ class ExperimentService:
 
         ``work`` is a prepared ``list[RunSpec]``, a
         :class:`GridExperiment` or an :class:`ExperimentTemplate` (their
-        ``specs()`` materialise the cells).  With a ``journal_dir``
-        configured the job is journalled from cell one; ``grid`` (a
+        ``specs()`` materialise the cells).  ``grid`` (a
         :func:`~repro.service.grids.grid_manifest` dict) is stored in
-        the journal so a fresh process can rebuild the specs and
+        the job manifest so a fresh process can rebuild the specs and
         :meth:`resume` by job id alone.
         """
         specs, derived_name = self._coerce(work)
@@ -304,80 +283,74 @@ class ExperimentService:
         with self._lock:
             if self._shutdown:
                 raise RuntimeError("service is shut down")
-            # Ids restart at 1 per service instance, but journals
+            # Ids restart at 1 per service instance, but manifests
             # persist across processes -- never overwrite one that an
             # earlier (possibly killed) process left behind.
             while True:
                 job_id = f"job-{next(self._ids):04d}"
-                if self.journal_dir is None or not self.journal_path(job_id).exists():
+                if self.cache is None or not self.cache.job_path(job_id).exists():
                     break
-            job_name = name or derived_name
-            journal: Optional[SweepJournal] = None
-            if self.journal_dir is not None:
-                journal = SweepJournal.create(
-                    self.journal_path(job_id),
-                    job_id=job_id,
-                    name=job_name,
-                    specs=specs,
-                    fingerprint=self._fingerprint(),
-                    grid=grid,
-                )
-            job = _Job(job_id, job_name, specs, journal=journal)
+            job = _Job(job_id, name or derived_name, specs)
             job.log(f"submitted ({len(specs)} cells)")
-            if journal is not None:
-                job.log(f"journal {journal.path.name}")
+            if self.cache is not None:
+                keys = [self.cache.key_for(spec) for spec in specs]
+                if None in keys:
+                    job.log("not resumable: a cell's workload is uncacheable")
+                else:
+                    self.cache.write_job(job_id, job.name, keys, grid=grid)
+                    job.log(f"manifest {self.cache.job_path(job_id).name}")
             self._jobs[job_id] = job
             self._ensure_worker()
         self._queue.put(job)
         return job_id
 
     def resume(self, job_id: str, work: Optional[Submittable] = None) -> str:
-        """Re-enqueue an interrupted (or SIGKILLed) job from its journal.
+        """Re-enqueue an interrupted (or SIGKILLed) job from its manifest.
 
-        Every journalled cell is replayed verbatim -- zero re-runs, byte
-        identical summaries -- and only the remaining cells execute.
+        The job's specs run against the cache: every cell that finished
+        before the interruption is a cache hit (zero re-runs, byte
+        identical summaries) and only the missing cells execute.
         ``work`` may supply the spec list explicitly; without it the
-        specs are rebuilt from the grid manifest recorded at submit
-        time.  Raises :class:`~repro.service.journal.JournalError` if
-        the journal is unusable and
-        :class:`~repro.service.journal.JournalMismatchError` if the
-        specs (or the code version) no longer match what was journalled.
+        specs are rebuilt from the grid recorded at submit time.  Raises
+        :class:`ResumeMismatchError` when the manifest is missing or
+        corrupt, was written under another code fingerprint, or lists
+        other cells than the specs.
         """
-        if self.journal_dir is None:
-            raise RuntimeError("service has no journal_dir configured")
-        journal = SweepJournal.open(self.journal_path(job_id))
-        if journal.fingerprint != self._fingerprint():
-            raise JournalMismatchError(
-                f"journal {job_id} was written under fingerprint "
-                f"{journal.fingerprint[:12]}..., current is "
-                f"{self._fingerprint()[:12]}... -- results would not be "
+        if self.cache is None:
+            raise RuntimeError("resume needs the result cache (service has cache=None)")
+        try:
+            manifest = self.cache.read_job(job_id)
+        except CacheIntegrityError as error:
+            raise ResumeMismatchError(f"cannot resume {job_id}: {error}") from None
+        if manifest["fingerprint"] != self.cache.fingerprint:
+            raise ResumeMismatchError(
+                f"job {job_id} was submitted under fingerprint "
+                f"{manifest['fingerprint'][:12]}..., current is "
+                f"{self.cache.fingerprint[:12]}... -- results would not be "
                 "comparable; rerun instead of resuming"
             )
         if work is not None:
             specs, _ = self._coerce(work)
+        elif manifest["grid"] is not None:
+            specs = specs_from_manifest(manifest["grid"])
         else:
-            manifest = journal.grid_manifest()
-            if manifest is None:
-                raise JournalMismatchError(
-                    f"journal {job_id} has no grid manifest; pass the "
-                    "specs explicitly to resume(job_id, work=...)"
-                )
-            from repro.service.grids import specs_from_manifest
-
-            specs = specs_from_manifest(manifest)
-        journal.validate(specs)
-        name = str(journal.manifest.get("name", job_id))
+            raise ResumeMismatchError(
+                f"job {job_id} recorded no grid; pass the specs explicitly "
+                "to resume(job_id, work=...)"
+            )
+        if [self.cache.key_for(spec) for spec in specs] != manifest["keys"]:
+            raise ResumeMismatchError(
+                f"job {job_id} was submitted with a different grid "
+                "(cell identities do not match)"
+            )
         with self._lock:
             if self._shutdown:
                 raise RuntimeError("service is shut down")
             existing = self._jobs.get(job_id)
             if existing is not None and not existing.state.terminal:
                 raise RuntimeError(f"job {job_id} is still {existing.state.value}")
-            job = _Job(job_id, name, specs, journal=journal)
-            job.log(
-                f"resumed from journal: {journal.completed}/{journal.cells} "
-                "cells already complete"
-            )
+            job = _Job(job_id, str(manifest["name"]), specs)
+            job.log(f"resumed from manifest ({len(specs)} cells)")
             self._jobs[job_id] = job
             self._ensure_worker()
         self._queue.put(job)
@@ -399,7 +372,6 @@ class ExperimentService:
                 cache_misses=job.cache_misses,
                 error=job.error,
                 elapsed_s=elapsed - job.submitted_at,
-                resumed_cells=job.resumed_cells,
                 events=list(job.events),
                 cells=[
                     CellStatus(
@@ -476,7 +448,7 @@ class ExperimentService:
 
         Queued jobs flip straight to ``INTERRUPTED``; the running job
         stops at its next cell boundary (the in-flight cell completes,
-        is journalled/cached, then the job goes ``INTERRUPTED``).  This
+        is cached, then the job goes ``INTERRUPTED``).  This
         is what the CLI's SIGINT/SIGTERM handlers call -- no job is
         ever left claiming to be ``RUNNING`` by a dead process.
         """
@@ -582,15 +554,10 @@ class ExperimentService:
 
         def progress(spec: RunSpec, result: SimulationResult) -> None:
             position = len(job.results)  # delivery is strictly spec order
-            replayed = isinstance(result, ReplayedResult)
-            hit = isinstance(result, CachedResult) and not replayed
             with self._lock:
                 job.results[position] = result
                 cell = job.cells[position]
-                if replayed:
-                    cell.state = CellState.RESUMED
-                    job.resumed_cells += 1
-                elif hit:
+                if isinstance(result, CachedResult):
                     cell.state = CellState.CACHED
                     job.cache_hits += 1
                 else:
@@ -605,14 +572,7 @@ class ExperimentService:
                 raise _Interrupted()
 
         try:
-            list(
-                self._executor.imap(
-                    job.specs,
-                    progress=progress,
-                    cache=self.cache,
-                    journal=job.journal,
-                )
-            )
+            list(self._executor.imap(job.specs, progress=progress, cache=self.cache))
         except _Cancelled:
             with self._lock:
                 for cell in job.cells:
@@ -649,32 +609,12 @@ class ExperimentService:
                 self._finish(job, JobState.FAILED)
             return
         with self._lock:
-            if job.resumed_cells:
-                job.log(
-                    f"completed ({job.resumed_cells} replayed, "
-                    f"{job.cache_hits} cached, {job.cache_misses} computed)"
-                )
             self._finish(job, JobState.DONE)
-
-    _JOURNAL_MARKS = {
-        JobState.DONE: "done",
-        JobState.FAILED: "failed",
-        JobState.CANCELLED: "cancelled",
-        JobState.INTERRUPTED: "interrupted",
-    }
 
     def _finish(self, job: _Job, state: JobState) -> None:
         # Called under the lock.
         job.state = state
         job.finished_at = time.monotonic()
-        if job.journal is not None:
-            mark = self._JOURNAL_MARKS.get(state)
-            try:
-                if mark is not None:
-                    job.journal.mark(mark, completed=len(job.results))
-                job.journal.close()
-            except OSError:
-                pass  # the cell records are already durable
         job.done.set()
 
 

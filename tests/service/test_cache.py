@@ -13,8 +13,12 @@ import pytest
 
 from repro import RunSpec, small_config
 from repro.core.statistics import serialize_summary
-from repro.service import CachedResult, CacheWriteError, ResultCache
-from repro.service.cache import QUARANTINE_DIR
+from repro.service import (
+    CachedResult,
+    CacheWriteError,
+    ResultCache,
+)
+from repro.service.cache import JOBS_DIR, QUARANTINE_DIR
 from repro.service.grids import mixed_workload
 
 IOS = 150
@@ -288,3 +292,25 @@ def test_quarantine_dir_excluded_from_entries(cache, fresh_result):
     assert len(list(quarantine.glob("*.json"))) == 1
     assert cache.entries() == 0
     assert cache.stats()["entries"] == 0
+
+
+# ----------------------------------------------------------------------
+# Job manifests
+# ----------------------------------------------------------------------
+def test_job_manifests_are_not_entries(tmp_path, cache, fresh_result):
+    spec = make_spec()
+    cache.store(spec, fresh_result)
+    ResultCache(tmp_path, fingerprint="version-1").store(spec, fresh_result)
+    cache.write_job("job-0001", "grid", [cache.key_for(spec)])
+    cache.write_job("job-0002", "grid", [cache.key_for(spec)])
+    assert cache.job_path("job-0001") == tmp_path / JOBS_DIR / "job-0001.json"
+
+    assert cache.entries() == 1
+    stats = cache.stats()
+    assert (stats["entries"], stats["stale_entries"]) == (1, 1)
+    assert cache.verify()["checked"] == 1
+    report = cache.verify(all_versions=True)
+    assert (report["checked"], report["corrupt"]) == (2, [])
+    assert cache.repair(all_versions=True)["repaired"] == 0
+    assert cache.clear(all_versions=True) == 2
+    assert cache.job_path("job-0001").exists()

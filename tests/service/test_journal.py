@@ -1,10 +1,10 @@
-"""Tests for the crash-safe sweep journal (repro.service.journal).
+"""Tests for a job's durable record: the manifest a submitted job leaves
+under ``<cache root>/jobs/`` (repro.service.cache, repro.service.jobs).
 
-The contract: every recorded cell survives any kill and replays with a
-byte-identical summary; a torn tail (the record being appended when the
-process died) is dropped silently; a journal can never be replayed into
-a different grid or under a different code version without an explicit
-error.
+The contract: a fresh process reads back a job's manifest and serves
+every cell it names with a byte-identical summary; a missing, truncated
+or tampered manifest is refused, never trusted; a manifest can never be
+resumed into a different grid (other cells, another count or order).
 """
 
 import functools
@@ -12,21 +12,16 @@ import json
 
 import pytest
 
-from repro import RunSpec, SweepExecutor, small_config
+from repro import RunSpec, small_config
 from repro.core.statistics import serialize_summary
 from repro.service import (
-    JournalError,
-    JournalMismatchError,
-    ReplayedResult,
-    SweepJournal,
+    CachedResult,
+    CacheIntegrityError,
+    ExperimentService,
+    ResultCache,
+    ResumeMismatchError,
 )
-from repro.service.grids import (
-    grid_manifest,
-    grid_specs,
-    mixed_workload,
-    specs_from_manifest,
-)
-from repro.service.journal import default_journal_root, grid_signature
+from repro.service.grids import mixed_workload
 
 IOS = 150
 FINGERPRINT = "test-version"
@@ -58,172 +53,79 @@ def results(specs):
     return [spec.execute() for spec in specs]
 
 
-def make_journal(path, specs, **kwargs) -> SweepJournal:
-    kwargs.setdefault("job_id", "job-0001")
-    kwargs.setdefault("name", "test")
-    kwargs.setdefault("fingerprint", FINGERPRINT)
-    return SweepJournal.create(path, specs=specs, **kwargs)
+def write_job(path, specs) -> ResultCache:
+    cache = ResultCache(path, fingerprint=FINGERPRINT)
+    keys = [cache.key_for(spec) for spec in specs]
+    cache.write_job("job-0001", "test", keys, grid={"kind": "grid"})
+    return cache
 
 
 def test_roundtrip_is_bit_identical(tmp_path, specs, results):
-    journal = make_journal(tmp_path / "j.jsonl", specs)
-    for position, (spec, result) in enumerate(zip(specs, results)):
-        journal.record(position, spec, result)
-    journal.close()
+    cache = write_job(tmp_path, specs)
+    for spec, result in zip(specs, results):
+        cache.store(spec, result)
 
-    loaded = SweepJournal.open(tmp_path / "j.jsonl")
-    assert loaded.completed == len(specs)
-    replayed = loaded.replay(specs)
-    for position, result in enumerate(results):
-        assert isinstance(replayed[position], ReplayedResult)
-        assert serialize_summary(replayed[position].summary()) == serialize_summary(
+    loaded = ResultCache(tmp_path, fingerprint=FINGERPRINT)
+    manifest = loaded.read_job("job-0001")
+    assert manifest["job_id"] == "job-0001"
+    assert manifest["name"] == "test"
+    assert manifest["fingerprint"] == FINGERPRINT
+    assert manifest["grid"] == {"kind": "grid"}
+    assert manifest["keys"] == [loaded.key_for(spec) for spec in specs]
+    for spec, result in zip(specs, results):
+        cached = loaded.lookup(spec)
+        assert isinstance(cached, CachedResult)
+        assert serialize_summary(cached.summary()) == serialize_summary(
             result.summary()
         )
-        assert replayed[position].elapsed_ns == result.elapsed_ns
-        assert replayed[position].processed_events == result.processed_events
+        assert cached.elapsed_ns == result.elapsed_ns
+        assert cached.processed_events == result.processed_events
 
 
-def test_partial_journal_replays_a_prefix(tmp_path, specs, results):
-    journal = make_journal(tmp_path / "j.jsonl", specs)
-    journal.record(0, specs[0], results[0])
-    journal.close()
-    loaded = SweepJournal.open(tmp_path / "j.jsonl")
-    replayed = loaded.replay(specs)
-    assert set(replayed) == {0}
-
-
-def test_torn_tail_is_dropped(tmp_path, specs, results):
-    path = tmp_path / "j.jsonl"
-    journal = make_journal(path, specs)
-    journal.record(0, specs[0], results[0])
-    journal.record(1, specs[1], results[1])
-    journal.close()
-    # Simulate a SIGKILL mid-append: truncate the last record.
+def test_checksum_tamper_ends_the_journal(tmp_path, specs):
+    cache = write_job(tmp_path, specs)
+    path = cache.job_path("job-0001")
     text = path.read_text(encoding="utf-8")
-    path.write_text(text[: len(text) - 40], encoding="utf-8")
-
-    loaded = SweepJournal.open(path)
-    assert loaded.completed == 1
-    assert loaded.torn_records == 1
-    assert set(loaded.replay(specs)) == {0}
-
-
-def test_checksum_tamper_ends_the_journal(tmp_path, specs, results):
-    path = tmp_path / "j.jsonl"
-    journal = make_journal(path, specs)
-    journal.record(0, specs[0], results[0])
-    journal.record(1, specs[1], results[1])
-    journal.close()
-    lines = path.read_text(encoding="utf-8").splitlines()
-    record = json.loads(lines[1])
-    record["elapsed_ns"] = record["elapsed_ns"] + 1  # bit flip, stale checksum
-    lines[1] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    loaded = SweepJournal.open(path)
-    # Everything from the tampered record on is untrusted.
-    assert loaded.completed == 0
-    assert loaded.torn_records == 2
+    for field, value in (
+        ("keys", ["0" * 64]),
+        ("fingerprint", "other-version"),
+        ("grid", None),
+    ):
+        manifest = json.loads(text)
+        manifest[field] = value  # edited without resealing: stale checksum
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CacheIntegrityError):
+            cache.read_job("job-0001")
 
 
 def test_missing_or_headless_journal_raises(tmp_path, specs):
-    with pytest.raises(JournalError):
-        SweepJournal.open(tmp_path / "absent.jsonl")
-    torn = tmp_path / "torn.jsonl"
-    torn.write_text('{"type": "manifest", "version', encoding="utf-8")
-    with pytest.raises(JournalError):
-        SweepJournal.open(torn)
+    cache = ResultCache(tmp_path, fingerprint=FINGERPRINT)
+    with pytest.raises(CacheIntegrityError):
+        cache.read_job("job-0001")  # never written
+    write_job(tmp_path, specs)
+    path = cache.job_path("job-0001")
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:-30], encoding="utf-8")  # torn write
+    with pytest.raises(CacheIntegrityError):
+        cache.read_job("job-0001")
+    unsealed = json.loads(text)
+    del unsealed["checksum"]
+    path.write_text(json.dumps(unsealed), encoding="utf-8")
+    with pytest.raises(CacheIntegrityError):
+        cache.read_job("job-0001")
 
 
-def test_wrong_grid_is_rejected(tmp_path, specs, results):
-    journal = make_journal(tmp_path / "j.jsonl", specs)
-    journal.record(0, specs[0], results[0])
-    journal.close()
-    loaded = SweepJournal.open(tmp_path / "j.jsonl")
-    with pytest.raises(JournalMismatchError):
-        loaded.replay(specs[:2])  # wrong cell count
-    with pytest.raises(JournalMismatchError):
-        loaded.replay(make_specs(ios=IOS * 2))  # same shape, different cells
-    with pytest.raises(JournalMismatchError):
-        loaded.replay(list(reversed(specs)))  # same cells, different order
-
-
-def test_grid_signature_tracks_content_and_order(specs):
-    base = grid_signature(specs, FINGERPRINT)
-    assert grid_signature(specs, FINGERPRINT) == base
-    assert grid_signature(list(reversed(specs)), FINGERPRINT) != base
-    assert grid_signature(specs, "other-version") != base
-    # Uncacheable specs (closure workloads) still sign positionally.
-    closures = [
-        RunSpec(config=small_config(), workload=lambda config: [], index=i)
-        for i in range(2)
-    ]
-    assert grid_signature(closures, FINGERPRINT) == grid_signature(
-        closures, FINGERPRINT
-    )
-
-
-def test_state_markers_roundtrip(tmp_path, specs, results):
-    path = tmp_path / "j.jsonl"
-    journal = make_journal(path, specs)
-    journal.record(0, specs[0], results[0])
-    journal.mark("interrupted")
-    journal.close()
-    loaded = SweepJournal.open(path)
-    assert loaded.state == "interrupted"
-    assert loaded.completed == 1
-    # Appending after a reload continues the same journal.
-    loaded.record(1, specs[1], results[1])
-    loaded.mark("done")
-    loaded.close()
-    final = SweepJournal.open(path)
-    assert final.state == "done"
-    assert final.completed == 2
-
-
-def test_executor_skips_replayed_cells(tmp_path, specs, results):
-    """The integration point: imap(journal=...) must replay journalled
-    cells without executing them and journal the fresh ones."""
-    path = tmp_path / "j.jsonl"
-    journal = make_journal(path, specs)
-    journal.record(0, specs[0], results[0])
-    journal.record(1, specs[1], results[1])
-    journal.close()
-
-    reopened = SweepJournal.open(path)
-    delivered = list(SweepExecutor(workers=1).map(specs, journal=reopened))
-    reopened.close()
-    assert [isinstance(result, ReplayedResult) for result in delivered] == [
-        True,
-        True,
-        False,
-    ]
-    assert [serialize_summary(r.summary()) for r in delivered] == [
-        serialize_summary(r.summary()) for r in results
-    ]
-    # The fresh third cell was journalled: a second resume replays all.
-    final = SweepJournal.open(path)
-    assert final.completed == 3
-    assert all(
-        isinstance(result, ReplayedResult)
-        for result in final.replay(specs).values()
-    )
-
-
-def test_grid_manifest_roundtrip():
-    axes = [("controller.gc_greediness", [1, 2]), ("host.max_outstanding", [4, 8])]
-    manifest = grid_manifest(axes, ios=IOS, seed=7)
-    rebuilt = specs_from_manifest(manifest)
-    original = grid_specs(axes, ios=IOS, seed=7)
-    assert grid_signature(rebuilt, FINGERPRINT) == grid_signature(
-        original, FINGERPRINT
-    )
-    with pytest.raises(ValueError):
-        specs_from_manifest({"kind": "mystery"})
-
-
-def test_default_journal_root_env_override(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "custom"))
-    assert default_journal_root() == tmp_path / "custom"
-    monkeypatch.delenv("REPRO_JOURNAL_DIR")
-    assert "repro-journals" in str(default_journal_root())
+def test_wrong_grid_is_rejected(tmp_path, specs):
+    with ExperimentService(
+        cache=ResultCache(tmp_path, fingerprint=FINGERPRINT)
+    ) as service:
+        job_id = service.submit(specs)
+        service.wait(job_id)
+    other = ExperimentService(cache=ResultCache(tmp_path, fingerprint=FINGERPRINT))
+    with pytest.raises(ResumeMismatchError):
+        other.resume(job_id, work=specs[:2])  # wrong cell count
+    with pytest.raises(ResumeMismatchError):
+        other.resume(job_id, work=make_specs(ios=IOS * 2))  # different cells
+    with pytest.raises(ResumeMismatchError):
+        other.resume(job_id, work=list(reversed(specs)))  # different order
+    other.shutdown()

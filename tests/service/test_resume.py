@@ -1,11 +1,12 @@
 """Crash/resume proof: SIGKILL a sweep mid-run, resume, compare bytes.
 
-The acceptance test for the checkpoint/resume tentpole: a child process
-runs a journalled campaign and is SIGKILLed (no cleanup, no atexit --
-the same failure mode as an OOM kill) while cells are in flight.  A
-fresh service then resumes from the journal and must (a) replay every
-journalled cell without re-running it and (b) finish the grid with
-summaries byte-identical to an uninterrupted run.
+The acceptance test for checkpoint/resume: a child process runs a
+cached campaign and is SIGKILLed (no cleanup, no atexit -- the same
+failure mode as an OOM kill) once it has published at least one cache
+entry.  A fresh service then resumes the job against the cache and must
+(a) serve every cell published before the kill as a cache hit, running
+only the rest, and (b) finish the grid with summaries byte-identical to
+an uninterrupted run.
 """
 
 import functools
@@ -20,10 +21,10 @@ import pytest
 
 from repro import RunSpec, small_config
 from repro.core.statistics import serialize_summary
-from repro.service import ExperimentService, JobState, ResultCache, SweepJournal
+from repro.service import CellState, ExperimentService, JobState, ResultCache
 from repro.service.grids import mixed_workload
 
-#: Three quick cells (journalled fast, so the kill lands after real
+#: Three quick cells (cached fast, so the kill lands after real
 #: progress) then three slow ones (so the child cannot finish before
 #: the parent kills it).
 IOS_PLAN = (300, 300, 300, 12_000, 12_000, 12_000)
@@ -66,28 +67,23 @@ def build_specs():
         ))
     return specs
 
-cache_dir, journal_dir = sys.argv[1], sys.argv[2]
-service = ExperimentService(cache=ResultCache(cache_dir), journal_dir=journal_dir)
+service = ExperimentService(cache=ResultCache(sys.argv[1]))
 job_id = service.submit(build_specs())
 print(job_id, flush=True)
 service.wait(job_id)
 """
 
 
-def _count_journalled_cells(path: Path) -> int:
-    if not path.exists():
-        return 0
-    return path.read_text(encoding="utf-8").count('"type":"cell"')
-
-
 def test_sigkilled_sweep_resumes_bit_identically(tmp_path):
     cache_dir = tmp_path / "cache"
-    journal_dir = tmp_path / "journals"
-    journal_path = journal_dir / "job-0001.jsonl"
+    version_dir = ResultCache(cache_dir).path_for("x").parent
+
+    def published() -> set:
+        return {path.stem for path in version_dir.glob("*.json")}
 
     # --- the doomed campaign ---------------------------------------
     child = subprocess.Popen(
-        [sys.executable, "-c", CHILD_SCRIPT, str(cache_dir), str(journal_dir)],
+        [sys.executable, "-c", CHILD_SCRIPT, str(cache_dir)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -95,24 +91,22 @@ def test_sigkilled_sweep_resumes_bit_identically(tmp_path):
     )
     try:
         deadline = time.monotonic() + 120.0
-        while _count_journalled_cells(journal_path) < 1:
+        while not published():
             if child.poll() is not None:
                 pytest.fail(
-                    "child exited before journalling a cell:\n"
+                    "child exited before caching a cell:\n"
                     + child.communicate()[1]
                 )
             if time.monotonic() > deadline:
-                pytest.fail("child made no journalled progress in 120s")
+                pytest.fail("child cached no cell in 120s")
             time.sleep(0.01)
         assert child.poll() is None, "child finished before it could be killed"
         os.kill(child.pid, signal.SIGKILL)
     finally:
         child.wait(timeout=30)
 
-    journal = SweepJournal.open(journal_path)
-    journalled = journal.completed
-    journal.close()
-    assert 1 <= journalled < len(IOS_PLAN), "kill landed mid-sweep"
+    killed_at = published()
+    assert 1 <= len(killed_at) < len(IOS_PLAN), "kill landed mid-sweep"
 
     # --- the uninterrupted reference -------------------------------
     baseline = [
@@ -120,30 +114,26 @@ def test_sigkilled_sweep_resumes_bit_identically(tmp_path):
     ]
 
     # --- resume in a fresh process (this one) ----------------------
-    with ExperimentService(
-        cache=ResultCache(cache_dir), journal_dir=journal_dir
-    ) as service:
+    cache = ResultCache(cache_dir)
+    with ExperimentService(cache=cache) as service:
         job_id = service.resume("job-0001", work=build_specs())
         results = service.results(job_id)
         status = service.status(job_id)
 
     assert status.state is JobState.DONE
-    # Every journalled cell was replayed, none re-ran.
-    assert status.resumed_cells == journalled
-    assert (
-        status.resumed_cells + status.cache_hits + status.cache_misses
-        == len(IOS_PLAN)
-    )
+    # Every cell published before the kill was a hit; none re-ran.
+    assert status.cache_hits == len(killed_at)
+    assert status.cache_misses == len(IOS_PLAN) - len(killed_at)
+    for spec, cell in zip(build_specs(), status.cells):
+        if cache.key_for(spec) in killed_at:
+            assert cell.state is CellState.CACHED
     # Byte-for-byte identical to the run that was never interrupted.
     assert [serialize_summary(r.summary()) for r in results] == baseline
 
-    # The journal now covers the whole grid: resuming again replays
-    # everything and runs nothing.
-    with ExperimentService(
-        cache=ResultCache(cache_dir), journal_dir=journal_dir
-    ) as service:
+    # The cache now covers the whole grid: resuming again runs nothing.
+    with ExperimentService(cache=ResultCache(cache_dir)) as service:
         job_id = service.resume("job-0001", work=build_specs())
         service.results(job_id)
         final = service.status(job_id)
-    assert final.resumed_cells == len(IOS_PLAN)
+    assert final.cache_hits == len(IOS_PLAN)
     assert final.cache_misses == 0

@@ -4,10 +4,13 @@ The contract: a submitted job runs to completion in the background and
 returns results in spec order; resubmitting equivalent work is served
 entirely from the cache with bit-identical summaries; a failure or
 cancellation surfaces precisely (which cell, what survived) instead of
-hanging or vanishing.
+hanging or vanishing; an interrupted job resumes against the cache,
+re-running only the cells the cache lacks, and refuses to resume into
+different code or a different grid.
 """
 
 import functools
+import json
 
 import pytest
 
@@ -26,12 +29,19 @@ from repro.service import (
     JobFailedError,
     JobState,
     ResultCache,
+    ResumeMismatchError,
     UnknownJobError,
     run_to_completion,
 )
-from repro.service.grids import grid_specs, mixed_workload
+from repro.service.grids import (
+    grid_manifest,
+    grid_specs,
+    mixed_workload,
+    specs_from_manifest,
+)
 
 IOS = 150
+SMALL_AXES = [("controller.gc_greediness", [1, 2]), ("host.max_outstanding", [4, 8])]
 
 
 def failing_workload(config):
@@ -40,7 +50,7 @@ def failing_workload(config):
 
 def small_grid(ios: int = IOS, depths=(4, 8)) -> list:
     return grid_specs(
-        [("controller.gc_greediness", [1, 2]), ("host.max_outstanding", list(depths))],
+        [SMALL_AXES[0], ("host.max_outstanding", list(depths))],
         ios=ios,
     )
 
@@ -233,10 +243,9 @@ def test_service_accepts_workers_auto(tmp_path):
 # ----------------------------------------------------------------------
 # Interrupt / resume / stranded-job hygiene
 # ----------------------------------------------------------------------
-def make_journalled_service(tmp_path) -> ExperimentService:
+def make_service(tmp_path, fingerprint: str = "test-version") -> ExperimentService:
     return ExperimentService(
-        cache=ResultCache(tmp_path / "cache", fingerprint="test-version"),
-        journal_dir=tmp_path / "journals",
+        cache=ResultCache(tmp_path / "cache", fingerprint=fingerprint)
     )
 
 
@@ -246,13 +255,13 @@ def test_interrupt_stops_at_cell_boundary_and_resumes(tmp_path):
     # Cells sized so the interrupt reliably lands before the grid ends.
     grid_ios = IOS * 20
 
-    baseline_service = make_journalled_service(tmp_path / "a")
+    baseline_service = make_service(tmp_path / "a")
     with baseline_service:
         baseline = summaries(
             baseline_service.results(baseline_service.submit(small_grid(ios=grid_ios)))
         )
 
-    service = make_journalled_service(tmp_path / "b")
+    service = make_service(tmp_path / "b")
     job_id = service.submit(small_grid(ios=grid_ios))
     while service.status(job_id).completed_cells < 1:
         time.sleep(0.005)
@@ -267,22 +276,23 @@ def test_interrupt_stops_at_cell_boundary_and_resumes(tmp_path):
     with pytest.raises(JobFailedError):
         service.results(job_id, wait=False)
 
-    resumed_service = make_journalled_service(tmp_path / "b")
+    resumed_service = make_service(tmp_path / "b")
     with resumed_service:
         resumed_id = resumed_service.resume(job_id, work=small_grid(ios=grid_ios))
         results = resumed_service.results(resumed_id)
         final = resumed_service.status(resumed_id)
     assert final.state is JobState.DONE
-    assert final.resumed_cells == status.completed_cells
+    # Every cell finished before the interrupt is a cache hit; only the
+    # rest ran.
+    assert final.cache_hits == status.completed_cells
+    assert final.cache_misses == final.total_cells - status.completed_cells
     assert summaries(results) == baseline
-    replayed = [
-        cell.state for cell in final.cells[: final.resumed_cells]
-    ]
-    assert all(state is CellState.RESUMED for state in replayed)
+    finished = [cell.state for cell in final.cells[: status.completed_cells]]
+    assert all(state is CellState.CACHED for state in finished)
 
 
 def test_interrupt_flushes_queued_jobs(tmp_path):
-    service = make_journalled_service(tmp_path)
+    service = make_service(tmp_path)
     running = service.submit(small_grid())
     queued = service.submit(small_grid(ios=IOS * 2))
     service.interrupt(wait=True)
@@ -302,7 +312,7 @@ def test_shutdown_after_interrupt_does_not_deadlock(tmp_path):
     # (a regression here hangs the process after ctrl-C).
     import threading
 
-    service = make_journalled_service(tmp_path)
+    service = make_service(tmp_path)
     job_id = service.submit(small_grid())
     service.interrupt(wait=False)
     closer = threading.Thread(target=service.shutdown, kwargs={"wait": True})
@@ -315,7 +325,7 @@ def test_shutdown_after_interrupt_does_not_deadlock(tmp_path):
 def test_shutdown_sweeps_stranded_jobs(tmp_path):
     # White-box: simulate a worker that died mid-job, leaving RUNNING
     # state behind -- shutdown must not let dashboards see it forever.
-    service = make_journalled_service(tmp_path)
+    service = make_service(tmp_path)
     job_id = service.submit(small_grid()[:1])
     service.wait(job_id)
     stranded = service._jobs[job_id]
@@ -328,46 +338,128 @@ def test_shutdown_sweeps_stranded_jobs(tmp_path):
 
 
 def test_resume_rejects_mismatched_grid(tmp_path):
-    from repro.service import JournalMismatchError
-
-    service = make_journalled_service(tmp_path)
+    service = make_service(tmp_path)
     with service:
         job_id = service.submit(small_grid())
         service.wait(job_id)
-    other = make_journalled_service(tmp_path)
-    with pytest.raises(JournalMismatchError):
-        other.resume(job_id, work=small_grid(ios=IOS * 2))
+    other = make_service(tmp_path)
+    with pytest.raises(ResumeMismatchError):
+        other.resume(job_id, work=small_grid(ios=IOS * 2))  # different cells
+    with pytest.raises(ResumeMismatchError):
+        other.resume(job_id)  # no grid recorded and no specs given
     other.shutdown()
 
 
-def test_resume_without_journal_dir_is_an_error(tmp_path):
-    with ExperimentService(cache=ResultCache(tmp_path)) as svc:
+def test_resume_rejects_a_fingerprint_change(tmp_path):
+    with make_service(tmp_path) as service:
+        job_id = service.submit(small_grid())
+        service.wait(job_id)
+    newer = make_service(tmp_path, fingerprint="next-version")
+    with pytest.raises(ResumeMismatchError, match="fingerprint"):
+        newer.resume(job_id, work=small_grid())
+    newer.shutdown()
+
+
+def test_resume_rejects_a_missing_or_corrupt_manifest(tmp_path):
+    with make_service(tmp_path) as service:
+        job_id = service.submit(small_grid())
+        service.wait(job_id)
+    manifest = service.cache.job_path(job_id)
+    text = manifest.read_text(encoding="utf-8")
+    other = make_service(tmp_path)
+    with pytest.raises(ResumeMismatchError):
+        other.resume("job-0099", work=small_grid())  # never submitted
+    manifest.write_text(text[:-30], encoding="utf-8")  # truncated
+    with pytest.raises(ResumeMismatchError):
+        other.resume(job_id, work=small_grid())
+    tampered = json.loads(text)
+    tampered["keys"].reverse()  # stale checksum
+    manifest.write_text(json.dumps(tampered), encoding="utf-8")
+    with pytest.raises(ResumeMismatchError):
+        other.resume(job_id, work=list(reversed(small_grid())))
+    other.shutdown()
+
+
+def test_resume_without_cache_is_an_error(tmp_path):
+    with ExperimentService(cache=None) as svc:
         with pytest.raises(RuntimeError):
             svc.resume("job-0001")
 
 
-def test_submit_never_overwrites_an_existing_journal(tmp_path):
-    first = make_journalled_service(tmp_path)
+def test_uncacheable_job_runs_but_is_not_resumable(tmp_path):
+    specs = [
+        RunSpec(
+            config=small_config(),
+            workload=lambda config: mixed_workload(config, ios=IOS),
+            label="lambda",
+        )
+    ]
+    with make_service(tmp_path) as service:
+        job_id = service.submit(specs)
+        assert len(service.results(job_id)) == 1
+        status = service.status(job_id)
+    assert status.state is JobState.DONE
+    assert any("not resumable" in event for event in status.events)
+    assert not service.cache.job_path(job_id).exists()
+    other = make_service(tmp_path)
+    with pytest.raises(ResumeMismatchError):
+        other.resume(job_id, work=specs)
+    other.shutdown()
+
+
+def test_resume_reruns_exactly_the_missing_cell(tmp_path):
+    with make_service(tmp_path) as service:
+        job_id = service.submit(small_grid(), grid=grid_manifest(SMALL_AXES, ios=IOS))
+        baseline = summaries(service.results(job_id))
+    cache = ResultCache(tmp_path / "cache", fingerprint="test-version")
+    assert cache.invalidate(small_grid()[2])
+
+    with ExperimentService(cache=cache) as service:
+        service.resume(job_id)  # specs rebuilt from the recorded grid
+        results = service.results(job_id)
+        status = service.status(job_id)
+    assert (status.cache_hits, status.cache_misses) == (3, 1)
+    assert [cell.state for cell in status.cells] == [
+        CellState.CACHED,
+        CellState.CACHED,
+        CellState.COMPUTED,
+        CellState.CACHED,
+    ]
+    assert summaries(results) == baseline
+
+
+def test_submit_never_overwrites_an_existing_manifest(tmp_path):
+    first = make_service(tmp_path)
     with first:
         first_id = first.submit(small_grid()[:1])
         first.wait(first_id)
-    # A fresh service restarts its id counter; the journal on disk from
+    # A fresh service restarts its id counter; the manifest on disk from
     # the previous "process" must survive.
-    second = make_journalled_service(tmp_path)
+    second = make_service(tmp_path)
     with second:
         second_id = second.submit(small_grid()[:1])
         second.wait(second_id)
     assert first_id == "job-0001"
     assert second_id == "job-0002"
-    assert (tmp_path / "journals" / "job-0001.jsonl").exists()
-    assert (tmp_path / "journals" / "job-0002.jsonl").exists()
+    assert (tmp_path / "cache" / "jobs" / "job-0001.json").exists()
+    assert (tmp_path / "cache" / "jobs" / "job-0002.json").exists()
 
 
-def test_status_reports_events_and_resumed_counter(tmp_path):
-    service = make_journalled_service(tmp_path)
+def test_status_reports_events_and_manifest(tmp_path):
+    service = make_service(tmp_path)
     with service:
         job_id = service.submit(small_grid()[:1])
         status = service.wait(job_id)
-    assert status.resumed_cells == 0
     assert any("submitted" in event for event in status.events)
-    assert any("journal" in event for event in status.events)
+    assert any("manifest" in event for event in status.events)
+
+
+def test_grid_manifest_roundtrip():
+    manifest = json.loads(json.dumps(grid_manifest(SMALL_AXES, ios=IOS, seed=7)))
+    rebuilt = specs_from_manifest(manifest)
+    original = grid_specs(SMALL_AXES, ios=IOS, seed=7)
+    assert [spec.cache_key("v") for spec in rebuilt] == [
+        spec.cache_key("v") for spec in original
+    ]
+    with pytest.raises(ValueError):
+        specs_from_manifest({"kind": "mystery"})
