@@ -1,9 +1,12 @@
-"""Performance micro-benchmarks for the simulator hot paths.
+"""Performance benchmarks for the simulator infrastructure.
 
 Unlike the ``benchmarks/test_eNN_*`` experiment benchmarks (which
 reproduce the paper's figures), the scripts in this package measure the
-*infrastructure*: raw event-engine throughput (``bench_engine.py``) and
-parallel sweep scaling (``bench_sweep.py``).  Each writes a small JSON
-report (``BENCH_engine.json`` / ``BENCH_sweep.json``) at the repo root
-so runs can be compared across machines and commits.
+*infrastructure*: the experiment service's result cache
+(``bench_cache.py``), device-state memory at scale (``bench_scale.py``)
+and overload robustness (``bench_overload.py``).  Each writes a small
+JSON report (``BENCH_cache.json`` / ``BENCH_scale.json`` /
+``BENCH_overload.json``) at the repo root so runs can be compared across
+machines and commits.  Per-layer simulator throughput is measured by
+``layerbench/run.py``.
 """

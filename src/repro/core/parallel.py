@@ -234,9 +234,9 @@ def resolve_workers(workers: WorkerCount) -> int:
     ``"auto"`` (or ``None``) selects :func:`default_workers` -- one
     worker per CPU, which the executor further caps at the number of
     specs.  On a single-CPU box ``"auto"`` therefore resolves to 1 and
-    takes the exact historical serial path (BENCH_sweep.json documents
-    that fan-out only pays off with real cores).  Sweep *ordering* is
-    unaffected either way: results always come back in spec order.
+    takes the exact historical serial path (fan-out only pays off with
+    real cores).  Sweep *ordering* is unaffected either way: results
+    always come back in spec order.
     """
     if workers is None:
         return default_workers()

@@ -9,14 +9,14 @@ bit-identical reproducibility -- the property the whole framework is
 built on (PAPER Section 2.1).
 
 ``repro.lint`` is an AST-based checker for exactly those hazards.
-Rules SIM001-SIM009 are single-file pattern rules; SIM010-SIM012 run a
-cross-module dataflow analysis (project-wide symbol table, call graph,
-address-domain taint tracking -- see :mod:`repro.lint.dataflow`)::
+Rules SIM001-SIM009 are single-file pattern rules; SIM010 and SIM012
+run a cross-module dataflow analysis (project-wide symbol table,
+address-domain and view taint tracking -- see
+:mod:`repro.lint.dataflow`)::
 
     python -m repro.lint src/            # human-readable report
     python -m repro.lint --format json src/
     python -m repro.lint --format sarif src/
-    python -m repro.lint baseline src/   # snapshot findings (ratchet)
     python -m repro.lint --list-rules
 
 Rules carry stable ``SIMxxx`` identifiers (see :mod:`repro.lint.rules`)

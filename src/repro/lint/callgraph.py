@@ -1,13 +1,13 @@
-"""Project-wide symbol table and call graph for simlint.
+"""Project-wide symbol table for simlint.
 
 The single-file rules (SIM001..SIM009) see one AST at a time.  The
-dataflow rules (SIM010..SIM012) need to know, across module boundaries,
+dataflow rules (SIM010, SIM012) need to know, across module boundaries,
 *what a name is*: which class a constructor call builds, which function
 an attribute call dispatches to, which domain an annotated parameter
 assigns.  This module builds that view:
 
 * :class:`ModuleInfo` -- one parsed file: its import table (local alias
-  -> dotted target), module-level bindings, functions and classes.
+  -> dotted target), functions and classes.
 * :class:`ClassInfo` -- methods, resolved base classes, and the
   *attribute type table* inferred from ``self.x = ClassName(...)``
   assignments and annotations (this is what lets the engine resolve
@@ -18,17 +18,15 @@ assigns.  This module builds that view:
 * :class:`Project` -- the index over all of the above, plus name
   resolution and method lookup along base-class chains.
 
-The call graph itself (edges = resolved calls plus function references
-passed as callbacks) is extracted by the dataflow evaluator, which owns
-the local environments needed to type call receivers; reachability over
-those edges lives here (:func:`reachable_from`).
+Calls on *objects* are resolved by the dataflow evaluator, which owns
+the local environments needed to type call receivers.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, Mapping, Optional, Union
+from typing import Deque, Iterable, Optional, Union
 
 from repro.lint.domains import Domain, domain_of_alias
 
@@ -110,9 +108,6 @@ class ModuleInfo:
     imports: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-    #: every name bound at module level (assignments, defs, imports);
-    #: used to distinguish module state from locals.
-    module_names: set[str] = field(default_factory=set)
 
 
 def module_name_for_path(path: str) -> str:
@@ -256,23 +251,10 @@ class Project:
                 info = self._make_function(module, stmt, class_name=None)
                 module.functions[stmt.name] = info
                 self.functions[info.qualname] = info
-                module.module_names.add(stmt.name)
             elif isinstance(stmt, ast.ClassDef):
                 cls = self._make_class(module, stmt)
                 module.classes[stmt.name] = cls
                 self.classes[cls.qualname] = cls
-                module.module_names.add(stmt.name)
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        module.module_names.add(target.id)
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                module.module_names.add(stmt.target.id)
-            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                for alias in stmt.names:
-                    module.module_names.add(
-                        alias.asname or alias.name.split(".")[0]
-                    )
         return module
 
     def _make_function(
@@ -509,27 +491,3 @@ class Project:
                 return current.attr_domains[attr]
             queue.extend(self.bases_of(current))
         return None
-
-
-def reachable_from(
-    roots: Mapping[str, str], edges: Mapping[str, set[str]]
-) -> dict[str, str]:
-    """BFS over the call graph.
-
-    ``roots`` maps root qualnames to a human-readable origin ("scheduled
-    by ...").  Returns every reachable qualname mapped to the chain
-    origin (its root's description), which the SIM011 messages quote.
-    """
-    origin: dict[str, str] = {}
-    queue: Deque[str] = Deque()
-    for qualname, description in sorted(roots.items()):
-        if qualname not in origin:
-            origin[qualname] = description
-            queue.append(qualname)
-    while queue:
-        current = queue.popleft()
-        for callee in sorted(edges.get(current, ())):
-            if callee not in origin:
-                origin[callee] = origin[current]
-                queue.append(callee)
-    return origin

@@ -8,14 +8,12 @@ Usage::
     python -m repro.lint --select SIM003 src/    # one rule only
     python -m repro.lint --ignore SIM006 src/    # all but one
     python -m repro.lint --list-rules            # rule table
+    python -m repro.lint src/ --sarif-file simlint.sarif  # text + SARIF
 
-    python -m repro.lint baseline src/           # snapshot findings
-    python -m repro.lint src/ --baseline         # report only NEW ones
+Each readable file is parsed once; the single-file rules run on it,
+then the project rules run once over every parsed file.
 
-    python -m repro.lint --purity-map purity.json src/
-    python -m repro.lint --cache-dir .simlint-cache --timings src/
-
-Exit codes: ``0`` no (new) violations, ``1`` violations found, ``2`` bad
+Exit codes: ``0`` no violations, ``1`` violations found, ``2`` bad
 usage or an unreadable/unparsable input file (unparsable files are also
 reported as structured ``E999`` findings).
 """
@@ -23,25 +21,13 @@ reported as structured ``E999`` findings).
 from __future__ import annotations
 
 import argparse
-import ast
-import json
 import os
 import sys
-import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE_PATH,
-    BaselineError,
-    attach_fingerprints,
-    load_baseline,
-    split_by_baseline,
-    write_baseline,
-)
-from repro.lint.cache import AnalysisCache, analysis_signature, source_digest
 from repro.lint.config import path_is_globally_exempt, rule_applies
 from repro.lint.dataflow import ProjectAnalysis
-from repro.lint.framework import LintContext, ProjectRule, Rule, Violation
+from repro.lint.framework import LintContext, ProjectRule, Rule, Violation, run_rules
 from repro.lint.reporting import format_json, format_sarif, format_text
 from repro.lint.rules import ALL_RULES, rule_by_id
 
@@ -100,212 +86,62 @@ def _parse_failure(
     return violation, f"{path}:{line}: syntax error: {detail}"
 
 
-class _LintRun:
-    """One lint invocation over a fixed file set.
-
-    Splits the work into (a) per-file rules, cached per source blob, and
-    (b) the cross-module project rules, cached per exact file-set
-    digest.  Parsing is lazy: on a fully warm cache no file is parsed at
-    all.
-    """
-
-    def __init__(
-        self,
-        rules: tuple[Rule, ...],
-        respect_scoping: bool,
-        cache: Optional[AnalysisCache],
-    ) -> None:
-        self.file_rules = tuple(r for r in rules if not isinstance(r, ProjectRule))
-        self.project_rules = tuple(r for r in rules if isinstance(r, ProjectRule))
-        self.respect_scoping = respect_scoping
-        self.cache = cache
-        self.violations: list[Violation] = []
-        self.errors: list[str] = []
-        self.files_checked = 0
-        self.suppressed = 0
-        self.timings: Dict[str, float] = {}
-        self.purity_map: dict[str, dict[str, object]] = {}
-        #: path -> source text, for every readable input file.
-        self._sources: Dict[str, str] = {}
-        self._digests: Dict[str, str] = {}
-        self._contexts: Dict[str, Optional[LintContext]] = {}
-
-    # -- timing --------------------------------------------------------
-    def _timed(self, key: str, start: float) -> None:
-        self.timings[key] = self.timings.get(key, 0.0) + (
-            time.perf_counter() - start
-        )
-
-    # -- lazy parsing --------------------------------------------------
-    def _context(self, path: str) -> Optional[LintContext]:
-        """Parse ``path`` (memoised); None when it cannot be parsed."""
-        if path in self._contexts:
-            return self._contexts[path]
-        start = time.perf_counter()
-        try:
-            context: Optional[LintContext] = LintContext(
-                path, self._sources[path]
-            )
-        except (SyntaxError, ValueError) as exc:
-            violation, error = _parse_failure(path, exc)
-            lines = self._sources[path].splitlines()
-            self.violations.extend(
-                attach_fingerprints([violation], {path: lines})
-            )
-            self.errors.append(error)
-            context = None
-        self._timed("parse", start)
-        self._contexts[path] = context
-        return context
-
-    # -- per-file rules ------------------------------------------------
-    def _run_file_rules(self, path: str) -> bool:
-        """Lint one file with the single-file rules; returns False when
-        the file could not be parsed."""
-        digest = self._digests[path]
-        if self.cache is not None:
-            key = self.cache.file_key(path, digest)
-            cached = self.cache.load(key)
-            if cached is not None:
-                found, suppressed = cached
-                self.violations.extend(found)
-                self.suppressed += suppressed
-                return True
-        context = self._context(path)
-        if context is None:
-            return False
-        found: list[Violation] = []
-        suppressed = 0
-        if self.respect_scoping:
-            in_scope = tuple(
-                r for r in self.file_rules if rule_applies(r, context.path)
-            )
-        else:
-            in_scope = self.file_rules
-        for rule in in_scope:
-            start = time.perf_counter()
-            for violation in rule.check(context):
-                if context.is_suppressed(violation):
-                    suppressed += 1
-                else:
-                    found.append(violation)
-            self._timed(rule.id, start)
-        found = attach_fingerprints(found, {path: context.lines})
-        self.violations.extend(found)
-        self.suppressed += suppressed
-        if self.cache is not None:
-            self.cache.store(self.cache.file_key(path, digest), found, suppressed)
-        return True
-
-    # -- project rules -------------------------------------------------
-    def _run_project_rules(self, parsed_ok: list[str]) -> None:
-        if not self.project_rules and not self.purity_requested:
-            return
-        entries = [(path, self._digests[path]) for path in parsed_ok]
-        key: Optional[str] = None
-        if self.cache is not None:
-            key = self.cache.project_key(entries)
-            if not self.purity_requested:
-                cached = self.cache.load(key)
-                if cached is not None:
-                    found, suppressed = cached
-                    self.violations.extend(found)
-                    self.suppressed += suppressed
-                    return
-        start = time.perf_counter()
-        trees: list[tuple[str, ast.Module]] = []
-        contexts: dict[str, LintContext] = {}
-        for path in parsed_ok:
-            context = self._context(path)
-            if context is not None:
-                trees.append((path, context.tree))
-                contexts[path] = context
-        analysis = ProjectAnalysis.build(trees)
-        self._timed("analysis", start)
-        if self.purity_requested:
-            self.purity_map = analysis.purity_map()
-        found: list[Violation] = []
-        suppressed = 0
-        for rule in self.project_rules:
-            start = time.perf_counter()
-            for violation in rule.check_project(analysis):
-                if self.respect_scoping and not rule_applies(rule, violation.path):
-                    continue
-                context = contexts.get(violation.path)
-                if context is not None and context.is_suppressed(violation):
-                    suppressed += 1
-                else:
-                    found.append(violation)
-            self._timed(rule.id, start)
-        lines_by_path = {p: c.lines for p, c in contexts.items()}
-        found = attach_fingerprints(found, lines_by_path)
-        self.violations.extend(found)
-        self.suppressed += suppressed
-        if self.cache is not None and key is not None:
-            self.cache.store(key, found, suppressed)
-
-    purity_requested: bool = False
-
-    # -- driver --------------------------------------------------------
-    def run(self, paths: Sequence[str]) -> None:
-        for filename in iter_python_files(paths):
-            normalised = filename.replace("\\", "/")
-            if self.respect_scoping and path_is_globally_exempt(normalised):
-                continue
-            try:
-                with open(filename, "r", encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError as exc:
-                self.errors.append(f"{normalised}: {exc}")
-                continue
-            except UnicodeDecodeError as exc:
-                violation, error = _parse_failure(normalised, exc)
-                self.violations.extend(attach_fingerprints([violation], {}))
-                self.errors.append(error)
-                continue
-            self._sources[normalised] = source
-            self._digests[normalised] = source_digest(source)
-        parsed_ok: list[str] = []
-        for path in sorted(self._sources):
-            if self._run_file_rules(path):
-                parsed_ok.append(path)
-        self.files_checked = len(parsed_ok)
-        self._run_project_rules(parsed_ok)
-        self.violations.sort(key=Violation.sort_key)
-
-
 def lint_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
     respect_scoping: bool = True,
-    *,
-    cache_dir: Optional[str] = None,
-    details: Optional[dict[str, object]] = None,
-    purity: bool = False,
 ) -> tuple[list[Violation], int, int, list[str]]:
     """Lint ``paths``; returns (violations, files_checked, suppressed, errors).
 
     ``respect_scoping=False`` applies every rule to every file (used by
     the fixture tests, where paths are temp files outside the tree).
-    ``cache_dir`` enables the on-disk result cache; ``details`` (a dict
-    filled in place) receives per-rule ``timings``, cache statistics and
-    the SIM011 ``purity_map`` when ``purity`` is set.
     """
     rules = _select_rules(select, ignore)
-    cache: Optional[AnalysisCache] = None
-    if cache_dir is not None:
-        signature = analysis_signature([r.id for r in rules])
-        cache = AnalysisCache(cache_dir, signature)
-    run = _LintRun(rules, respect_scoping, cache)
-    run.purity_requested = purity
-    run.run(paths)
-    if details is not None:
-        details["timings"] = dict(run.timings)
-        details["purity_map"] = run.purity_map
-        if cache is not None:
-            details["cache"] = {"hits": cache.hits, "misses": cache.misses}
-    return run.violations, run.files_checked, run.suppressed, run.errors
+    file_rules = tuple(r for r in rules if not isinstance(r, ProjectRule))
+    project_rules = tuple(r for r in rules if isinstance(r, ProjectRule))
+    violations: list[Violation] = []
+    errors: list[str] = []
+    suppressed = 0
+    contexts: dict[str, LintContext] = {}
+    for filename in iter_python_files(paths):
+        path = filename.replace("\\", "/")
+        if respect_scoping and path_is_globally_exempt(path):
+            continue
+        try:
+            with open(filename, "r", encoding="utf-8") as handle:
+                context = LintContext(path, handle.read())
+        except OSError as exc:
+            errors.append(f"{path}: {exc}")
+            continue
+        except (SyntaxError, ValueError) as exc:  # incl. UnicodeDecodeError
+            violation, error = _parse_failure(path, exc)
+            violations.append(violation)
+            errors.append(error)
+            continue
+        contexts[path] = context
+        in_scope = tuple(
+            r for r in file_rules if not respect_scoping or rule_applies(r, path)
+        )
+        found, file_suppressed = run_rules(context, in_scope)
+        violations.extend(found)
+        suppressed += file_suppressed
+
+    if project_rules:
+        analysis = ProjectAnalysis.build(
+            (path, context.tree) for path, context in contexts.items()
+        )
+        for rule in project_rules:
+            for violation in rule.check_project(analysis):
+                if respect_scoping and not rule_applies(rule, violation.path):
+                    continue
+                owner = contexts.get(violation.path)
+                if owner is not None and owner.is_suppressed(violation):
+                    suppressed += 1
+                else:
+                    violations.append(violation)
+    violations.sort(key=Violation.sort_key)
+    return violations, len(contexts), suppressed, errors
 
 
 def _print_rule_table() -> None:
@@ -314,25 +150,12 @@ def _print_rule_table() -> None:
         print(f"{rule.id}  {rule.name:<{width}}  {rule.description}")
 
 
-def _print_timings(timings: Dict[str, float]) -> None:
-    total = sum(timings.values())
-    print("simlint timings:", file=sys.stderr)
-    for key in sorted(timings, key=lambda k: -timings[k]):
-        print(f"  {key:<10} {timings[key] * 1000.0:8.1f} ms", file=sys.stderr)
-    print(f"  {'total':<10} {total * 1000.0:8.1f} ms", file=sys.stderr)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="simulator-invariant static analysis for the repro codebase",
     )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint; prefix with the `baseline` "
-        "subcommand to snapshot current findings",
-    )
+    parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument(
         "--format",
         choices=("text", "json", "sarif"),
@@ -357,32 +180,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="apply every rule to every file, ignoring path scoping",
     )
     parser.add_argument(
-        "--baseline",
-        nargs="?",
-        const=DEFAULT_BASELINE_PATH,
-        metavar="PATH",
-        help="hide findings recorded in the baseline snapshot "
-        f"(default path: {DEFAULT_BASELINE_PATH})",
-    )
-    parser.add_argument(
         "--sarif-file",
         metavar="PATH",
         help="additionally write a SARIF 2.1.0 log to PATH",
-    )
-    parser.add_argument(
-        "--purity-map",
-        metavar="PATH",
-        help="write the SIM011 scheduling-path purity map (JSON) to PATH",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="cache per-file and whole-project analysis results in DIR",
-    )
-    parser.add_argument(
-        "--timings",
-        action="store_true",
-        help="print per-rule wall time to stderr",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
@@ -394,50 +194,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     paths: List[str] = list(args.paths)
-    baseline_write = bool(paths) and paths[0] == "baseline"
-    if baseline_write:
-        paths = paths[1:]
     if not paths:
         parser.print_usage(sys.stderr)
         print("error: no paths given (or use --list-rules)", file=sys.stderr)
         return 2
 
-    details: dict[str, object] = {}
     try:
         violations, files_checked, suppressed, errors = lint_paths(
             paths,
             select=args.select,
             ignore=args.ignore,
             respect_scoping=not args.no_scoping,
-            cache_dir=args.cache_dir,
-            details=details,
-            purity=args.purity_map is not None,
         )
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-
-    if args.purity_map:
-        with open(args.purity_map, "w", encoding="utf-8") as handle:
-            json.dump(details.get("purity_map", {}), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    if baseline_write:
-        target = args.baseline or DEFAULT_BASELINE_PATH
-        count = write_baseline(target, violations)
-        print(f"simlint: baseline of {count} findings written to {target}")
-        for error in errors:
-            print(f"error: {error}", file=sys.stderr)
-        return 2 if errors else 0
-
-    baselined = 0
-    if args.baseline:
-        try:
-            known = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        violations, baselined = split_by_baseline(violations, known)
 
     rules = _select_rules(args.select, args.ignore)
     if args.sarif_file:
@@ -452,16 +223,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         print(format_text(violations, files_checked, suppressed))
 
-    if baselined:
-        print(
-            f"simlint: {baselined} baselined finding(s) hidden "
-            f"({args.baseline})",
-            file=sys.stderr,
-        )
-    if args.timings:
-        timings = details.get("timings")
-        if isinstance(timings, dict):
-            _print_timings(timings)
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if errors:

@@ -40,8 +40,8 @@ RULE_EXEMPT_FRAGMENTS: Mapping[str, tuple[str, ...]] = MappingProxyType({
     # The sweep executor runs on the host side of the process boundary:
     # wall-clock timeouts and progress reporting are its job.  The
     # experiment service is entirely host-side (job timing, dashboard
-    # polling).  The lint CLI times its own rules (--timings).
-    "SIM002": ("core/parallel.py", "service/", "lint/"),
+    # polling).
+    "SIM002": ("core/parallel.py", "service/"),
     "SIM004": (),
     "SIM005": (),
     "SIM006": (),
@@ -52,7 +52,6 @@ RULE_EXEMPT_FRAGMENTS: Mapping[str, tuple[str, ...]] = MappingProxyType({
     "SIM008": ("core/parallel.py", "analysis/", "service/"),
     "SIM009": (),
     "SIM010": (),
-    "SIM011": (),
     # The hardware layer *is* the mutator API: FlashState/MappingTable/
     # VersionTable methods legitimately write their own arrays.
     "SIM012": ("hardware/",),
@@ -62,13 +61,6 @@ RULE_EXEMPT_FRAGMENTS: Mapping[str, tuple[str, ...]] = MappingProxyType({
 RULE_ONLY_FRAGMENTS: Mapping[str, tuple[str, ...]] = MappingProxyType({
     "SIM003": ("controller/", "host/", "core/engine.py"),
 })
-
-
-#: SIM011 allowlist: fully-qualified functions that sit on the event-
-#: scheduling call graph and are *known* to touch module state for a
-#: reviewed reason.  Keep each entry justified -- the future sharded
-#: engine treats everything outside this set as a purity guarantee.
-SIM011_ALLOWED_IMPURE: frozenset[str] = frozenset()
 
 
 def path_is_globally_exempt(path: str) -> bool:

@@ -1,6 +1,6 @@
 """Intraprocedural def-use propagation and interprocedural summaries.
 
-This is the engine behind SIM010/SIM011/SIM012.  For every function in
+This is the engine behind SIM010 and SIM012.  For every function in
 the project it runs a single flow-ordered pass over the body, tracking
 an abstract :class:`Value` per local name:
 
@@ -16,12 +16,10 @@ an abstract :class:`Value` per local name:
   (a slice of a ``FlashState`` array, the result of ``block_words``
   on a state-owned bitmap, ...).
 
-The pass emits a :class:`FunctionSummary` carrying the resolved call
-edges, scheduling roots, module-state writes, and the raw SIM010/SIM012
-findings; :class:`ProjectAnalysis` runs the pass twice (the first pass
-infers return domains of unannotated helpers, the second produces final
-findings) and derives the scheduling-reachability map SIM011 and the
-``--purity-map`` output consume.
+The pass emits a :class:`FunctionSummary` carrying the raw SIM010 and
+SIM012 findings; :class:`ProjectAnalysis` runs the pass twice (the first
+pass infers return domains of unannotated helpers, the second produces
+final findings).
 """
 
 from __future__ import annotations
@@ -37,17 +35,13 @@ from repro.lint.callgraph import (
     Project,
     Symbol,
     annotation_domain,
-    reachable_from,
 )
 from repro.lint.domains import (
     ARRAY_ELEMENT_DOMAINS,
     ARRAY_INDEX_DOMAINS,
-    CONTAINER_MUTATOR_METHODS,
     ITER_ELEMENT_DOMAINS,
     MUTATING_ARRAY_METHODS,
-    SCHEDULING_CALL_NAMES,
     STATE_ARRAY_ATTRS,
-    VIEW_PROPAGATING_METHODS,
     VIEW_RETURNING_METHODS,
     Domain,
 )
@@ -71,8 +65,6 @@ class Value:
     elem_domain: Optional[Domain] = None
     #: per-element domains when the value is a known tuple.
     domain_tuple: Optional[tuple[Optional[Domain], ...]] = None
-    #: qualname of the project function this value references (callbacks).
-    func_ref: Optional[str] = None
 
     @property
     def is_state_buffer(self) -> bool:
@@ -111,13 +103,6 @@ class FunctionSummary:
     """Everything the project rules need to know about one function."""
 
     info: FunctionInfo
-    #: resolved callee qualnames (call-graph edges out of this function).
-    calls: set[str] = field(default_factory=set)
-    #: callee qualname -> description, for function refs handed to the
-    #: event engine (``sim.post(..., self.complete_io, io)``).
-    sched_roots: dict[str, str] = field(default_factory=dict)
-    #: (finding, short description) pairs for module-state writes.
-    module_writes: list[tuple[Finding, str]] = field(default_factory=list)
     domain_findings: list[Finding] = field(default_factory=list)
     view_findings: list[Finding] = field(default_factory=list)
     #: domains observed at ``return`` statements (None entries mean a
@@ -144,8 +129,6 @@ class _FunctionEvaluator:
         self.info = info
         self.summary = FunctionSummary(info=info)
         self.env: dict[str, Value] = {}
-        self.local_names: set[str] = set()
-        self.global_names: set[str] = set()
         self._seed_parameters()
 
     # ------------------------------------------------------------------
@@ -167,7 +150,6 @@ class _FunctionEvaluator:
                 owner = f"{self.info.module_name}.{self.info.class_name}"
                 value = Value(cls=owner)
             self.env[arg.arg] = value
-            self.local_names.add(arg.arg)
 
     def run(self) -> FunctionSummary:
         for stmt in self.info.node.body:
@@ -198,19 +180,6 @@ class _FunctionEvaluator:
 
     def _report_view(self, node: ast.AST, message: str) -> None:
         self.summary.view_findings.append(_finding(self.info.path, node, message))
-
-    def _report_module_write(
-        self, node: ast.AST, description: str, message: str
-    ) -> None:
-        self.summary.module_writes.append(
-            (_finding(self.info.path, node, message), description)
-        )
-
-    def _is_module_level_name(self, name: str) -> bool:
-        return (
-            name in self.module.module_names
-            and name not in self.local_names
-        ) or name in self.global_names
 
     # ------------------------------------------------------------------
     # statements
@@ -286,15 +255,12 @@ class _FunctionEvaluator:
             for handler in stmt.handlers:
                 if handler.name is not None:
                     self.env[handler.name] = _EMPTY
-                    self.local_names.add(handler.name)
                 for sub in handler.body:
                     self._exec(sub)
             for sub in stmt.orelse:
                 self._exec(sub)
             for sub in stmt.finalbody:
                 self._exec(sub)
-        elif isinstance(stmt, ast.Global):
-            self.global_names.update(stmt.names)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # Nested defs (closures used as continuations) are analysed
             # inline: their effects belong to the enclosing function.
@@ -306,34 +272,19 @@ class _FunctionEvaluator:
             self._eval(stmt.test)
             if stmt.msg is not None:
                 self._eval(stmt.msg)
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Name
-                ):
-                    if self._is_module_level_name(target.value.id):
-                        self._report_module_write(
-                            target,
-                            f"del {target.value.id}[...]",
-                            f"deletes from module-level container "
-                            f"{target.value.id!r}",
-                        )
-        # Pass/Break/Continue/Import/Nonlocal/ClassDef: nothing to track.
+        # Pass/Break/Continue/Import/Global/Nonlocal/Delete/ClassDef:
+        # nothing to track.
 
     def _exec_nested(self, node: _FunctionNode) -> None:
         saved_env = dict(self.env)
-        saved_locals = set(self.local_names)
         for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
             domain = annotation_domain(arg.annotation)
             self.env[arg.arg] = Value(domain=domain)
-            self.local_names.add(arg.arg)
         for stmt in node.body:
             self._exec(stmt)
         self.env = saved_env
-        self.local_names = saved_locals
         # The nested function itself becomes referenceable by name.
         self.env[node.name] = _EMPTY
-        self.local_names.add(node.name)
 
     # ------------------------------------------------------------------
     # stores
@@ -342,15 +293,7 @@ class _FunctionEvaluator:
         self, target: ast.expr, value: Value, source: Optional[ast.expr]
     ) -> None:
         if isinstance(target, ast.Name):
-            if self._is_module_level_name(target.id) and target.id in self.global_names:
-                self._report_module_write(
-                    target,
-                    f"{target.id} = ...",
-                    f"rebinds module-level name {target.id!r} "
-                    "(declared global)",
-                )
             self.env[target.id] = value
-            self.local_names.add(target.id)
         elif isinstance(target, (ast.Tuple, ast.List)):
             domains = value.domain_tuple
             for index, element in enumerate(target.elts):
@@ -411,28 +354,11 @@ class _FunctionEvaluator:
                 "returned by state accessors are read-only by convention -- "
                 "use the mutator API",
             )
-        elif isinstance(target.value, ast.Name) and self._is_module_level_name(
-            target.value.id
-        ):
-            self._report_module_write(
-                target,
-                f"{target.value.id}[...] = ...",
-                f"writes into module-level container {target.value.id!r}",
-            )
 
     def _bind_aug(self, stmt: ast.AugAssign, value: Value) -> None:
         target = stmt.target
         if isinstance(target, ast.Name):
-            if target.id in self.global_names:
-                self._report_module_write(
-                    target,
-                    f"{target.id} {type(stmt.op).__name__}= ...",
-                    f"augments module-level name {target.id!r} "
-                    "(declared global)",
-                )
-            current = self.env.get(target.id, _EMPTY)
-            self.env[target.id] = replace(current, domain=current.domain)
-            self.local_names.add(target.id)
+            self.env.setdefault(target.id, _EMPTY)
         elif isinstance(target, ast.Subscript):
             self._store_subscript(target, value)
         elif isinstance(target, ast.Attribute):
@@ -445,7 +371,7 @@ class _FunctionEvaluator:
         if node is None:
             return _EMPTY
         if isinstance(node, ast.Name):
-            return self._eval_name(node)
+            return self.env.get(node.id, _EMPTY)
         if isinstance(node, ast.Attribute):
             return self._eval_attribute(node)
         if isinstance(node, ast.Subscript):
@@ -499,34 +425,13 @@ class _FunctionEvaluator:
             for condition in generator.ifs:
                 self._eval(condition)
 
-    def _eval_lambda(self, node: ast.Lambda) -> set[str]:
-        """Evaluate a lambda body inline; returns the calls it makes."""
+    def _eval_lambda(self, node: ast.Lambda) -> None:
+        """Evaluate a lambda body inline, its parameters unknown."""
         saved_env = dict(self.env)
-        saved_locals = set(self.local_names)
-        saved_calls = set(self.summary.calls)
-        self.summary.calls = set()
         for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
             self.env[arg.arg] = _EMPTY
-            self.local_names.add(arg.arg)
         self._eval(node.body)
-        captured = self.summary.calls
-        self.summary.calls = saved_calls | captured
         self.env = saved_env
-        self.local_names = saved_locals
-        return captured
-
-    def _eval_name(self, node: ast.Name) -> Value:
-        if node.id in self.env:
-            return self.env[node.id]
-        if node.id in self.module.functions:
-            return Value(func_ref=self.module.functions[node.id].qualname)
-        target = self.module.imports.get(node.id)
-        if target is not None:
-            if target in self.project.functions:
-                return Value(func_ref=target)
-            if target in self.project.classes:
-                return _EMPTY
-        return _EMPTY
 
     def _eval_attribute(self, node: ast.Attribute) -> Value:
         obj = self._eval(node.value)
@@ -537,23 +442,13 @@ class _FunctionEvaluator:
         if cls is not None:
             domain = self.project.attr_domain_of(cls, node.attr)
             attr_cls = self.project.attr_class_of(cls, node.attr)
-            method = self.project.method_of(cls, node.attr)
             if domain is not None or attr_cls is not None:
                 return Value(
                     domain=domain,
                     cls=attr_cls.qualname if attr_cls is not None else None,
                 )
-            if method is not None:
-                return Value(func_ref=method.qualname)
         if obj.is_state_buffer and node.attr == "T":
             return replace(obj, array_of=None, view_origin=obj.buffer_description())
-        # Dotted module access: ``addresses.lun_index``.
-        if isinstance(node.value, ast.Name) and node.value.id not in self.env:
-            target = self.module.imports.get(node.value.id)
-            if target is not None:
-                dotted = f"{target}.{node.attr}"
-                if dotted in self.project.functions:
-                    return Value(func_ref=dotted)
         return _EMPTY
 
     def _check_index(
@@ -620,39 +515,13 @@ class _FunctionEvaluator:
             if kw.arg is None:
                 self._eval(kw.value)
 
-        # Function references handed to any call may be invoked later on
-        # whatever path the callee sits on: record them as edges.
-        ref_args: list[str] = []
-        for value in list(arg_values) + list(keyword_values.values()):
-            if value.func_ref is not None:
-                ref_args.append(value.func_ref)
-                self.summary.calls.add(value.func_ref)
-        lambda_calls: set[str] = set()
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            if isinstance(arg, ast.Lambda):
-                lambda_calls |= self._eval_lambda(arg)
-
-        call_name = (
-            func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        )
-        if call_name in SCHEDULING_CALL_NAMES:
-            origin = f"scheduled from {self.info.qualname} via {call_name}()"
-            for qualname in ref_args:
-                self.summary.sched_roots.setdefault(qualname, origin)
-            for qualname in lambda_calls:
-                self.summary.sched_roots.setdefault(
-                    qualname, origin + " (lambda)"
-                )
-
         callee = self._resolve_callee(node, arg_values)
         if isinstance(callee, ClassInfo):
             init = self.project.method_of(callee, "__init__")
             if init is not None:
-                self.summary.calls.add(init.qualname)
                 self._check_call_domains(node, init, arg_values, keyword_values)
             return Value(cls=callee.qualname)
         if isinstance(callee, FunctionInfo):
-            self.summary.calls.add(callee.qualname)
             self._check_call_domains(node, callee, arg_values, keyword_values)
             return_cls = callee.return_class
             result = Value(
@@ -678,7 +547,6 @@ class _FunctionEvaluator:
         if iter_result is not None:
             return iter_result
         self._check_buffer_method(node, func)
-        self._check_module_container_mutation(node, func)
         return _EMPTY
 
     def _resolve_callee(
@@ -801,24 +669,6 @@ class _FunctionEvaluator:
                 f"{obj.buffer_description()} in place; use the mutator API",
             )
 
-    def _check_module_container_mutation(
-        self, node: ast.Call, func: ast.expr
-    ) -> None:
-        if not (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.attr in CONTAINER_MUTATOR_METHODS
-        ):
-            return
-        name = func.value.id
-        if self._is_module_level_name(name) and name not in self.env:
-            self._report_module_write(
-                node,
-                f"{name}.{func.attr}(...)",
-                f"mutates module-level container {name!r} via "
-                f".{func.attr}()",
-            )
-
 
 def evaluate_function(
     project: Project, module: ModuleInfo, info: FunctionInfo
@@ -828,7 +678,7 @@ def evaluate_function(
 
 
 class ProjectAnalysis:
-    """The two-pass whole-project analysis the SIM010..SIM012 rules read."""
+    """The two-pass whole-project analysis the SIM010 and SIM012 rules read."""
 
     def __init__(
         self, project: Project, summaries: dict[str, FunctionSummary]
@@ -857,29 +707,3 @@ class ProjectAnalysis:
                 continue
             summaries[qualname] = evaluate_function(project, module, info)
         return cls(project, summaries)
-
-    def scheduling_reachable(self) -> dict[str, str]:
-        """qualname -> origin description, over the scheduling call graph."""
-        roots: dict[str, str] = {}
-        for summary in self.summaries.values():
-            for qualname, description in summary.sched_roots.items():
-                roots.setdefault(qualname, description)
-        edges = {q: s.calls for q, s in self.summaries.items()}
-        return reachable_from(roots, edges)
-
-    def purity_map(self) -> dict[str, dict[str, object]]:
-        """The machine-readable purity report (``--purity-map``)."""
-        reachable = self.scheduling_reachable()
-        out: dict[str, dict[str, object]] = {}
-        for qualname in sorted(reachable):
-            summary = self.summaries.get(qualname)
-            if summary is None:
-                continue
-            writes = sorted({description for _, description in summary.module_writes})
-            out[qualname] = {
-                "origin": reachable[qualname],
-                "pure": not writes,
-                "module_writes": writes,
-                "path": summary.info.path,
-            }
-        return out

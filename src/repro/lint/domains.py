@@ -130,12 +130,6 @@ VIEW_RETURNING_METHODS: Mapping[str, Mapping[str, str]] = MappingProxyType(
     }
 )
 
-#: ndarray methods that return another view of the same buffer: calling
-#: them on a tainted view keeps the taint.
-VIEW_PROPAGATING_METHODS: frozenset[str] = frozenset(
-    {"reshape", "view", "ravel", "transpose", "swapaxes", "squeeze"}
-)
-
 #: ndarray methods that mutate the buffer in place: calling them on a
 #: tainted view is a SIM012 violation.
 MUTATING_ARRAY_METHODS: frozenset[str] = frozenset(
@@ -147,34 +141,6 @@ MUTATING_ARRAY_METHODS: frozenset[str] = frozenset(
 ITER_ELEMENT_DOMAINS: Mapping[str, Mapping[str, Domain]] = MappingProxyType(
     {"MappingTable": MappingProxyType({"mapped_lpns": Domain.LPN})}
 )
-
-#: Event-engine entry points: a function object passed to one of these
-#: becomes a root of the scheduling call graph (SIM011).
-SCHEDULING_CALL_NAMES: frozenset[str] = frozenset(
-    {"post", "post_at", "schedule", "schedule_at"}
-)
-
-#: Container-mutator method names: calling one of these on a
-#: module-level name is a module-state write (SIM011).
-CONTAINER_MUTATOR_METHODS: frozenset[str] = frozenset(
-    {
-        "append",
-        "appendleft",
-        "add",
-        "update",
-        "pop",
-        "popitem",
-        "popleft",
-        "clear",
-        "extend",
-        "extendleft",
-        "insert",
-        "remove",
-        "discard",
-        "setdefault",
-    }
-)
-
 
 def domain_of_alias(name: Optional[str]) -> Optional[Domain]:
     """The domain an annotation alias names, or None."""

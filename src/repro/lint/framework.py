@@ -36,9 +36,6 @@ class Violation:
     rule_id: str
     rule_name: str
     message: str
-    #: Line-number-independent identity used by the baseline ratchet
-    #: (attached after rule execution; not part of the JSON schema).
-    fingerprint: str = ""
 
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule_id)
@@ -184,7 +181,7 @@ class LintContext:
         # may continue over further comment lines).  Decorator lines
         # both receive and propagate the carry, so a comment above
         # ``@decorator`` reaches the ``def`` line where function-level
-        # findings (e.g. SIM011) are reported.
+        # findings are reported.
         carry: set[str] = set()
         for lineno, text in enumerate(self.lines, start=1):
             stripped = text.strip()

@@ -82,10 +82,6 @@ def format_sarif(violations: Iterable[Violation], rules: Sequence[Rule]) -> str:
         }
         if violation.rule_id in rule_index:
             result["ruleIndex"] = rule_index[violation.rule_id]
-        if violation.fingerprint:
-            result["partialFingerprints"] = {
-                "simlint/v1": violation.fingerprint
-            }
         results.append(result)
     log = {
         "$schema": _SARIF_SCHEMA,

@@ -30,7 +30,7 @@ Rules here are intentionally shallow: one ``ast`` pass, no type
 inference beyond the same-file container-kind table in
 :class:`repro.lint.framework.LintContext`.  False positives are handled
 with ``# simlint: disable=SIMxxx -- why`` at the site.  The
-cross-module dataflow rules (SIM010..SIM012) live in
+cross-module dataflow rules (SIM010 and SIM012) live in
 :mod:`repro.lint.rules_dataflow`; this module composes the registry.
 """
 

@@ -1,4 +1,4 @@
-"""The cross-module dataflow rules (SIM010..SIM012).
+"""The cross-module dataflow rules (SIM010 and SIM012).
 
 ========  ========================  ============================================
 id        name                      hazard
@@ -8,10 +8,6 @@ SIM010    address-domain-confusion  an LPN/PPN/PBN/LUN-index int crossing into
                                     wrong array index, wrong return) corrupts
                                     the device silently -- all four are plain
                                     ``int64`` since the PR-7 flattening
-SIM011    shard-impure-function     a function reachable from the event-
-                                    scheduling call graph that writes module-
-                                    level state cannot be sharded across
-                                    processes by channel/LUN domain
 SIM012    leaked-array-view         mutating a live numpy view of device state
                                     (instead of the owning class's mutator API)
                                     bypasses bit-identity accounting
@@ -28,7 +24,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lint.config import SIM011_ALLOWED_IMPURE
 from repro.lint.dataflow import ProjectAnalysis
 from repro.lint.framework import ProjectRule, Violation
 
@@ -48,34 +43,6 @@ class AddressDomainConfusion(ProjectRule):
             for finding in summary.domain_findings:
                 yield self.violation_at(
                     finding.path, finding.line, finding.col, finding.message
-                )
-
-
-class ShardImpureFunction(ProjectRule):
-    id = "SIM011"
-    name = "shard-impure-function"
-    description = (
-        "function on the event-scheduling call graph writes module-level "
-        "state; sharding the engine by channel/LUN domain requires these "
-        "paths to be pure (allowlist: config.SIM011_ALLOWED_IMPURE)"
-    )
-
-    def check_project(self, analysis: ProjectAnalysis) -> Iterator[Violation]:
-        reachable = analysis.scheduling_reachable()
-        for qualname in sorted(reachable):
-            if qualname in SIM011_ALLOWED_IMPURE:
-                continue
-            summary = analysis.summaries.get(qualname)
-            if summary is None:
-                continue
-            for finding, description in summary.module_writes:
-                yield self.violation_at(
-                    finding.path,
-                    finding.line,
-                    finding.col,
-                    f"{qualname} is {reachable[qualname]} and {finding.message}"
-                    f" ({description}); scheduling-path code must not touch "
-                    "module state",
                 )
 
 
@@ -99,6 +66,5 @@ class LeakedArrayView(ProjectRule):
 
 PROJECT_RULES: tuple[ProjectRule, ...] = (
     AddressDomainConfusion(),
-    ShardImpureFunction(),
     LeakedArrayView(),
 )

@@ -57,8 +57,9 @@ def test_exit_two_on_no_paths(capsys):
     assert main([]) == 2
 
 
-def test_exit_two_on_unknown_rule(bad_file, capsys):
-    assert main(["--select", "SIM999", bad_file]) == 2
+@pytest.mark.parametrize("rule_id", ["SIM999", "SIM011"])
+def test_exit_two_on_unknown_rule(bad_file, capsys, rule_id):
+    assert main(["--select", rule_id, bad_file]) == 2
 
 
 def test_exit_two_on_syntax_error(tmp_path, capsys):
@@ -131,7 +132,7 @@ def test_iter_python_files_walks_directories(tmp_path):
 
 def test_global_exemption_skips_tests_tree():
     assert path_is_globally_exempt("tests/core/test_engine.py")
-    assert path_is_globally_exempt("repo/benchmarks/bench_engine.py")
+    assert path_is_globally_exempt("repo/benchmarks/perf/bench_scale.py")
     assert not path_is_globally_exempt("src/repro/core/engine.py")
 
 
@@ -148,6 +149,7 @@ def test_sim002_exempts_parallel_executor():
     rule = rule_by_id("SIM002")
     assert not rule_applies(rule, "src/repro/core/parallel.py")
     assert rule_applies(rule, "src/repro/core/engine.py")
+    assert rule_applies(rule, "src/repro/lint/cli.py")
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.lint.cli import lint_paths
-from repro.lint.dataflow import ProjectAnalysis
-import ast
 
 
 def lint_fixture(tmp_path, source: str, rule_id: str, name: str = "fixture.py"):
@@ -179,108 +177,6 @@ def test_sim010_suppressible_inline(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# SIM011 shard-impure-function
-# ---------------------------------------------------------------------------
-
-SIM011_SEEDED = '''\
-_STATS = {}
-_LOG = []
-_TOTAL = 0
-
-
-def tick(sim):
-    _STATS["ticks"] = 1  # BUG: subscript write to module state
-
-
-def drain(sim):
-    _LOG.append("drained")  # BUG: mutating-method call on module state
-
-
-def bump():
-    global _TOTAL
-    _TOTAL += 1  # BUG: global rebind, reached through helper()
-
-
-def helper(sim):
-    bump()
-
-
-def read_only(sim):
-    return len(_LOG)
-
-
-def start(sim):
-    sim.post(10, tick)
-    sim.schedule_at(5, drain)
-    sim.post_at(7, helper)
-    sim.post(9, read_only)
-'''
-
-SIM011_CLEAN = '''\
-class Counter:
-    def __init__(self):
-        self.ticks = 0
-
-    def tick(self, sim):
-        self.ticks += 1
-
-    def start(self, sim):
-        sim.post(10, self.tick)
-
-
-def pure_tick(sim):
-    return sim.now
-
-
-def start(sim):
-    sim.post(10, pure_tick)
-'''
-
-
-def test_sim011_catches_planted_impure_handlers(tmp_path):
-    violations, _ = lint_fixture(tmp_path, SIM011_SEEDED, "SIM011")
-    assert [v.rule_id for v in violations] == ["SIM011"] * 3
-    assert [v.line for v in violations] == planted_lines(SIM011_SEEDED)
-    assert len(planted_lines(SIM011_SEEDED)) >= 3
-
-
-def test_sim011_transitive_callee_is_named_with_origin(tmp_path):
-    violations, _ = lint_fixture(tmp_path, SIM011_SEEDED, "SIM011")
-    by_line = {v.line: v for v in violations}
-    bump = by_line[planted_lines(SIM011_SEEDED)[2]]
-    assert "bump" in bump.message
-    # The message explains *why* the function is on a scheduling path.
-    assert "helper" in bump.message or "sched" in bump.message
-
-
-def test_sim011_clean_on_instance_state(tmp_path):
-    violations, _ = lint_fixture(tmp_path, SIM011_CLEAN, "SIM011")
-    assert violations == []
-
-
-def test_sim011_purity_map_lists_reachable_functions(tmp_path):
-    path = tmp_path / "fixture.py"
-    path.write_text(SIM011_SEEDED)
-    details: dict[str, object] = {}
-    lint_paths(
-        [str(path)],
-        select=["SIM011"],
-        respect_scoping=False,
-        details=details,
-        purity=True,
-    )
-    purity = details["purity_map"]
-    names = {qualname.rsplit(".", 1)[-1] for qualname in purity}
-    assert {"tick", "drain", "helper", "bump", "read_only"} <= names
-    impure = {q for q, info in purity.items() if not info["pure"]}
-    assert {q.rsplit(".", 1)[-1] for q in impure} == {"tick", "drain", "bump"}
-    pure_entry = next(
-        info for q, info in purity.items() if q.endswith("read_only")
-    )
-    assert pure_entry["module_writes"] == []
-
-
-# ---------------------------------------------------------------------------
 # SIM012 leaked-array-view
 # ---------------------------------------------------------------------------
 
@@ -372,14 +268,6 @@ def test_sim012_clean_on_copies_and_mutator_api(tmp_path):
 # ---------------------------------------------------------------------------
 # engine internals exercised through the fixtures
 # ---------------------------------------------------------------------------
-
-def test_project_analysis_builds_call_edges(tmp_path):
-    tree = ast.parse(SIM011_SEEDED)
-    analysis = ProjectAnalysis.build([("fixture.py", tree)])
-    reachable = analysis.scheduling_reachable()
-    names = {qualname.rsplit(".", 1)[-1] for qualname in reachable}
-    assert {"tick", "drain", "helper", "bump", "read_only"} <= names
-
 
 def test_project_rules_inert_per_file():
     from repro.lint.framework import LintContext

@@ -446,7 +446,7 @@ def test_carry_reaches_def_line_through_decorator():
 
 def test_carry_through_stacked_decorators():
     source = (
-        "# simlint: disable=SIM011 -- registered handler, writes module stats\n"
+        "# simlint: disable=SIM012 -- registered handler, audited view write\n"
         "@one\n"
         "@two\n"
         "def handler():\n"
@@ -456,8 +456,8 @@ def test_carry_through_stacked_decorators():
 
     context = LintContext("snippet.py", source)
     for line in (2, 3, 4):
-        assert "SIM011" in context.line_suppressions.get(line, set())
-    assert "SIM011" not in context.line_suppressions.get(5, set())
+        assert "SIM012" in context.line_suppressions.get(line, set())
+    assert "SIM012" not in context.line_suppressions.get(5, set())
 
 
 def test_carry_stops_at_first_plain_code_line():
@@ -526,7 +526,7 @@ def test_disable_file_does_not_leak_to_other_rules():
 def test_rule_ids_are_stable_and_unique():
     ids = [rule.id for rule in ALL_RULES]
     assert ids == sorted(ids)
-    assert len(set(ids)) == len(ids) == 12
+    assert len(set(ids)) == len(ids) == 11
     assert ids[0] == "SIM001"
     assert ids[-1] == "SIM012"
 

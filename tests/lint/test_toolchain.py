@@ -1,23 +1,12 @@
-"""The v2 toolchain around the rules: structured syntax-error findings,
-the baseline ratchet, SARIF output, the on-disk result cache, per-rule
-timings and the purity-map export."""
+"""The toolchain around the rules: structured syntax-error findings,
+SARIF output and the whole-repo time budget."""
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
 
-import pytest
-
-from repro.lint.baseline import (
-    BaselineError,
-    compute_fingerprint,
-    load_baseline,
-    split_by_baseline,
-    write_baseline,
-)
 from repro.lint.cli import lint_paths, main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -86,103 +75,6 @@ def test_broken_file_does_not_poison_the_batch(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# baseline ratchet
-# ---------------------------------------------------------------------------
-
-def test_baseline_roundtrip_hides_known_findings(tmp_path, capsys):
-    offender = tmp_path / "offender.py"
-    offender.write_text(BAD_SOURCE)
-    snapshot = tmp_path / "base.json"
-
-    assert main(["baseline", str(offender), "--baseline", str(snapshot)]) == 0
-    out = capsys.readouterr().out
-    assert "baseline of 3 findings" in out
-
-    assert main([str(offender), "--baseline", str(snapshot)]) == 0
-    captured = capsys.readouterr()
-    assert "0 violations" in captured.out
-    assert "3 baselined finding(s) hidden" in captured.err
-
-
-def test_baseline_surfaces_only_new_findings(tmp_path, capsys):
-    offender = tmp_path / "offender.py"
-    offender.write_text(BAD_SOURCE)
-    snapshot = tmp_path / "base.json"
-    assert main(["baseline", str(offender), "--baseline", str(snapshot)]) == 0
-    capsys.readouterr()
-
-    offender.write_text(BAD_SOURCE + "import random as rng\n")
-    assert main(["--format", "json", str(offender), "--baseline", str(snapshot)]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["count"] == 1
-    assert payload["violations"][0]["line"] == 4
-
-
-def test_baseline_survives_line_moves(tmp_path, capsys):
-    offender = tmp_path / "offender.py"
-    offender.write_text(BAD_SOURCE)
-    snapshot = tmp_path / "base.json"
-    assert main(["baseline", str(offender), "--baseline", str(snapshot)]) == 0
-    capsys.readouterr()
-
-    # Shift every finding down two lines: fingerprints are line-number
-    # independent, so nothing new is reported.
-    offender.write_text("# header\n\n" + BAD_SOURCE)
-    assert main([str(offender), "--baseline", str(snapshot)]) == 0
-
-
-def test_tampered_baseline_is_rejected(tmp_path, capsys):
-    offender = tmp_path / "offender.py"
-    offender.write_text(BAD_SOURCE)
-    snapshot = tmp_path / "base.json"
-    assert main(["baseline", str(offender), "--baseline", str(snapshot)]) == 0
-    capsys.readouterr()
-
-    payload = json.loads(snapshot.read_text())
-    next(iter(payload["findings"].values()))["rule"] = "SIM999"
-    snapshot.write_text(json.dumps(payload))
-    assert main([str(offender), "--baseline", str(snapshot)]) == 2
-    assert "checksum" in capsys.readouterr().err
-
-
-def test_missing_baseline_is_an_error(tmp_path, capsys):
-    offender = tmp_path / "offender.py"
-    offender.write_text("A = 1\n")
-    assert main([str(offender), "--baseline", str(tmp_path / "absent.json")]) == 2
-
-
-def test_split_by_baseline_unit():
-    violations, _, _, _ = _lint_bad_source()
-    fingerprints = frozenset(v.fingerprint for v in violations[:2])
-    fresh, hidden = split_by_baseline(violations, fingerprints)
-    assert hidden == 2
-    assert [v.rule_id for v in fresh] == [violations[2].rule_id]
-
-
-def test_fingerprint_ignores_line_numbers():
-    from repro.lint.framework import Violation
-
-    def finding(line: int) -> Violation:
-        return Violation("a.py", line, 1, "SIM001", "no-stdlib-random", "msg")
-
-    first = compute_fingerprint(finding(3), "  import random")
-    moved = compute_fingerprint(finding(9), "import random  ")
-    other = compute_fingerprint(finding(3), "import random as r")
-    assert first == moved
-    assert first != other
-
-
-def _lint_bad_source(tmp_path=None):
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "offender.py")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(BAD_SOURCE)
-        return lint_paths([path], respect_scoping=False)
-
-
-# ---------------------------------------------------------------------------
 # SARIF output
 # ---------------------------------------------------------------------------
 
@@ -205,7 +97,6 @@ def test_sarif_output_structure(tmp_path, capsys):
     location = result["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"].endswith("offender.py")
     assert location["region"]["startLine"] == 1
-    assert result["partialFingerprints"]["simlint/v1"]
 
 
 def test_sarif_file_written_alongside_text(tmp_path, capsys):
@@ -223,112 +114,6 @@ def test_sarif_clean_run_is_valid(tmp_path, capsys):
     assert main(["--format", "sarif", str(clean)]) == 0
     log = json.loads(capsys.readouterr().out)
     assert log["runs"][0]["results"] == []
-
-
-# ---------------------------------------------------------------------------
-# result cache
-# ---------------------------------------------------------------------------
-
-def test_cache_warm_run_is_identical_and_parses_nothing(tmp_path):
-    offender = tmp_path / "offender.py"
-    offender.write_text(BAD_SOURCE)
-    cache_dir = str(tmp_path / "cache")
-
-    cold: dict[str, object] = {}
-    first = lint_paths(
-        [str(offender)], respect_scoping=False, cache_dir=cache_dir, details=cold
-    )
-    warm: dict[str, object] = {}
-    second = lint_paths(
-        [str(offender)], respect_scoping=False, cache_dir=cache_dir, details=warm
-    )
-    assert [v.as_dict() for v in second[0]] == [v.as_dict() for v in first[0]]
-    assert [v.fingerprint for v in second[0]] == [v.fingerprint for v in first[0]]
-    assert second[1:3] == first[1:3]
-    assert warm["cache"]["hits"] >= 2  # file entry + project entry
-    assert warm["cache"]["misses"] == 0
-    # Fully warm: the lazy parser never ran.
-    assert "parse" not in warm["timings"]
-
-
-def test_cache_invalidated_by_source_edit(tmp_path):
-    offender = tmp_path / "offender.py"
-    offender.write_text(BAD_SOURCE)
-    cache_dir = str(tmp_path / "cache")
-    lint_paths([str(offender)], respect_scoping=False, cache_dir=cache_dir)
-
-    offender.write_text("A = 1\n")
-    details: dict[str, object] = {}
-    violations, _, _, _ = lint_paths(
-        [str(offender)], respect_scoping=False, cache_dir=cache_dir, details=details
-    )
-    assert violations == []
-    assert details["cache"]["misses"] >= 1
-
-
-def test_corrupt_cache_entry_is_a_miss(tmp_path):
-    offender = tmp_path / "offender.py"
-    offender.write_text(BAD_SOURCE)
-    cache_dir = tmp_path / "cache"
-    first = lint_paths(
-        [str(offender)], respect_scoping=False, cache_dir=str(cache_dir)
-    )
-    for entry in cache_dir.glob("*.json"):
-        entry.write_text("{not json")
-    second = lint_paths(
-        [str(offender)], respect_scoping=False, cache_dir=str(cache_dir)
-    )
-    assert [v.as_dict() for v in second[0]] == [v.as_dict() for v in first[0]]
-
-
-def test_cache_distinguishes_rule_selection(tmp_path):
-    offender = tmp_path / "offender.py"
-    offender.write_text(BAD_SOURCE)
-    cache_dir = str(tmp_path / "cache")
-    all_rules = lint_paths(
-        [str(offender)], respect_scoping=False, cache_dir=cache_dir
-    )
-    only_random = lint_paths(
-        [str(offender)],
-        select=["SIM001"],
-        respect_scoping=False,
-        cache_dir=cache_dir,
-    )
-    assert len(all_rules[0]) == 3
-    assert [v.rule_id for v in only_random[0]] == ["SIM001"]
-
-
-# ---------------------------------------------------------------------------
-# timings and purity map through the CLI
-# ---------------------------------------------------------------------------
-
-def test_timings_reported_per_rule(tmp_path, capsys):
-    offender = tmp_path / "offender.py"
-    offender.write_text(BAD_SOURCE)
-    assert main([str(offender), "--timings", "--no-scoping"]) == 1
-    err = capsys.readouterr().err
-    assert "simlint timings:" in err
-    assert "parse" in err and "analysis" in err and "SIM001" in err
-
-
-def test_purity_map_cli_export(tmp_path, capsys):
-    source = (
-        "_STATS = {}\n"
-        "def tick(sim):\n"
-        "    _STATS['n'] = 1\n"
-        "def start(sim):\n"
-        "    sim.post(10, tick)\n"
-    )
-    fixture = tmp_path / "fixture.py"
-    fixture.write_text(source)
-    out_path = tmp_path / "purity.json"
-    main([str(fixture), "--purity-map", str(out_path), "--no-scoping"])
-    purity = json.loads(out_path.read_text())
-    tick_entry = next(
-        info for qualname, info in purity.items() if qualname.endswith("tick")
-    )
-    assert tick_entry["pure"] is False
-    assert tick_entry["module_writes"]
 
 
 # ---------------------------------------------------------------------------
