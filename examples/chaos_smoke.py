@@ -4,10 +4,12 @@ The executable proof of the service's crash-safety claims, and the
 script CI runs as the ``chaos-smoke`` job:
 
 1. run a reference 16-cell sweep to completion (separate store);
-2. start the same sweep in a child process, SIGKILL it once a few cells
-   have been published to its cache (no cleanup, no atexit -- the
-   OOM-killer treatment);
-3. ``python -m repro.service resume`` the dead job and assert
+2. start the same sweep in a child process on the supervised pool a
+   long campaign would use (``--workers 2 --stall-timeout 60
+   --retries 1``), SIGKILL it once a few cells have been published to
+   its cache (no cleanup, no atexit -- the OOM-killer treatment);
+3. ``python -m repro.service resume`` the dead job (same flags) and
+   assert
    - the grid completes,
    - every cell published before the kill was a cache hit, zero re-runs,
    - every summary is byte-identical to the uninterrupted reference;
@@ -37,6 +39,9 @@ from pathlib import Path
 
 AXES = ["controller.gc_greediness=1,2,3,4", "host.max_outstanding=4,8,16,32"]
 CELLS = 16
+#: Executor flags of the chaos child and its resumes; the reference
+#: pass stays serial.
+HARDENED = ["--workers", "2", "--stall-timeout", "60", "--retries", "1"]
 
 
 def log(message: str) -> None:
@@ -89,6 +94,7 @@ def resume(work: Path, report: str) -> dict:
         "--cache-dir", str(work / "cache-chaos"),
         "--no-watch",
         "--json", str(work / report),
+        *HARDENED,
     )
     return json.loads((work / report).read_text())
 
@@ -127,9 +133,10 @@ def main() -> int:
     # has the reference store's name.
     version_dir = work / "cache-chaos" / reference["cache"]["fingerprint"][:16]
     child = subprocess.Popen(
-        service_cmd("run", *run_flags(work, args.ios, "chaos")),
+        service_cmd("run", *run_flags(work, args.ios, "chaos"), *HARDENED),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     deadline = time.monotonic() + 300.0
     while len(published_entries(version_dir)) < args.kill_after:
@@ -140,6 +147,8 @@ def main() -> int:
             return fail("chaos child cached no progress in 300s")
         time.sleep(0.02)
     os.kill(child.pid, signal.SIGKILL)
+    # Reap the pool workers the kill orphaned (they never touch the cache).
+    os.killpg(child.pid, signal.SIGKILL)
     child.wait(timeout=30)
     hits = len(published_entries(version_dir))
     log(f"SIGKILLed with {hits} cells cached")
@@ -158,8 +167,8 @@ def main() -> int:
             f"{hits} cells were cached at the kill but the resume served "
             f"{resumed['cache_hits']} hits and ran {resumed['cache_misses']}"
         )
-    # A serial sweep publishes in spec order: the cached cells are the
-    # first ``hits``.
+    # The executor publishes in spec order under every flag: the cached
+    # cells are the first ``hits``.
     for position in range(hits):
         state = resumed["cells"][position]["state"]
         if state != "cached":

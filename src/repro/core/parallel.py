@@ -27,14 +27,18 @@ naming the failing run -- never as a hung sweep.
 
 from __future__ import annotations
 
+import heapq
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Protocol, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Protocol, Sequence, Union
 
 from repro.core.canonical import canonical_value, canonical_workload, content_hash
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation, SimulationResult
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 #: ``workers`` as accepted by sweeps: a positive int, ``"auto"`` (one
 #: worker per CPU) or ``None`` (same as ``"auto"``).
@@ -59,11 +63,11 @@ class ResultSource(Protocol):
 class WorkerStalledError(RuntimeError):
     """A worker stopped making progress: hung, not merely slow.
 
-    Raised by the supervised hardened path when a run's heartbeat --
-    the engine's processed-event counter, sampled in the worker and
-    piped back to the parent -- froze for ``stall_timeout`` seconds.  A
-    *straggler* (slow but still advancing) never trips this; it is
-    bounded only by the wall-clock ``timeout``.
+    Raised by the pool's stall supervision when a run's heartbeat --
+    the engine's processed-event counter, published by the worker into
+    an array shared with the parent -- froze for ``stall_timeout``
+    seconds.  A *straggler* (slow but still advancing) never trips
+    this; it is bounded only by the wall-clock ``timeout``.
     """
 
     def __init__(self, label: object, stall_timeout: float) -> None:
@@ -177,50 +181,59 @@ class RunSpec:
 #: spec order as each run's result becomes available.
 ProgressCallback = Callable[[RunSpec, SimulationResult], None]
 
+#: Seconds before a failed run is re-executed; attempt *n* waits
+#: ``RETRY_BACKOFF * 2**(n-1)``.  In a pool the other runs keep the
+#: workers busy meanwhile.  Tests may monkeypatch it.
+RETRY_BACKOFF = 0.5
 
-def _execute_spec(spec: RunSpec) -> SimulationResult:
-    """Module-level worker entry point (picklable under every start
-    method)."""
-    return spec.execute()
+#: Worker-process heartbeat state, installed by :func:`_init_worker`:
+#: the sweep's shared ``int64`` array (one slot per spec position) and
+#: the sampling interval in seconds.  ``None`` when the sweep is not
+#: under stall supervision.
+_worker_beats: Optional[Any] = None
+_worker_interval = 0.0
 
 
-def _execute_spec_beating(
-    spec: RunSpec, beats: Any, interval: float
-) -> SimulationResult:
-    """Worker entry point that publishes progress heartbeats.
+def _init_worker(beats: Optional[Any], interval: float) -> None:
+    """Pool initializer: hand the worker the sweep's heartbeat array."""
+    global _worker_beats, _worker_interval
+    _worker_beats, _worker_interval = beats, interval
 
-    ``beats`` is a manager-backed mapping shared with the parent.  A
-    daemon thread samples the engine's processed-event counter every
-    ``interval`` seconds into ``beats[spec.index]``; the parent watches
-    for the value to *change*, so a hung run (counter frozen inside one
-    event, or stuck building its workload at the ``-1`` sentinel) is
-    distinguishable from a straggler (counter advancing) without
-    touching the simulation hot path.
+
+def _execute_spec(spec: RunSpec, position: int) -> SimulationResult:
+    """The pool's worker entry point (picklable under every start method).
+
+    Under stall supervision the run publishes heartbeats into slot
+    ``position`` of the shared array: ``1`` when it starts, then
+    ``1 + processed_events`` on every tick of an interval timer
+    (``0`` means "not started").  The parent watches for the value to
+    *change*, so a hung run (counter frozen inside one event, or stuck
+    building its workload) is distinguishable from a straggler (counter
+    advancing) without touching the simulation hot path.  The timer's
+    ``SIGALRM`` handler runs in the simulating thread itself, between
+    two bytecodes: a beat never waits for a second thread to win the
+    GIL, which a busy machine can delay for most of a stall window.
     """
-    import threading
+    beats, interval = _worker_beats, _worker_interval
+    if beats is None:
+        return spec.execute()
+    import signal
 
-    beats[spec.index] = -1  # started; still building the simulation
-    holder: dict[str, Optional[Simulation]] = {"simulation": None}
-    stop = threading.Event()
+    simulation: Optional[Simulation] = None
 
-    def pulse() -> None:
-        while not stop.wait(interval):
-            simulation = holder["simulation"]
-            value = -1 if simulation is None else simulation.sim.processed_events
-            try:
-                beats[spec.index] = value
-            except Exception:  # parent gone; run on unsupervised
-                return
+    def beat(signum: int, frame: object) -> None:
+        if simulation is not None:
+            beats[position] = 1 + simulation.sim.processed_events
 
-    monitor = threading.Thread(target=pulse, name="sweep-heartbeat", daemon=True)
-    monitor.start()
+    beats[position] = 1
+    previous = signal.signal(signal.SIGALRM, beat)
+    signal.setitimer(signal.ITIMER_REAL, interval, interval)
     try:
         simulation = spec.build()
-        holder["simulation"] = simulation
         return simulation.run(max_time_ns=spec.max_time_ns)
     finally:
-        stop.set()
-        monitor.join()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def default_workers() -> int:
@@ -263,8 +276,9 @@ class SweepExecutor:
     ``workers=1`` executes in-process with no pickling, byte-for-byte
     the historical serial path.  With ``workers > 1`` each spec is
     pickled to a worker process; results stream back and are delivered
-    in spec order, so progress callbacks and result lists are
-    deterministic regardless of which worker finishes first.
+    in spec order as soon as a run and every run before it have
+    finished, so progress callbacks and result lists are deterministic
+    regardless of which worker finishes first.
 
     Hardening (long unattended sweeps, see E19):
 
@@ -276,24 +290,24 @@ class SweepExecutor:
     * ``retries`` -- how many times a failed run (crashed worker,
       timeout, or raised exception) is re-executed before the sweep
       gives up.  Retries back off exponentially: attempt *n* waits
-      ``retry_backoff * 2**(n-1)`` seconds.  Runs that were innocently
+      ``RETRY_BACKOFF * 2**(n-1)`` seconds.  Runs that were innocently
       interrupted by another run's crash are re-queued without being
       charged a retry.
-    * ``stall_timeout`` -- supervision: workers pipe progress
-      heartbeats (the engine's processed-event counter) back to the
-      parent, and a run whose heartbeat freezes for this many seconds
-      is killed as *hung* (:class:`WorkerStalledError`) -- long before
-      a generous wall-clock ``timeout`` would fire -- while a straggler
-      whose counter still advances is left alone.  Only enforced with
-      ``workers > 1``, like ``timeout``.
+    * ``stall_timeout`` -- supervision: workers publish progress
+      heartbeats (the engine's processed-event counter) into an array
+      shared with the parent, and a run whose heartbeat freezes for
+      this many seconds is killed as *hung* (:class:`WorkerStalledError`)
+      -- long before a generous wall-clock ``timeout`` would fire --
+      while a straggler whose counter still advances is left alone.
+      Only enforced with ``workers > 1``, like ``timeout``; POSIX only
+      (workers beat from a ``SIGALRM`` interval timer).
     * When the budget is exhausted the raised :class:`SweepRunError`
       carries ``partial_results`` -- every completed
-      :class:`SimulationResult` so far, keyed by spec index.
+      :class:`SimulationResult`, keyed by spec index.
 
-    With the default ``timeout=None, retries=0, stall_timeout=None``
-    the executor behaves exactly as it always has (streaming results
-    lazily in spec order); the hardened path buffers a pass before
-    yielding.
+    Every combination of these options streams results the same way;
+    with the defaults ``timeout=None, retries=0, stall_timeout=None``
+    the first failing run aborts the sweep.
     """
 
     def __init__(
@@ -302,31 +316,19 @@ class SweepExecutor:
         *,
         timeout: Optional[float] = None,
         retries: int = 0,
-        retry_backoff: float = 0.5,
         stall_timeout: Optional[float] = None,
-        heartbeat_interval: float = 0.25,
     ) -> None:
         workers = resolve_workers(workers)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1 (got {workers})")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive (got {timeout})")
         if retries < 0:
             raise ValueError(f"retries must be >= 0 (got {retries})")
-        if retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0 (got {retry_backoff})")
         if stall_timeout is not None and stall_timeout <= 0:
             raise ValueError(f"stall_timeout must be positive (got {stall_timeout})")
-        if heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be positive (got {heartbeat_interval})"
-            )
         self.workers = workers
         self.timeout = timeout
         self.retries = retries
-        self.retry_backoff = retry_backoff
         self.stall_timeout = stall_timeout
-        self.heartbeat_interval = heartbeat_interval
 
     def map(
         self,
@@ -338,10 +340,10 @@ class SweepExecutor:
 
         ``progress`` is invoked in sweep order as each run's result
         becomes available.  Any failing run aborts the sweep with a
-        :class:`SweepRunError` identifying it (outstanding runs are
-        cancelled where possible).  With a ``cache``, previously stored
-        results are served without re-running and fresh results are
-        stored back (see :meth:`imap`).
+        :class:`SweepRunError` identifying it (the runs before it still
+        complete; later runs in flight finish, the rest never start).
+        With a ``cache``, previously stored results are served without
+        re-running and fresh results are stored back (see :meth:`imap`).
         """
         return list(self.imap(specs, progress=progress, cache=cache))
 
@@ -357,14 +359,8 @@ class SweepExecutor:
             yield from self._run_cached(specs, progress, cache)
         elif self.workers == 1 or len(specs) <= 1:
             yield from self._run_serial(specs, progress)
-        elif (
-            self.timeout is None
-            and self.retries == 0
-            and self.stall_timeout is None
-        ):
-            yield from self._run_parallel(specs, progress)
         else:
-            yield from self._run_hardened(specs, progress)
+            yield from _PoolRun(self, specs).deliver(progress)
 
     # ------------------------------------------------------------------
     # Execution strategies
@@ -425,229 +421,265 @@ class SweepExecutor:
                         raise SweepRunError(
                             spec.index, spec.label, error, partial_results=completed
                         ) from error
-                    time.sleep(self.retry_backoff * (2 ** (failures - 1)))
+                    time.sleep(RETRY_BACKOFF * 2 ** (failures - 1))
             completed[spec.index] = result
             if progress is not None:
                 progress(spec, result)
             yield result
 
-    def _run_parallel(
-        self, specs: Sequence[RunSpec], progress: Optional[ProgressCallback]
-    ) -> Iterator[SimulationResult]:
-        from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(self.workers, len(specs))
-        completed: dict[int, SimulationResult] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_execute_spec, spec) for spec in specs]
-            try:
-                # Deliver strictly in sweep order: waiting on futures in
-                # submission order keeps results and progress callbacks
-                # deterministic while the pool completes out of order
-                # behind the scenes.
-                for spec, future in zip(specs, futures):
-                    try:
-                        result = future.result()
-                    except Exception as error:
-                        # A worker crash (BrokenProcessPool) or a
-                        # pickling failure lands here too: name the run
-                        # instead of hanging or dying anonymously, and
-                        # hand back everything that did finish.
-                        raise SweepRunError(
-                            spec.index, spec.label, error, partial_results=completed
-                        ) from error
-                    completed[spec.index] = result
-                    if progress is not None:
-                        progress(spec, result)
-                    yield result
-            finally:
-                for future in futures:
-                    future.cancel()
+@dataclass
+class _Flight:
+    """One run submitted to the pool, with its supervision clocks."""
 
-    def _run_hardened(
-        self, specs: Sequence[RunSpec], progress: Optional[ProgressCallback]
-    ) -> Iterator[SimulationResult]:
-        """Parallel execution with timeout enforcement, heartbeat
-        supervision and bounded retries.  Runs in passes: each pass
-        submits every still-pending spec to a fresh pool; a hung or
-        crashed worker aborts the pass (finished runs are salvaged,
-        innocents re-queued uncharged) and the culprit is charged one
-        failure.  A spec that exhausts ``retries`` raises
-        :class:`SweepRunError` with every completed result attached."""
-        manager: Optional[Any] = None
-        beats: Optional[Any] = None
+    position: int
+    submitted: float
+    #: Last heartbeat seen (``0``: not started) and when it last changed.
+    beat: int = 0
+    changed: float = 0.0
+
+
+class _PoolRun:
+    """The state of one sweep over a supervised process pool.
+
+    At most ``workers`` runs are in flight, submitted lowest spec
+    position first, so a run starts as soon as it is submitted and its
+    wall-clock ``timeout`` counts from there.  Each step waits
+    for a run to finish or a supervision deadline, then:
+
+    * a run that *raised* is charged one failure and re-queued after its
+      backoff, while fresh runs take its slot;
+    * a run that *timed out*, *stalled* or *crashed its worker*
+      (``BrokenProcessPool``) takes the pool down: runs that already
+      finished are salvaged, the pool's processes are killed, only the
+      culprit is charged and every innocent run is re-queued uncharged
+      on a fresh pool;
+    * a run that exhausts ``retries`` marks the sweep failed at its
+      position: the runs before it still complete, the runs in flight
+      after it drain, then :class:`SweepRunError` is raised with every
+      finished run in ``partial_results``.
+
+    :meth:`deliver` yields the results in spec order as they land.
+    """
+
+    def __init__(self, executor: SweepExecutor, specs: Sequence[RunSpec]) -> None:
+        self.specs = specs
+        self.timeout = executor.timeout
+        self.retries = executor.retries
+        self.stall_timeout = executor.stall_timeout
+        self.width = min(executor.workers, len(specs))
+        self.beats: Optional[Any] = None
+        self.interval = self.poll = 0.0
         if self.stall_timeout is not None:
             import multiprocessing
 
-            # Heartbeats flow worker -> parent through a manager dict
-            # keyed by spec index; a run whose entry stops *changing*
-            # is hung, one whose entry keeps advancing is a straggler.
-            manager = multiprocessing.Manager()
-            beats = manager.dict()
-        try:
-            yield from self._run_hardened_passes(specs, progress, beats)
-        finally:
-            if manager is not None:
-                manager.shutdown()
+            # One slot per spec position, written by the workers, read
+            # here; no lock: each slot has a single writer at a time.
+            self.beats = multiprocessing.Array("q", len(specs), lock=False)
+            self.poll = max(min(self.stall_timeout / 4.0, 1.0), 0.05)
+            self.interval = max(min(self.stall_timeout / 8.0, 1.0), 0.01)
+        self.pool = self._start_pool()
+        self.ready = list(range(len(specs)))  # heap of positions to submit
+        self.backing_off: list[tuple[float, int]] = []  # heap of (due, position)
+        self.flights: dict[Future[SimulationResult], _Flight] = {}
+        self.finished: dict[int, SimulationResult] = {}
+        self.failures = [0] * len(specs)
+        #: The lowest position that exhausted its retries, and why.
+        self.failed: Optional[tuple[int, BaseException]] = None
+        self._refill(time.monotonic())
 
-    def _run_hardened_passes(
-        self,
-        specs: Sequence[RunSpec],
-        progress: Optional[ProgressCallback],
-        beats: Optional[Any],
-    ) -> Iterator[SimulationResult]:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FutureTimeoutError
+    def deliver(self, progress: Optional[ProgressCallback]) -> Iterator[SimulationResult]:
+        """Yield every result in spec order as soon as it and all earlier
+        ones have finished, calling ``progress`` first.  The pool is
+        disposed of at the end; runs still in flight are killed."""
+        try:
+            cursor = 0
+            while True:
+                while cursor in self.finished:
+                    result = self.finished[cursor]
+                    if progress is not None:
+                        progress(self.specs[cursor], result)
+                    yield result
+                    cursor += 1
+                if cursor == len(self.specs):
+                    return
+                self._step(cursor)
+        finally:
+            _teardown_pool(self.pool, abort=bool(self.flights))
+
+    def _step(self, cursor: int) -> None:
+        """Advance the sweep by one event; ``cursor`` is the first
+        position not yet delivered.  Raises :class:`SweepRunError` once
+        everything before the failed position is delivered and nothing
+        is in flight."""
         from concurrent.futures.process import BrokenProcessPool
 
-        results: dict[int, SimulationResult] = {}
-        failures: dict[int, int] = {spec.index: 0 for spec in specs}
-        pending: list[RunSpec] = list(specs)
-        while pending:
-            pool = ProcessPoolExecutor(max_workers=min(self.workers, len(pending)))
-            if beats is None:
-                futures = [
-                    (spec, pool.submit(_execute_spec, spec)) for spec in pending
-                ]
-            else:
-                futures = [
-                    (
-                        spec,
-                        pool.submit(
-                            _execute_spec_beating,
-                            spec,
-                            beats,
-                            self.heartbeat_interval,
-                        ),
-                    )
-                    for spec in pending
-                ]
-            requeue: list[RunSpec] = []
-            abort = False
-            try:
-                for spec, future in futures:
-                    if abort:
-                        # The pool is compromised; salvage runs that
-                        # already finished, re-queue the rest without
-                        # charging them a retry.
-                        if future.done() and not future.cancelled():
-                            try:
-                                results[spec.index] = future.result()
-                                continue
-                            except Exception:
-                                pass
-                        requeue.append(spec)
-                        continue
-                    try:
-                        results[spec.index] = self._await(spec, future, beats)
-                    except FutureTimeoutError:
-                        abort = True
-                        cause: BaseException = TimeoutError(
-                            f"run exceeded the {self.timeout:g}s"
-                            " wall-clock limit"
-                        )
-                        self._charge(spec, cause, failures, requeue, results)
-                    except WorkerStalledError as error:
-                        abort = True
-                        self._charge(spec, error, failures, requeue, results)
-                    except BrokenProcessPool as error:
-                        abort = True
-                        self._charge(spec, error, failures, requeue, results)
-                    except Exception as error:
-                        self._charge(spec, error, failures, requeue, results)
-            finally:
-                self._teardown_pool(pool, abort)
-            if requeue:
-                charged = max(failures[spec.index] for spec in requeue)
-                if charged:
-                    time.sleep(self.retry_backoff * (2 ** (charged - 1)))
-            pending = requeue
-        for spec in specs:
-            result = results[spec.index]
-            if progress is not None:
-                progress(spec, result)
-            yield result
-
-    def _await(
-        self, spec: RunSpec, future: Any, beats: Optional[Any]
-    ) -> SimulationResult:
-        """Wait for one run, enforcing the wall-clock limit and -- when
-        supervision is on -- the heartbeat stall limit.
-
-        The stall clock starts at the worker's first beat (a queued run
-        that has not started yet cannot be "hung") and resets whenever
-        the beat value changes; it measures frozen *progress*, not
-        elapsed time.  Raises ``concurrent.futures.TimeoutError`` at
-        the wall-clock deadline and :class:`WorkerStalledError` when
-        the heartbeat froze for ``stall_timeout`` seconds.
-        """
-        from concurrent.futures import TimeoutError as FutureTimeoutError
-
-        if beats is None:
-            result: SimulationResult = future.result(timeout=self.timeout)
-            return result
-        assert self.stall_timeout is not None
-        deadline = (
-            None if self.timeout is None else time.monotonic() + self.timeout
-        )
-        poll = max(min(self.stall_timeout / 4.0, 1.0), 0.05)
-        last_beat: Optional[int] = None
-        last_change: Optional[float] = None
-        while True:
-            now = time.monotonic()
-            if deadline is not None and now >= deadline:
-                raise FutureTimeoutError()
-            wait = poll if deadline is None else min(poll, max(deadline - now, 0.01))
-            try:
-                supervised: SimulationResult = future.result(timeout=wait)
-                return supervised
-            except FutureTimeoutError:
-                pass
-            try:
-                value = beats.get(spec.index)
-            except Exception:  # manager hiccup: wall-clock only this poll
-                value = None
-            now = time.monotonic()
-            if value is None:
-                continue  # not started yet: queued behind other runs
-            if last_beat is None or value != last_beat:
-                last_beat = value
-                last_change = now
-            elif last_change is not None and now - last_change >= self.stall_timeout:
-                raise WorkerStalledError(spec.label, self.stall_timeout)
-
-    def _charge(
-        self,
-        spec: RunSpec,
-        cause: BaseException,
-        failures: dict[int, int],
-        requeue: list[RunSpec],
-        results: dict[int, SimulationResult],
-    ) -> None:
-        """Record one failure of ``spec``; re-queue it while budget
-        remains, abort the sweep (with partial results) otherwise."""
-        failures[spec.index] += 1
-        if failures[spec.index] > self.retries:
+        if self.failed is not None and cursor == self.failed[0] and not self.flights:
+            position, cause = self.failed
+            spec = self.specs[position]
+            partial = {self.specs[p].index: r for p, r in self.finished.items()}
             raise SweepRunError(
-                spec.index, spec.label, cause, partial_results=results
+                spec.index, spec.label, cause, partial_results=partial
             ) from cause
-        requeue.append(spec)
+        done = self._wait()
+        # Taken before any charge below, so a run charged in this step
+        # is never due in this step's refill: the runs already waiting
+        # take its slot first.
+        now = time.monotonic()
+        crash: Optional[BaseException] = None
+        for future in done:
+            error = future.exception()
+            if isinstance(error, BrokenProcessPool):
+                crash = error
+                continue
+            position = self.flights.pop(future).position
+            if error is None:
+                self.finished[position] = future.result()
+            else:
+                self._charge(position, error)
+        if crash is not None:
+            # Which worker died is unknown: charge the lowest unfinished
+            # run, the one delivery is waiting on.
+            unfinished = [
+                flight.position
+                for future, flight in self.flights.items()
+                if not _succeeded(future)
+            ]
+            culprit: Optional[tuple[int, BaseException]] = (min(unfinished), crash)
+        else:
+            culprit = self._overdue(now)
+        if culprit is not None:
+            self._recycle(*culprit)
+        self._refill(now)
 
-    @staticmethod
-    def _teardown_pool(pool: object, abort: bool) -> None:
-        """Dispose of a pass's pool.  On abort the pool may hold a hung
-        worker: don't wait for it, kill its processes outright so an
-        unresponsive simulation cannot survive the sweep."""
-        from concurrent.futures.process import ProcessPoolExecutor
+    def _start_pool(self) -> "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
 
-        assert isinstance(pool, ProcessPoolExecutor)
-        if not abort:
-            pool.shutdown(wait=True, cancel_futures=True)
-            return
-        pool.shutdown(wait=False, cancel_futures=True)
-        processes = getattr(pool, "_processes", None) or {}
-        for pid in sorted(processes):
+        return ProcessPoolExecutor(
+            max_workers=self.width,
+            initializer=_init_worker,
+            initargs=(self.beats, self.interval),
+        )
+
+    def _refill(self, now: float) -> None:
+        """Submit runs (lowest position first) until every worker is
+        busy; while the sweep is failing, only runs before the failed
+        position."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        limit = len(self.specs) if self.failed is None else self.failed[0]
+        while self.backing_off and self.backing_off[0][0] <= now:
+            heapq.heappush(self.ready, heapq.heappop(self.backing_off)[1])
+        while self.ready and self.ready[0] < limit and len(self.flights) < self.width:
+            position = self.ready[0]
+            if self.beats is not None:
+                self.beats[position] = 0
             try:
-                processes[pid].kill()
-            except Exception:  # pragma: no cover - process already gone
-                pass
+                future = self.pool.submit(_execute_spec, self.specs[position], position)
+            except BrokenProcessPool:
+                # A worker died between runs: the runs in flight report
+                # it on the next wait; an idle pool is just replaced.
+                if self.flights:
+                    return
+                _teardown_pool(self.pool, abort=True)
+                self.pool = self._start_pool()
+                continue
+            heapq.heappop(self.ready)
+            self.flights[future] = _Flight(position, now)
+
+    def _wait(self) -> "set[Future[SimulationResult]]":
+        """Block until a run finishes or the next deadline: a wall-clock
+        limit, a heartbeat poll or a retry's backoff."""
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        now = time.monotonic()
+        deadlines = [due for due, _ in self.backing_off[:1]]
+        if self.flights and self.timeout is not None:
+            started = min(flight.submitted for flight in self.flights.values())
+            deadlines.append(started + self.timeout)
+        if self.flights and self.beats is not None:
+            deadlines.append(now + self.poll)
+        timeout = max(min(deadlines) - now, 0.0) if deadlines else None
+        if not self.flights:
+            # Only a backing-off retry is left to run.
+            assert timeout is not None
+            time.sleep(timeout)
+            return set()
+        return wait(self.flights, timeout=timeout, return_when=FIRST_COMPLETED).done
+
+    def _overdue(self, now: float) -> Optional[tuple[int, BaseException]]:
+        """The lowest-position run in flight that exceeded its wall-clock
+        limit or whose heartbeat froze for ``stall_timeout``.
+
+        The stall clock starts at the run's first beat (a run whose
+        worker has not picked it up cannot be hung) and resets whenever
+        the beat value changes: it measures frozen *progress*, not
+        elapsed time.
+        """
+        flights = sorted(self.flights.items(), key=lambda item: item[1].position)
+        for future, flight in flights:
+            if future.done():
+                continue
+            if self.timeout is not None and now - flight.submitted >= self.timeout:
+                return flight.position, TimeoutError(
+                    f"run exceeded the {self.timeout:g}s wall-clock limit"
+                )
+            if self.beats is None or self.stall_timeout is None:
+                continue
+            beat = self.beats[flight.position]
+            if beat == 0:
+                continue
+            if beat != flight.beat:
+                flight.beat, flight.changed = beat, now
+            elif now - flight.changed >= self.stall_timeout:
+                label = self.specs[flight.position].label
+                return flight.position, WorkerStalledError(label, self.stall_timeout)
+        return None
+
+    def _recycle(self, culprit: int, cause: BaseException) -> None:
+        """The pool is compromised: salvage the runs that finished, kill
+        its processes, charge ``culprit`` and re-queue every other run
+        uncharged on a fresh pool."""
+        for future, flight in self.flights.items():
+            if _succeeded(future):
+                self.finished[flight.position] = future.result()
+            elif flight.position != culprit:
+                heapq.heappush(self.ready, flight.position)
+        self.flights.clear()
+        _teardown_pool(self.pool, abort=True)
+        self.pool = self._start_pool()
+        if culprit not in self.finished:  # it may have finished meanwhile
+            self._charge(culprit, cause)
+
+    def _charge(self, position: int, cause: BaseException) -> None:
+        """Record one failure of the run at ``position``: re-queue it
+        after its backoff while budget remains, otherwise mark the sweep
+        failed (at the lowest exhausted position)."""
+        self.failures[position] += 1
+        failures = self.failures[position]
+        if failures <= self.retries:
+            due = time.monotonic() + RETRY_BACKOFF * 2 ** (failures - 1)
+            heapq.heappush(self.backing_off, (due, position))
+        elif self.failed is None or position < self.failed[0]:
+            self.failed = (position, cause)
+
+
+def _succeeded(future: "Future[SimulationResult]") -> bool:
+    return future.done() and future.exception() is None
+
+
+def _teardown_pool(pool: "ProcessPoolExecutor", abort: bool) -> None:
+    """Dispose of a pool.  On abort the pool may hold a hung worker:
+    don't wait for it, kill its processes outright so an unresponsive
+    simulation cannot survive the sweep."""
+    if not abort:
+        pool.shutdown(wait=True, cancel_futures=True)
+        return
+    # Taken before shutdown(), which drops the pool's process table.
+    processes = dict(getattr(pool, "_processes", None) or {})
+    pool.shutdown(wait=False, cancel_futures=True)
+    for pid in sorted(processes):
+        try:
+            processes[pid].kill()
+        except Exception:  # pragma: no cover - process already gone
+            pass

@@ -214,7 +214,7 @@ class ExperimentService:
     *within* a job, cells fan out over ``workers`` processes).  All
     jobs share this service's :class:`ResultCache` and executor
     hardening parameters (per-run ``timeout`` in seconds, bounded
-    ``retries`` -- see PR 5's sweep hardening).
+    ``retries`` -- see :class:`~repro.core.parallel.SweepExecutor`).
 
     ``cache=None`` disables result reuse; a string/``Path`` roots a
     :class:`ResultCache` there; a ready cache object is used as-is.
@@ -427,12 +427,6 @@ class ExperimentService:
             if job.state is JobState.QUEUED:
                 self._finish(job, JobState.CANCELLED)
         return True
-
-    def jobs(self) -> list[JobStatus]:
-        """Snapshots of every job ever submitted, in submission order."""
-        with self._lock:
-            ids = list(self._jobs)
-        return [self.status(job_id) for job_id in ids]
 
     def cache_stats(self) -> dict[str, object]:
         """The shared cache's :meth:`~ResultCache.stats` report (empty

@@ -15,9 +15,15 @@ import time
 import pytest
 
 from repro import RunSpec, SweepExecutor, SweepRunError, small_config
+from repro.core import parallel
 from repro.workloads import RandomWriterThread
 
 FAST_BACKOFF = 0.01
+
+
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr(parallel, "RETRY_BACKOFF", FAST_BACKOFF)
 
 
 def tiny_workload(config):
@@ -76,7 +82,6 @@ class TestConstructor:
         executor = SweepExecutor(workers=2)
         assert executor.timeout is None
         assert executor.retries == 0
-        assert executor.retry_backoff == 0.5
 
     def test_rejects_bad_hardening_parameters(self):
         with pytest.raises(ValueError):
@@ -85,8 +90,6 @@ class TestConstructor:
             SweepExecutor(workers=2, timeout=-1.0)
         with pytest.raises(ValueError):
             SweepExecutor(workers=2, retries=-1)
-        with pytest.raises(ValueError):
-            SweepExecutor(workers=2, retry_backoff=-0.1)
 
 
 class TestWorkerCrashRetry:
@@ -108,9 +111,7 @@ class TestWorkerCrashRetry:
                 label="healthy",
             ),
         ]
-        results = SweepExecutor(
-            workers=2, retries=2, retry_backoff=FAST_BACKOFF
-        ).map(specs)
+        results = SweepExecutor(workers=2, retries=2).map(specs)
         assert [r.config.seed for r in results] == [1, 2]
         assert all(not r.incomplete for r in results)
 
@@ -134,7 +135,7 @@ class TestWorkerCrashRetry:
             ),
         ]
         with pytest.raises(SweepRunError) as excinfo:
-            SweepExecutor(workers=2, retries=0, retry_backoff=FAST_BACKOFF).map(specs)
+            SweepExecutor(workers=2, retries=0).map(specs)
         error = excinfo.value
         assert error.index == 1
         assert error.label == "doomed"
@@ -154,9 +155,7 @@ class TestWorkerCrashRetry:
                 label="flaky",
             )
         ]
-        results = SweepExecutor(
-            workers=1, retries=2, retry_backoff=FAST_BACKOFF
-        ).map(specs)
+        results = SweepExecutor(workers=1, retries=2).map(specs)
         assert len(results) == 1
         assert not results[0].incomplete
 
@@ -173,7 +172,7 @@ class TestWorkerCrashRetry:
             )
         ]
         with pytest.raises(SweepRunError, match="hopeless"):
-            SweepExecutor(workers=1, retries=1, retry_backoff=FAST_BACKOFF).map(specs)
+            SweepExecutor(workers=1, retries=1).map(specs)
 
 
 class TestTimeout:
@@ -196,9 +195,7 @@ class TestTimeout:
         ]
         started = time.monotonic()
         with pytest.raises(SweepRunError) as excinfo:
-            SweepExecutor(
-                workers=2, timeout=2.0, retries=0, retry_backoff=FAST_BACKOFF
-            ).map(specs)
+            SweepExecutor(workers=2, timeout=2.0, retries=0).map(specs)
         elapsed = time.monotonic() - started
         assert elapsed < 20.0, "the sweep must not wait out the hung worker"
         assert excinfo.value.index == 1
@@ -234,7 +231,7 @@ class TestRetryBudgetMidGrid:
                     index=2, label="never-reached"),
         ]
         with pytest.raises(SweepRunError) as excinfo:
-            SweepExecutor(workers=1, retries=2, retry_backoff=FAST_BACKOFF).map(specs)
+            SweepExecutor(workers=1, retries=2).map(specs)
         error = excinfo.value
         assert error.index == 1
         assert set(error.partial_results) == {0}
@@ -253,7 +250,7 @@ class TestRetryBudgetMidGrid:
                     index=2, label="healthy-b"),
         ]
         with pytest.raises(SweepRunError) as excinfo:
-            SweepExecutor(workers=2, retries=1, retry_backoff=FAST_BACKOFF).map(specs)
+            SweepExecutor(workers=2, retries=1).map(specs)
         error = excinfo.value
         assert error.index == 1
         assert set(error.partial_results) == {0, 2}
@@ -270,8 +267,6 @@ class TestSupervision:
             SweepExecutor(workers=2, stall_timeout=0)
         with pytest.raises(ValueError):
             SweepExecutor(workers=2, stall_timeout=-1.0)
-        with pytest.raises(ValueError):
-            SweepExecutor(workers=2, heartbeat_interval=0)
 
     def test_hung_run_is_killed_long_before_the_wall_clock(self):
         from repro.core.parallel import WorkerStalledError
@@ -292,9 +287,7 @@ class TestSupervision:
                 workers=2,
                 timeout=300.0,  # generous: supervision must fire first
                 stall_timeout=1.0,
-                heartbeat_interval=0.1,
                 retries=0,
-                retry_backoff=FAST_BACKOFF,
             ).map(specs)
         elapsed = time.monotonic() - started
         assert elapsed < 60.0, "stall detection must not wait out the hang"
@@ -319,7 +312,6 @@ class TestSupervision:
         results = SweepExecutor(
             workers=2,
             stall_timeout=0.75,
-            heartbeat_interval=0.1,
             retries=0,
         ).map(specs)
         assert [r.config.seed for r in results] == [61, 62]

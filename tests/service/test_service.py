@@ -48,6 +48,17 @@ def failing_workload(config):
     raise RuntimeError("boom in workload factory")
 
 
+def gated_workload(config, gate, ios=IOS):
+    """``mixed_workload`` that first waits until the file ``gate``
+    exists: a slow cell whose end the test decides."""
+    import os
+    import time
+
+    while not os.path.exists(gate):
+        time.sleep(0.01)
+    return mixed_workload(config, ios=ios)
+
+
 def small_grid(ios: int = IOS, depths=(4, 8)) -> list:
     return grid_specs(
         [SMALL_AXES[0], ("host.max_outstanding", list(depths))],
@@ -303,6 +314,40 @@ def test_interrupt_flushes_queued_jobs(tmp_path):
     )
     with pytest.raises(RuntimeError):
         service.submit(small_grid())
+
+
+def test_hardened_pool_streams_cells_while_slow_cells_run(tmp_path):
+    # The executor's timeout/retries/stall_timeout flags must not hold
+    # results back: a finished cell is cached and reported while later
+    # cells still run, so an interrupt stops at the next cell boundary.
+    import time
+
+    gate = tmp_path / "gate"
+    specs = small_grid()
+    for spec in specs[2:]:  # two quick cells, then two slow ones
+        spec.workload = functools.partial(gated_workload, gate=str(gate))
+    cache = ResultCache(tmp_path / "cache")
+    service = ExperimentService(
+        cache=cache, workers=2, stall_timeout=30.0, retries=1
+    )
+    try:
+        job_id = service.submit(specs)
+        deadline = time.monotonic() + 20.0
+        while service.status(job_id).completed_cells < 1:
+            assert time.monotonic() < deadline, (
+                "no cell was reported while the slow cells ran"
+            )
+            time.sleep(0.01)
+        status = service.status(job_id)
+        assert status.state is JobState.RUNNING
+        assert cache.path_for(cache.key_for(specs[0])).exists()
+        service.interrupt(wait=False)
+    finally:
+        gate.touch()
+    assert service.wait(job_id, timeout=60.0).state is JobState.INTERRUPTED
+    service.shutdown(wait=True)
+    cached = [spec for spec in specs if cache.path_for(cache.key_for(spec)).exists()]
+    assert 1 <= len(cached) < len(specs)
 
 
 def test_shutdown_after_interrupt_does_not_deadlock(tmp_path):
