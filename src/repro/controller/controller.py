@@ -95,6 +95,7 @@ class SsdController:
         )
         self.array.bind_program = self.allocator.bind_program
         self.array.on_resource_free = self.scheduler.pump
+        self.array.on_lun_idle = self.scheduler.on_lun_idle
         self.ftl = build_ftl(config.controller.ftl, self)
         #: Reliability manager; None (the default) keeps every error
         #: path, RNG stream and completion timing untouched.

@@ -131,10 +131,14 @@ class SsdScheduler:
             ]
             for channel in range(len(array.channels))
         ]
-        #: Queued commands per channel and in total, kept in step with
-        #: the queues by enqueue, dispatch and abort.
-        self._channel_pending = [0] * len(array.channels)
+        #: Queued commands in total, kept in step with the queues by
+        #: enqueue, dispatch and abort.
         self._pending = 0
+        #: Per channel and in total, the LUNs that are idle and hold a
+        #: queued command: the only LUNs a dispatch scan can start on.
+        #: Kept by enqueue, ``_take``, dispatch and :meth:`on_lun_idle`.
+        self._ready = [0] * len(array.channels)
+        self._ready_total = 0
         #: Per-channel rotation pointer for LUN tie-breaking.
         self._lun_rotation = [0] * len(array.channels)
         #: Per-LUN rotation pointer over sources, for the FAIR policy.
@@ -148,8 +152,12 @@ class SsdScheduler:
     def enqueue(self, cmd: FlashCommand) -> None:
         """Add a command to its LUN's pending queue and try to dispatch."""
         cmd.enqueue_time = self.sim.now
-        self.queues[cmd.lun_key].append(cmd)
-        self._channel_pending[cmd.address.channel] += 1
+        address = cmd.address
+        lun, queue, _ = self._slots[address.channel][address.lun]
+        if not queue and not lun.is_busy:
+            self._ready[address.channel] += 1
+            self._ready_total += 1
+        queue.append(cmd)
         self._pending += 1
         self.enqueued_commands += 1
         self.pump()
@@ -166,12 +174,23 @@ class SsdScheduler:
         """Remove a still-queued command (overload timeout abort).  The
         caller owns the flash-state cleanup (in-flight read accounting)
         and the IO completion."""
-        self._take(self.queues[cmd.lun_key], cmd)
+        address = cmd.address
+        lun, queue, _ = self._slots[address.channel][address.lun]
+        self._take(lun, queue, cmd)
 
-    def _take(self, queue: LunCommandQueue, cmd: FlashCommand) -> None:
+    def _take(self, lun: Lun, queue: LunCommandQueue, cmd: FlashCommand) -> None:
         queue.remove(cmd)
-        self._channel_pending[cmd.address.channel] -= 1
         self._pending -= 1
+        if not queue and not lun.is_busy:
+            self._ready[lun.channel_id] -= 1
+            self._ready_total -= 1
+
+    def on_lun_idle(self, lun: Lun) -> None:
+        """Array hook: ``lun`` finished its command and is idle again."""
+        _, queue, _ = self._slots[lun.channel_id][lun.lun_id]
+        if queue:
+            self._ready[lun.channel_id] += 1
+            self._ready_total += 1
 
     def max_queue_high_watermark(self) -> int:
         """Deepest any LUN queue has ever been (overload statistics)."""
@@ -185,23 +204,25 @@ class SsdScheduler:
 
         Called on every enqueue and on every resource-free notification
         from the array.  Re-entrant calls collapse into the outer loop.
-        Channels with no queued work are skipped without a scan; the
-        others are re-scanned until a full pass starts nothing, because
-        a start changes the device and allocator state that eligibility
-        on other channels depends on (``can_bind`` for programs).
+        Without an idle LUN holding queued work nothing can start, so it
+        returns at once; a channel without one is skipped without a
+        scan.  The others are re-scanned until a full pass starts
+        nothing, because a start changes the device and allocator state
+        that eligibility on other channels depends on (``can_bind`` for
+        programs).
         """
-        if self._pumping:
+        if self._pumping or not self._ready_total:
             return
         self._pumping = True
         try:
             now = self.sim.now
-            channel_pending = self._channel_pending
+            ready = self._ready
             progress = True
             while progress:
                 progress = False
                 for channel in self.array.channels:
                     if (
-                        not channel_pending[channel.channel_id]
+                        not ready[channel.channel_id]
                         or not channel.is_free(now)
                         or channel.has_continuations
                     ):
@@ -216,7 +237,7 @@ class SsdScheduler:
         slots = self._slots[channel_id]
         luns_per_channel = len(slots)
         rotation = self._lun_rotation[channel_id]
-        best: Optional[tuple[tuple, FlashCommand, LunCommandQueue]] = None
+        best: Optional[tuple[tuple, FlashCommand, Lun, LunCommandQueue]] = None
         best_lun_offset = 0
         for offset in range(luns_per_channel):
             lun, queue, lun_key = slots[(rotation + offset) % luns_per_channel]
@@ -227,12 +248,16 @@ class SsdScheduler:
                 continue
             key = self._sort_key(candidate)
             if best is None or key < best[0]:
-                best = (key, candidate, queue)
+                best = (key, candidate, lun, queue)
                 best_lun_offset = offset
         if best is None:
             return False
-        _, cmd, queue = best
-        self._take(queue, cmd)
+        _, cmd, lun, queue = best
+        self._take(lun, queue, cmd)
+        if queue:
+            # The LUN goes busy with work still queued behind ``cmd``.
+            self._ready[channel_id] -= 1
+            self._ready_total -= 1
         if self.config.policy is SsdSchedulerPolicy.FAIR:
             self._advance_fair(cmd)
         self._lun_rotation[channel_id] = (rotation + best_lun_offset + 1) % luns_per_channel
@@ -244,9 +269,10 @@ class SsdScheduler:
     # ------------------------------------------------------------------
     def _select(self, lun_key: tuple[int, int]) -> Optional[FlashCommand]:
         queue = self.queues[lun_key]
-        if not queue:
-            return None
-        if self.config.policy is SsdSchedulerPolicy.FAIR:
+        policy = self.config.policy
+        if policy is SsdSchedulerPolicy.FIFO:
+            return self._select_fifo(queue)
+        if policy is SsdSchedulerPolicy.FAIR:
             return self._select_fair(lun_key, queue)
         best: Optional[FlashCommand] = None
         best_key: Optional[tuple] = None
@@ -256,6 +282,25 @@ class SsdScheduler:
             key = self._sort_key(cmd)
             if best_key is None or key < best_key:
                 best, best_key = cmd, key
+        return best
+
+    def _select_fifo(self, queue: LunCommandQueue) -> Optional[FlashCommand]:
+        """The eligible command with the smallest ``(enqueue_time, id)``.
+
+        ``enqueue`` stamps the never-decreasing ``sim.now``, so queue
+        order is key order except among commands enqueued at the same
+        instant: take the first eligible command, then the smallest id
+        among the eligible ones of its instant that follow it.
+        """
+        best: Optional[FlashCommand] = None
+        for cmd in queue:
+            if best is None:
+                if self._eligible(cmd):
+                    best = cmd
+            elif cmd.enqueue_time != best.enqueue_time:
+                break
+            elif cmd.id < best.id and self._eligible(cmd):
+                best = cmd
         return best
 
     def _select_fair(

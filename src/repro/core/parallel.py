@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Protocol, Sequence, Union
@@ -195,9 +196,26 @@ _worker_interval = 0.0
 
 
 def _init_worker(beats: Optional[Any], interval: float) -> None:
-    """Pool initializer: hand the worker the sweep's heartbeat array."""
+    """Pool initializer: hand the worker the sweep's heartbeat array and
+    make it exit when the sweep's process dies."""
     global _worker_beats, _worker_interval
     _worker_beats, _worker_interval = beats, interval
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), name="parent-watch", daemon=True
+    ).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Exit the worker within about a second of ``parent`` dying.
+
+    A SIGKILLed sweep leaves its workers blocked forever on the call
+    queue, whose pipe their siblings keep open.  ``PR_SET_PDEATHSIG``
+    does not fit: it fires when the parent *thread* that forked the
+    worker exits, and the service submits sweeps from a job thread.
+    """
+    while os.getppid() == parent:
+        time.sleep(1.0)
+    os._exit(1)
 
 
 def _execute_spec(spec: RunSpec, position: int) -> SimulationResult:

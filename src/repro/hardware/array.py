@@ -98,6 +98,9 @@ class SsdArray:
         #: Set by the controller: invoked whenever a channel or LUN frees,
         #: so the scheduler can dispatch more work.
         self.on_resource_free: Callable[[], None] = lambda: None
+        #: Set by the controller: invoked when a LUN finishes its command
+        #: and goes idle, before the matching ``on_resource_free``.
+        self.on_lun_idle: Callable[[Lun], None] = lambda lun: None
         #: Set by the controller's allocator: binds the physical page of a
         #: PROGRAM (or a COPYBACK target) at command start.
         self.bind_program: Optional[Callable[[FlashCommand], PhysicalAddress]] = None
@@ -110,9 +113,6 @@ class SsdArray:
     # ------------------------------------------------------------------
     # Topology accessors
     # ------------------------------------------------------------------
-    def channel(self, channel_id: int) -> Channel:
-        return self.channels[channel_id]
-
     def lun(self, channel_id: int, lun_id: int) -> Lun:
         return self._lun_grid[channel_id][lun_id]
 
@@ -235,6 +235,7 @@ class SsdArray:
         lun = self.lun_of(cmd)
         if lun.current_command is cmd:
             lun.current_command = None
+            self.on_lun_idle(lun)
 
     # ------------------------------------------------------------------
     # State effects
@@ -385,7 +386,9 @@ class SsdArray:
         block simply keeps its old contents.  Command/phase bookkeeping
         (LUN holds, channel occupancy, parked bus continuations,
         in-flight read holds) evaporates -- the events driving it are
-        purged from the engine by the crash coordinator.
+        purged from the engine by the crash coordinator.  LUNs go idle
+        here without ``on_lun_idle``: recovery builds a fresh scheduler,
+        with empty queues, around the surviving array.
 
         Returns the torn page addresses, channel-major order.
         """

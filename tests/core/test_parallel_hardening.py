@@ -8,9 +8,14 @@ finish, so a week-long design-space exploration never loses completed
 work to one bad grid cell.
 """
 
+import contextlib
 import functools
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +57,13 @@ def crash_always_workload(config, delay=0.0):
 
 def hang_workload(config, seconds=30.0):
     time.sleep(seconds)
+    return []
+
+
+def marked_hang_workload(config, marker_dir=None):
+    """Announce the worker by a file named after its pid, then hang."""
+    Path(marker_dir, str(os.getpid())).touch()
+    time.sleep(120.0)
     return []
 
 
@@ -316,3 +328,55 @@ class TestSupervision:
         ).map(specs)
         assert [r.config.seed for r in results] == [61, 62]
         assert all(not r.incomplete for r in results)
+
+
+ORPHAN_CHILD = """
+import functools, sys
+from repro import RunSpec, SweepExecutor, small_config
+from tests.core.test_parallel_hardening import marked_hang_workload
+
+workload = functools.partial(marked_hang_workload, marker_dir=sys.argv[1])
+specs = [
+    RunSpec(config=small_config(seed=seed), workload=workload, index=index, label=seed)
+    for index, seed in enumerate([1, 2])
+]
+SweepExecutor(workers=2).map(specs)
+"""
+
+
+def test_pool_workers_exit_with_a_sigkilled_sweep(tmp_path):
+    """SIGKILL only the process driving a ``workers=2`` sweep: its pool
+    workers, busy in a run, must leave its session within 10 s."""
+    root = Path(__file__).parents[2]
+    markers = tmp_path / "workers"
+    markers.mkdir()
+    with open(tmp_path / "stderr.txt", "w+") as stderr:
+        child = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_CHILD, str(markers)],
+            stderr=stderr,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])},
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(list(markers.iterdir())) < 2:
+                if child.poll() is not None:
+                    stderr.seek(0)
+                    pytest.fail("sweep exited before both workers ran:\n" + stderr.read())
+                if time.monotonic() > deadline:
+                    pytest.fail("both workers did not start within 60 s")
+                time.sleep(0.05)
+            os.kill(child.pid, signal.SIGKILL)
+            child.wait(timeout=10)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                try:
+                    os.killpg(child.pid, 0)
+                except ProcessLookupError:
+                    return
+                time.sleep(0.1)
+            pytest.fail("pool workers outlived the SIGKILLed sweep by 10 s")
+        finally:
+            with contextlib.suppress(ProcessLookupError):  # group already gone
+                os.killpg(child.pid, signal.SIGKILL)
+            child.wait(timeout=10)
