@@ -22,13 +22,15 @@ def fairness_index(values: Sequence[float]) -> float:
     Empty or all-zero inputs yield 1.0 (vacuously fair).
     """
     values = [float(v) for v in values]
-    if not values:
+    peak = max((abs(v) for v in values), default=0.0)
+    if peak == 0.0:
         return 1.0
-    total = sum(values)
-    squares = sum(v * v for v in values)
-    if squares == 0.0:
-        return 1.0
-    return (total * total) / (len(values) * squares)
+    # The index is scale-free; scaling to the largest share first keeps
+    # the squares of tiny shares from underflowing, which would push
+    # the index above 1.
+    shares = [v / peak for v in values]
+    total = sum(shares)
+    return (total * total) / (len(shares) * sum(s * s for s in shares))
 
 
 def latency_balance(stats: StatisticsGatherer) -> float:

@@ -155,7 +155,7 @@ class GarbageCollector:
             return False  # new blocks are still openable; nothing stuck
         return any(
             cmd.kind is CommandKind.PROGRAM and not allocator.can_bind(cmd)
-            for cmd in self.controller.scheduler.queues[lun_key]
+            for cmd in self.controller.scheduler.queued(lun_key)
         )
 
     def _candidate_mask(
@@ -267,7 +267,7 @@ class GarbageCollector:
     def _has_pending_app_work(self, lun_key: tuple[int, int]) -> bool:
         return any(
             cmd.source is CommandSource.APPLICATION
-            for cmd in self.controller.scheduler.queues[lun_key]
+            for cmd in self.controller.scheduler.queued(lun_key)
         )
 
     def _reclaim_fully_dead(self, lun_key: tuple[int, int], lun: Lun) -> None:

@@ -22,7 +22,7 @@ Three responsibilities:
   entry are counted.
 * **Command timeouts** (:meth:`arm_timeout`): an application command
   still queued ``command_timeout_ns`` after enqueue is aborted -- it is
-  tombstoned out of its LUN queue, its in-flight-read accounting is
+  deleted from its LUN queue, its in-flight-read accounting is
   reversed, and its IO completes with ``TIMEOUT``.  Only commands that
   reserved no device state at enqueue are abortable (reads and
   late-binding programs); commands that already started executing are
@@ -209,7 +209,7 @@ class OverloadGovernor:
         """Abort a still-queued command and fail its IO with TIMEOUT.
 
         Cleanup mirrors ``enqueue_command`` exactly: the command is
-        tombstoned out of its LUN queue and, for reads, the block's
+        deleted from its LUN queue and, for reads, the block's
         in-flight-read count (which gates erases) is released -- a read
         stuck behind an erase storm no longer blocks that very erase.
         The wrapped ``on_complete`` never fires: the command never

@@ -23,7 +23,8 @@ program only runs when the allocator can bind a page for it.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from collections import OrderedDict
+from typing import Callable, Iterator, Optional
 
 from repro.core.config import SchedulerConfig, SsdSchedulerPolicy
 from repro.core.engine import Simulator
@@ -39,68 +40,13 @@ _FAIR_ORDER = (
     CommandSource.WEAR_LEVELING,
 )
 
-#: Compact a LUN queue once it holds this many tombstones and at least
-#: as many tombstones as live commands (amortised O(1) per removal).
-_COMPACT_TOMBSTONES = 32
-
-
-class LunCommandQueue:
-    """Pending commands of one LUN: append-ordered, O(1) arbitrary removal.
-
-    Dispatch removes the *best eligible* command, which for a deque costs
-    a full O(n) scan per dispatch -- quadratic when queues are deep
-    (exactly the overload regime).  Removal here marks a tombstone and
-    iteration skips dead entries; the backing list is compacted lazily
-    once tombstones dominate, so dispatch and abort stay amortised O(1)
-    at any depth.  Iteration yields live commands in enqueue order --
-    identical to the old deque, preserving scheduling bit-identity.
-    """
-
-    __slots__ = ("_items", "_dead", "high_watermark")
-
-    def __init__(self) -> None:
-        self._items: list[FlashCommand] = []
-        self._dead: set[int] = set()
-        #: Deepest the live queue has ever been (pure observer).
-        self.high_watermark = 0
-
-    def append(self, cmd: FlashCommand) -> None:
-        self._items.append(cmd)
-        depth = len(self._items) - len(self._dead)
-        if depth > self.high_watermark:
-            self.high_watermark = depth
-
-    def extend(self, cmds: Iterable[FlashCommand]) -> None:
-        for cmd in cmds:
-            self.append(cmd)
-
-    def remove(self, cmd: FlashCommand) -> None:
-        """Tombstone a queued command (dispatch or abort)."""
-        if cmd.id in self._dead:
-            raise ValueError(f"command #{cmd.id} removed twice")
-        self._dead.add(cmd.id)
-        if (
-            len(self._dead) >= _COMPACT_TOMBSTONES
-            and len(self._dead) * 2 >= len(self._items)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        dead = self._dead
-        self._items = [cmd for cmd in self._items if cmd.id not in dead]
-        dead.clear()
-
-    def __iter__(self) -> Iterator[FlashCommand]:
-        dead = self._dead
-        if not dead:
-            return iter(self._items)
-        return (cmd for cmd in self._items if cmd.id not in dead)
-
-    def __len__(self) -> int:
-        return len(self._items) - len(self._dead)
-
-    def __bool__(self) -> bool:
-        return len(self._items) > len(self._dead)
+#: One LUN's pending commands keyed by ``cmd.id``; insertion order is
+#: enqueue order.  Dispatch and abort delete from anywhere in O(1).  An
+#: ``OrderedDict`` rather than a ``dict``: a drained dict keeps its
+#: deleted slots until the next insert resizes it, so every walk from
+#: the head re-skips them and a deep FIFO drain goes quadratic; the
+#: linked list behind ``OrderedDict`` reaches the head in O(1).
+LunQueue = OrderedDict[int, FlashCommand]
 
 
 class SsdScheduler:
@@ -118,13 +64,13 @@ class SsdScheduler:
         self.config = config
         #: Allocator predicate: can a PROGRAM/COPYBACK bind a page now?
         self.can_bind = can_bind
-        self.queues: dict[tuple[int, int], LunCommandQueue] = {
-            key: LunCommandQueue() for key in array.luns
+        self.queues: dict[tuple[int, int], LunQueue] = {
+            key: OrderedDict() for key in array.luns
         }
         luns_per_channel = array.geometry.luns_per_channel
         #: Per channel, the ``(lun, queue, lun_key)`` of every LUN,
         #: indexed by LUN id: the dispatch scan walks these directly.
-        self._slots: list[list[tuple[Lun, LunCommandQueue, tuple[int, int]]]] = [
+        self._slots: list[list[tuple[Lun, LunQueue, tuple[int, int]]]] = [
             [
                 (array.lun(channel, lun_id), self.queues[(channel, lun_id)], (channel, lun_id))
                 for lun_id in range(luns_per_channel)
@@ -134,6 +80,8 @@ class SsdScheduler:
         #: Queued commands in total, kept in step with the queues by
         #: enqueue, dispatch and abort.
         self._pending = 0
+        #: Deepest any LUN queue has ever been (pure observer).
+        self._queue_high_watermark = 0
         #: Per channel and in total, the LUNs that are idle and hold a
         #: queued command: the only LUNs a dispatch scan can start on.
         #: Kept by enqueue, ``_take``, dispatch and :meth:`on_lun_idle`.
@@ -154,10 +102,12 @@ class SsdScheduler:
         cmd.enqueue_time = self.sim.now
         address = cmd.address
         lun, queue, _ = self._slots[address.channel][address.lun]
-        if not queue and not lun.is_busy:
+        if not queue and lun.current_command is None:
             self._ready[address.channel] += 1
             self._ready_total += 1
-        queue.append(cmd)
+        queue[cmd.id] = cmd
+        if len(queue) > self._queue_high_watermark:
+            self._queue_high_watermark = len(queue)
         self._pending += 1
         self.enqueued_commands += 1
         self.pump()
@@ -166,6 +116,10 @@ class SsdScheduler:
         """Pending commands bound to a LUN (used by LEAST_QUEUED
         allocation and by fairness metrics)."""
         return len(self.queues[lun_key])
+
+    def queued(self, lun_key: tuple[int, int]) -> Iterator[FlashCommand]:
+        """The commands queued on a LUN, in enqueue order."""
+        return iter(self.queues[lun_key].values())
 
     def total_pending(self) -> int:
         return self._pending
@@ -178,10 +132,13 @@ class SsdScheduler:
         lun, queue, _ = self._slots[address.channel][address.lun]
         self._take(lun, queue, cmd)
 
-    def _take(self, lun: Lun, queue: LunCommandQueue, cmd: FlashCommand) -> None:
-        queue.remove(cmd)
+    def _take(self, lun: Lun, queue: LunQueue, cmd: FlashCommand) -> None:
+        try:
+            del queue[cmd.id]
+        except KeyError:
+            raise ValueError(f"command #{cmd.id} removed twice") from None
         self._pending -= 1
-        if not queue and not lun.is_busy:
+        if not queue and lun.current_command is None:
             self._ready[lun.channel_id] -= 1
             self._ready_total -= 1
 
@@ -194,7 +151,7 @@ class SsdScheduler:
 
     def max_queue_high_watermark(self) -> int:
         """Deepest any LUN queue has ever been (overload statistics)."""
-        return max(queue.high_watermark for queue in self.queues.values())
+        return self._queue_high_watermark
 
     # ------------------------------------------------------------------
     # Dispatch loop
@@ -223,8 +180,8 @@ class SsdScheduler:
                 for channel in self.array.channels:
                     if (
                         not ready[channel.channel_id]
-                        or not channel.is_free(now)
-                        or channel.has_continuations
+                        or now < channel.busy_until
+                        or channel.continuations
                     ):
                         continue
                     if self._dispatch_on_channel(channel.channel_id):
@@ -237,11 +194,11 @@ class SsdScheduler:
         slots = self._slots[channel_id]
         luns_per_channel = len(slots)
         rotation = self._lun_rotation[channel_id]
-        best: Optional[tuple[tuple, FlashCommand, Lun, LunCommandQueue]] = None
+        best: Optional[tuple[tuple, FlashCommand, Lun, LunQueue]] = None
         best_lun_offset = 0
         for offset in range(luns_per_channel):
             lun, queue, lun_key = slots[(rotation + offset) % luns_per_channel]
-            if not queue or lun.is_busy:
+            if not queue or lun.current_command is not None:
                 continue
             candidate = self._select(lun_key)
             if candidate is None:
@@ -276,7 +233,8 @@ class SsdScheduler:
             return self._select_fair(lun_key, queue)
         best: Optional[FlashCommand] = None
         best_key: Optional[tuple] = None
-        for cmd in queue:
+        # simlint: disable=SIM003 -- insertion order is enqueue order
+        for cmd in queue.values():
             if not self._eligible(cmd):
                 continue
             key = self._sort_key(cmd)
@@ -284,7 +242,7 @@ class SsdScheduler:
                 best, best_key = cmd, key
         return best
 
-    def _select_fifo(self, queue: LunCommandQueue) -> Optional[FlashCommand]:
+    def _select_fifo(self, queue: LunQueue) -> Optional[FlashCommand]:
         """The eligible command with the smallest ``(enqueue_time, id)``.
 
         ``enqueue`` stamps the never-decreasing ``sim.now``, so queue
@@ -293,7 +251,8 @@ class SsdScheduler:
         among the eligible ones of its instant that follow it.
         """
         best: Optional[FlashCommand] = None
-        for cmd in queue:
+        # simlint: disable=SIM003 -- insertion order is enqueue order
+        for cmd in queue.values():
             if best is None:
                 if self._eligible(cmd):
                     best = cmd
@@ -304,12 +263,13 @@ class SsdScheduler:
         return best
 
     def _select_fair(
-        self, lun_key: tuple[int, int], queue: LunCommandQueue
+        self, lun_key: tuple[int, int], queue: LunQueue
     ) -> Optional[FlashCommand]:
         start = self._fair_rotation[lun_key]
         for offset in range(len(_FAIR_ORDER)):
             source = _FAIR_ORDER[(start + offset) % len(_FAIR_ORDER)]
-            for cmd in queue:
+            # simlint: disable=SIM003 -- insertion order is enqueue order
+            for cmd in queue.values():
                 if cmd.source is source and self._eligible(cmd):
                     return cmd
         return None

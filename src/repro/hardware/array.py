@@ -23,7 +23,6 @@ scheduler reordered the queue.
 
 from __future__ import annotations
 
-import enum
 from typing import Callable, Optional
 
 from repro.core.config import ChipTimings, SsdGeometry
@@ -34,11 +33,6 @@ from repro.hardware.channel import Channel
 from repro.hardware.commands import CommandKind, CommandOutcome, FlashCommand
 from repro.hardware.flash import FlashStateError, Lun
 from repro.hardware.state import AddressCodec, FlashState
-
-
-class _Phase(enum.Enum):
-    BUS = "bus"
-    ARRAY = "array"
 
 
 class SsdArray:
@@ -62,6 +56,23 @@ class SsdArray:
         self.pipelining = pipelining and timings.supports_pipelining
         self.tracer = tracer if tracer is not None else TraceRecorder(enabled=False)
         self.channels = [Channel(i) for i in range(geometry.channels)]
+        t = timings
+        page_in_out = t.t_cmd_ns + t.transfer_ns(geometry.page_size_bytes)
+        #: Each command kind's phases as ``(is_array, duration_ns)``,
+        #: built once.  Nothing changes a phase duration after
+        #: construction; the only runtime edit of ``timings`` anywhere is
+        #: to ``endurance_cycles``, which ``_complete`` reads directly.
+        self._plans: dict[CommandKind, tuple[tuple[bool, int], ...]] = {
+            CommandKind.READ: ((False, t.t_cmd_ns), (True, t.t_read_ns), (False, page_in_out)),
+            CommandKind.PROGRAM: ((False, page_in_out), (True, t.t_prog_ns)),
+            CommandKind.ERASE: ((False, t.t_cmd_ns), (True, t.t_erase_ns)),
+            CommandKind.COPYBACK: (
+                (False, t.t_cmd_ns),
+                (True, t.t_read_ns),
+                (False, t.t_cmd_ns),
+                (True, t.t_prog_ns),
+            ),
+        }
         bad_blocks = bad_blocks or {}
         #: The device-wide structure-of-arrays state every LUN views into.
         self.state = FlashState(
@@ -141,12 +152,12 @@ class SsdArray:
         :meth:`can_start`."""
         now = self.sim.now
         lun = self.lun_of(cmd)
-        if lun.is_busy:
+        if lun.current_command is not None:
             raise FlashStateError(f"LUN {lun.key} busy, cannot start {cmd!r}")
         cmd.start_time = now
         lun.current_command = cmd
         self._apply_start_effects(cmd, lun)
-        phases = self._phases(cmd)
+        phases = self._plans[cmd.kind]
         if not self.interleaving:
             total = sum(duration for _, duration in phases)
             self.channels[cmd.address.channel].occupy(now, total)
@@ -157,37 +168,12 @@ class SsdArray:
     # ------------------------------------------------------------------
     # Phase machinery
     # ------------------------------------------------------------------
-    def _phases(self, cmd: FlashCommand) -> list[tuple[_Phase, int]]:
-        t = self.timings
-        page_bytes = self.geometry.page_size_bytes
-        if cmd.kind is CommandKind.READ:
-            return [
-                (_Phase.BUS, t.t_cmd_ns),
-                (_Phase.ARRAY, t.t_read_ns),
-                (_Phase.BUS, t.t_cmd_ns + t.transfer_ns(page_bytes)),
-            ]
-        if cmd.kind is CommandKind.PROGRAM:
-            return [
-                (_Phase.BUS, t.t_cmd_ns + t.transfer_ns(page_bytes)),
-                (_Phase.ARRAY, t.t_prog_ns),
-            ]
-        if cmd.kind is CommandKind.ERASE:
-            return [(_Phase.BUS, t.t_cmd_ns), (_Phase.ARRAY, t.t_erase_ns)]
-        if cmd.kind is CommandKind.COPYBACK:
-            return [
-                (_Phase.BUS, t.t_cmd_ns),
-                (_Phase.ARRAY, t.t_read_ns),
-                (_Phase.BUS, t.t_cmd_ns),
-                (_Phase.ARRAY, t.t_prog_ns),
-            ]
-        raise ValueError(f"unknown command kind {cmd.kind!r}")
-
-    def _run_phase(self, cmd: FlashCommand, phases: list, index: int) -> None:
+    def _run_phase(self, cmd: FlashCommand, phases: tuple, index: int) -> None:
         if index == len(phases):
             self._complete(cmd)
             return
-        kind, duration = phases[index]
-        if kind is _Phase.ARRAY:
+        is_array, duration = phases[index]
+        if is_array:
             lun = self.lun_of(cmd)
             lun.busy_until = self.sim.now + duration
             lun.busy_ns += duration
@@ -207,29 +193,29 @@ class SsdArray:
             self._release_lun(cmd)
             self.on_resource_free()
         channel = self.channels[cmd.address.channel]
-        if channel.is_free(self.sim.now):
-            self._occupy_bus(cmd, phases, index, duration)
+        now = self.sim.now
+        if now >= channel.busy_until:
+            channel.occupy(now, duration)
+            self.sim.post(duration, self._after_bus, cmd, phases, index)
         else:
             channel.park_continuation(
                 lambda: self._occupy_bus(cmd, phases, index, duration)
             )
 
-    def _occupy_bus(self, cmd: FlashCommand, phases: list, index: int, duration: int) -> None:
+    def _occupy_bus(self, cmd: FlashCommand, phases: tuple, index: int, duration: int) -> None:
         channel = self.channels[cmd.address.channel]
         channel.occupy(self.sim.now, duration)
         self.sim.post(duration, self._after_bus, cmd, phases, index)
 
-    def _after_bus(self, cmd: FlashCommand, phases: list, index: int) -> None:
+    def _after_bus(self, cmd: FlashCommand, phases: tuple, index: int) -> None:
         self._run_phase(cmd, phases, index + 1)
         if self.interleaving:
-            self._drain_channel(self.channels[cmd.address.channel])
+            # Serve parked bus phases FIFO while the bus stays free.
+            channel = self.channels[cmd.address.channel]
+            now = self.sim.now
+            while now >= channel.busy_until and channel.continuations:
+                channel.continuations.popleft()()
         self.on_resource_free()
-
-    def _drain_channel(self, channel: Channel) -> None:
-        while channel.is_free(self.sim.now) and channel.has_continuations:
-            resume = channel.pop_continuation()
-            assert resume is not None
-            resume()
 
     def _release_lun(self, cmd: FlashCommand) -> None:
         lun = self.lun_of(cmd)

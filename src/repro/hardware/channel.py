@@ -22,7 +22,7 @@ from typing import Callable, Optional
 class Channel:
     """One bus shared by the LUNs of a channel."""
 
-    __slots__ = ("channel_id", "busy_until", "continuations", "busy_ns", "_last_occupy")
+    __slots__ = ("channel_id", "busy_until", "continuations", "busy_ns")
 
     def __init__(self, channel_id: int):
         self.channel_id = channel_id
@@ -31,7 +31,6 @@ class Channel:
         self.continuations: deque[Callable[[], None]] = deque()
         #: Total occupied time, for utilisation statistics.
         self.busy_ns = 0
-        self._last_occupy: Optional[tuple[int, int]] = None
 
     def is_free(self, now_ns: int) -> bool:
         return now_ns >= self.busy_until
@@ -45,7 +44,6 @@ class Channel:
             )
         self.busy_until = now_ns + duration_ns
         self.busy_ns += duration_ns
-        self._last_occupy = (now_ns, self.busy_until)
         return self.busy_until
 
     def park_continuation(self, resume: Callable[[], None]) -> None:

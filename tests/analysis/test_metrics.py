@@ -1,7 +1,7 @@
 """Tests for derived metrics."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.analysis.metrics import (
     coefficient_of_variation,
@@ -39,6 +39,7 @@ class TestFairnessIndex:
         assert fairness_index([0, 0]) == 1.0
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=20))
+    @example(values=[4.675899348175555e-162, 4.675899348175555e-162])  # squares underflow
     def test_property_bounded(self, values):
         index = fairness_index(values)
         assert 0.0 <= index <= 1.0 + 1e-9

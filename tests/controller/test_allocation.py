@@ -44,9 +44,9 @@ class TestPlacement:
         harness = alloc_harness(AllocationPolicy.LEAST_QUEUED)
         # Load one LUN's queue artificially.
         busy_key = (0, 0)
-        harness.controller.scheduler.queues[busy_key].extend(
-            _program(busy_key) for _ in range(5)
-        )
+        queue = harness.controller.scheduler.queues[busy_key]
+        for cmd in (_program(busy_key) for _ in range(5)):
+            queue[cmd.id] = cmd
         picked, _ = harness.controller.allocator.place_write(0, {})
         assert picked != busy_key
 

@@ -186,10 +186,10 @@ class TestFairPolicy:
         gc = _cmd(CommandKind.READ, CommandSource.GC)
         for cmd in (app1, app2, gc):
             cmd.enqueue_time = 0
-            scheduler.queues[lun_key].append(cmd)
+            scheduler.queues[lun_key][cmd.id] = cmd
         first = scheduler._select(lun_key)
         assert first is app1
-        scheduler.queues[lun_key].remove(first)
+        del scheduler.queues[lun_key][first.id]
         scheduler._advance_fair(first)
         second = scheduler._select(lun_key)
         assert second is gc  # rotation moved past APPLICATION

@@ -14,13 +14,14 @@ an eligible command.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import FaultPlan, FtlKind, Simulation, SsdSchedulerPolicy, small_config
-from repro.controller.scheduler import LunCommandQueue, SsdScheduler
+from repro.controller.scheduler import SsdScheduler
 from repro.core import units
 from repro.hardware.addresses import PhysicalAddress
 from repro.hardware.commands import CommandKind, CommandSource, FlashCommand
@@ -47,12 +48,13 @@ def _assert_quiescent(scheduler, array) -> None:
     for channel in array.channels:
         if not channel.is_free(now) or channel.has_continuations:
             continue
-        for (channel_id, lun_id), queue in scheduler.queues.items():
+        for channel_id, lun_id in scheduler.queues:
             if channel_id != channel.channel_id:
                 continue
             if array.lun(channel_id, lun_id).is_busy:
                 continue
-            stuck = [cmd for cmd in queue if scheduler._eligible(cmd)]
+            queued = scheduler.queued((channel_id, lun_id))
+            stuck = [cmd for cmd in queued if scheduler._eligible(cmd)]
             assert not stuck, f"pump left {stuck} on idle LUN ({channel_id},{lun_id})"
 
 
@@ -206,14 +208,14 @@ def test_fifo_select_matches_full_min_scan() -> None:
     same_instant = [blocked_program, blocked_erase, high, low, mid]
     for order in itertools.permutations(same_instant):
         for tail in ([], [later]):
-            queue = scheduler.queues[lun_key] = LunCommandQueue()
+            queue = scheduler.queues[lun_key] = OrderedDict()
             for cmd in order:
                 cmd.enqueue_time = 1_000
-                queue.append(cmd)
+                queue[cmd.id] = cmd
             for cmd in tail:
                 cmd.enqueue_time = 2_000
-                queue.append(cmd)
-            eligible = [cmd for cmd in queue if scheduler._eligible(cmd)]
+                queue[cmd.id] = cmd
+            eligible = [cmd for cmd in queue.values() if scheduler._eligible(cmd)]
             expected = min(eligible, key=scheduler._sort_key)
             assert expected is low
             assert scheduler._select(lun_key) is expected

@@ -1,7 +1,7 @@
 """Command timeouts, aborts and the host retry ladder.
 
 An application command still queued past ``command_timeout_ns`` is
-aborted: tombstoned out of its LUN queue, its in-flight-read accounting
+aborted: deleted from its LUN queue, its in-flight-read accounting
 reversed, and its IO completed with ``TIMEOUT``.  The OS retries
 BUSY/TIMEOUT completions with deterministic exponential backoff under a
 per-IO deadline budget.  Every test runs with the sanitizer armed, and
