@@ -38,6 +38,59 @@ from repro.reliability.recovery import (
     ReliabilityManager,
 )
 
+#: Every cumulative run counter of the modules a power cycle rebuilds, as
+#: ``(controller attribute, counter attribute, summary key or None)``.
+#: A remount adds each old value onto the new module
+#: (``PowerCycleCoordinator._carry_counters``) and
+#: :class:`~repro.core.simulation.SimulationResult` reports the keyed
+#: rows, 0 when the module is disabled.  FTL rows exist only on the FTL
+#: kind that counts them.  The array and the OS survive a power cycle,
+#: so their counters are read directly and need no row.
+RUN_COUNTERS: tuple[tuple[str, str, Optional[str]], ...] = (
+    ("scheduler", "enqueued_commands", None),
+    ("gc", "collected_blocks", "gc_collected_blocks"),
+    ("gc", "relocated_pages", "gc_relocated_pages"),
+    ("gc", "copyback_relocations", None),
+    ("gc", "balancing_jobs", None),
+    ("gc", "erase_only_reclaims", None),
+    ("gc", "idle_jobs", None),
+    ("gc", "condemned_retirements", None),
+    ("wear_leveler", "migrations_started", "wl_migrations"),
+    ("wear_leveler", "migrated_pages", None),
+    ("wear_leveler", "total_erases", None),
+    ("write_buffer", "hits", None),
+    ("write_buffer", "absorbed_rewrites", None),
+    ("write_buffer", "flushed_pages", None),
+    # DFTL
+    ("ftl", "cmt_hits", None),
+    ("ftl", "cmt_misses", None),
+    ("ftl", "evictions", None),
+    ("ftl", "batched_flush_entries", None),
+    ("ftl", "tp_fetch_reads", None),
+    # hybrid
+    ("ftl", "full_merges", None),
+    ("ftl", "switch_merges", None),
+    ("ftl", "merged_pages", None),
+    ("ftl", "filler_pages", None),
+    ("reliability", "corrected_reads", "corrected_reads"),
+    ("reliability", "uncorrectable_reads", "uncorrectable_reads"),
+    ("reliability", "read_retries", "read_retries"),
+    ("reliability", "parity_rebuilds", "parity_rebuilds"),
+    ("reliability", "program_fail_count", "program_fails"),
+    ("reliability", "erase_fail_count", "erase_fails"),
+    ("reliability", "runtime_retired_blocks", "runtime_retired_blocks"),
+    ("reliability", "writes_rejected", "writes_rejected"),
+    ("overload", "busy_rejections", "device_busy_rejections"),
+    ("overload", "shed_ios", "shed_ios"),
+    ("overload", "throttled_ios", "throttled_ios"),
+    ("overload", "command_timeouts", "command_timeouts"),
+    ("overload", "degraded_entries", "degraded_entries"),
+    ("overload", "time_degraded_ns", None),
+    ("journal", "total_records", None),
+    ("checkpointer", "checkpoints_taken", None),
+    ("checkpointer", "checkpoint_pages_written", None),
+)
+
 
 class SsdController:
     """The device: flash array + controller modules behind one interface.

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.config import GcVictimPolicy
 from repro.hardware.addresses import PhysicalAddress
 from repro.hardware.commands import CommandKind, CommandSource, FlashCommand
-from repro.hardware.flash import Block, Lun
+from repro.hardware.flash import Lun
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controller.controller import SsdController
@@ -314,12 +314,6 @@ class GarbageCollector:
         start, _ = state.block_range(lun.lun_index)
         live = state.live_count[start + candidates]
         return int(candidates[int(np.argmax(live == live.min()))])
-
-    @staticmethod
-    def _cost_benefit(block: Block, now: int) -> float:
-        utilisation = block.live_count / block.num_pages
-        age = max(1, now - block.last_write_ns)
-        return (1.0 - utilisation) / (1.0 + utilisation) * age
 
     def _being_collected(self, lun_key: tuple[int, int], block_id: int) -> bool:
         if (lun_key, block_id) in self._erase_only:

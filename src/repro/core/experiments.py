@@ -367,8 +367,3 @@ class ExperimentTemplate:
             for spec, result in zip(specs, results)
         ]
         return ExperimentResult(self.name, self.parameter, runs)
-
-    def _run_one(self, config: SimulationConfig) -> SimulationResult:
-        return RunSpec(
-            config=config, workload=self.workload, max_time_ns=self.max_time_ns
-        ).execute()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.controller import SsdController
+from repro.controller.controller import RUN_COUNTERS, SsdController
 from repro.core import units
 from repro.core.config import SimulationConfig
 from repro.core.engine import Simulator
@@ -45,50 +45,45 @@ class SimulationResult:
             for name, record in simulation.os._records.items()
             if record.stats is not None
         }
-        self.gc_collected_blocks = controller.gc.collected_blocks
         self.gc_relocated_pages = controller.gc.relocated_pages
         self.gc_copybacks = controller.gc.copyback_relocations
         self.wl_migrations = controller.wear_leveler.migrations_started
         self.wl_migrated_pages = controller.wear_leveler.migrated_pages
         self.wear = controller.wear_leveler.wear_statistics()
-        self.retired_blocks = controller.array.retired_blocks
         reliability = controller.reliability
-        self.corrected_reads = reliability.corrected_reads if reliability else 0
-        self.uncorrectable_reads = reliability.uncorrectable_reads if reliability else 0
-        self.read_retries = reliability.read_retries if reliability else 0
-        self.parity_rebuilds = reliability.parity_rebuilds if reliability else 0
-        self.program_fails = reliability.program_fail_count if reliability else 0
-        self.erase_fails = reliability.erase_fail_count if reliability else 0
-        self.runtime_retired_blocks = (
-            reliability.runtime_retired_blocks if reliability else 0
-        )
-        self.writes_rejected = reliability.writes_rejected if reliability else 0
         #: Virtual time at which the device degraded to read-only mode;
         #: None when it never did (or reliability is disabled).
         self.read_only_entry_ns = reliability.read_only_entry_ns if reliability else None
         self.channel_utilisation = controller.array.channel_utilisation()
-        self.lun_utilisation = controller.array.lun_utilisation()
-        #: Overload robustness layer; all zero when disabled.  The queue
-        #: high-watermarks are pure observers tracked unconditionally,
-        #: so unbounded legacy configurations expose their runaway
-        #: growth too (the E20 comparison depends on this).
+        #: The queue high-watermarks are pure observers tracked
+        #: unconditionally, so unbounded legacy configurations expose
+        #: their runaway growth too (the E20 comparison depends on this).
         self.os_queue_high_watermark = simulation.os.os_queue_high_watermark
         self.device_queue_high_watermark = (
             controller.scheduler.max_queue_high_watermark()
         )
-        self.host_rejections = simulation.os.host_rejections
-        self.io_retries = simulation.os.retries_scheduled
-        self.io_retries_exhausted = simulation.os.retries_exhausted
-        self.busy_ios = simulation.os.busy_completions
-        self.timeout_ios = simulation.os.timeout_completions
         overload = controller.overload
-        self.device_busy_rejections = overload.busy_rejections if overload else 0
-        self.shed_ios = overload.shed_ios if overload else 0
-        self.throttled_ios = overload.throttled_ios if overload else 0
-        self.command_timeouts = overload.command_timeouts if overload else 0
-        self.degraded_entries = overload.degraded_entries if overload else 0
         self.time_degraded_ns = (
             overload.time_degraded_total(simulation.sim.now) if overload else 0
+        )
+        #: Run counters by summary key: the keyed ``RUN_COUNTERS`` rows
+        #: (0 for a disabled module) plus the counters of the array and
+        #: the OS, which survive a power cycle.
+        self.counters: dict[str, float] = {}
+        for module_name, attr, key in RUN_COUNTERS:
+            if key is not None:
+                module = getattr(controller, module_name)
+                self.counters[key] = 0.0 if module is None else float(getattr(module, attr))
+        host = simulation.os
+        self.counters.update(
+            retired_blocks=float(controller.array.retired_blocks),
+            os_queue_high_watermark=float(self.os_queue_high_watermark),
+            device_queue_high_watermark=float(self.device_queue_high_watermark),
+            host_rejections=float(host.host_rejections),
+            io_retries=float(host.retries_scheduled),
+            io_retries_exhausted=float(host.retries_exhausted),
+            busy_ios=float(host.busy_completions),
+            timeout_ios=float(host.timeout_completions),
         )
         #: Bytes held by the array-backed device state: FTL mapping and
         #: version tables plus the flash-array bitmaps and per-block
@@ -122,28 +117,17 @@ class SimulationResult:
         if self._summary_cache is not None:
             return dict(self._summary_cache)
         summary = self.stats.summary()
+        summary.update(self.counters)
+        crash = self.crash_stats
         summary.update(
             {
                 "elapsed_ms": units.to_milliseconds(self.elapsed_ns),
-                "gc_collected_blocks": float(self.gc_collected_blocks),
-                "gc_relocated_pages": float(self.gc_relocated_pages),
-                "wl_migrations": float(self.wl_migrations),
                 "wear_spread": self.wear["spread"],
-                "retired_blocks": float(self.retired_blocks),
                 "mean_channel_utilisation": (
                     sum(self.channel_utilisation) / len(self.channel_utilisation)
                 ),
                 "device_memory_bytes": float(self.device_memory_bytes),
-                # Reliability subsystem; all zero (and entry -1) when the
-                # subsystem is disabled.
-                "corrected_reads": float(self.corrected_reads),
-                "uncorrectable_reads": float(self.uncorrectable_reads),
-                "read_retries": float(self.read_retries),
-                "parity_rebuilds": float(self.parity_rebuilds),
-                "program_fails": float(self.program_fails),
-                "erase_fails": float(self.erase_fails),
-                "runtime_retired_blocks": float(self.runtime_retired_blocks),
-                "writes_rejected": float(self.writes_rejected),
+                # -1 when the device never went read-only.
                 "read_only_entry_ms": (
                     units.to_milliseconds(self.read_only_entry_ns)
                     if self.read_only_entry_ns is not None
@@ -151,32 +135,14 @@ class SimulationResult:
                 ),
                 # Crash/recovery subsystem; all zero when no power loss
                 # was scheduled.
-                "power_losses": float(self.crash_stats.power_losses),
-                "mount_time_ms": units.to_milliseconds(self.crash_stats.mount_time_ns),
-                "recovery_scanned_pages": float(self.crash_stats.scanned_pages),
-                "recovery_replayed_records": float(self.crash_stats.replayed_records),
-                "lost_writes": float(self.crash_stats.lost_writes),
-                "torn_pages": float(self.crash_stats.torn_pages),
-                "checkpoints_taken": float(self.crash_stats.checkpoints_taken),
-                "checkpoint_pages_written": float(
-                    self.crash_stats.checkpoint_pages_written
-                ),
-                # Overload robustness layer; the watermarks are live for
-                # every run, the counters are zero when disabled.
-                "os_queue_high_watermark": float(self.os_queue_high_watermark),
-                "device_queue_high_watermark": float(
-                    self.device_queue_high_watermark
-                ),
-                "host_rejections": float(self.host_rejections),
-                "device_busy_rejections": float(self.device_busy_rejections),
-                "shed_ios": float(self.shed_ios),
-                "throttled_ios": float(self.throttled_ios),
-                "command_timeouts": float(self.command_timeouts),
-                "io_retries": float(self.io_retries),
-                "io_retries_exhausted": float(self.io_retries_exhausted),
-                "busy_ios": float(self.busy_ios),
-                "timeout_ios": float(self.timeout_ios),
-                "degraded_entries": float(self.degraded_entries),
+                "power_losses": float(crash.power_losses),
+                "mount_time_ms": units.to_milliseconds(crash.mount_time_ns),
+                "recovery_scanned_pages": float(crash.scanned_pages),
+                "recovery_replayed_records": float(crash.replayed_records),
+                "lost_writes": float(crash.lost_writes),
+                "torn_pages": float(crash.torn_pages),
+                "checkpoints_taken": float(crash.checkpoints_taken),
+                "checkpoint_pages_written": float(crash.checkpoint_pages_written),
                 "time_degraded_ms": units.to_milliseconds(self.time_degraded_ns),
             }
         )
@@ -189,8 +155,9 @@ class SimulationResult:
             f"virtual time  : {units.format_time(self.elapsed_ns)}"
             f" ({self.processed_events} events)"
         )
+        counts = {key: int(value) for key, value in self.counters.items()}
         lines.append(
-            f"GC            : {self.gc_collected_blocks} blocks, "
+            f"GC            : {counts['gc_collected_blocks']} blocks, "
             f"{self.gc_relocated_pages} pages relocated "
             f"({self.gc_copybacks} by copyback)"
         )
@@ -207,30 +174,30 @@ class SimulationResult:
             f"device memory : {self.device_memory_bytes / (1 << 20):.1f} MiB "
             "(mapping tables + bitmaps + block metadata)"
         )
-        if (
-            self.corrected_reads
-            or self.read_retries
-            or self.parity_rebuilds
-            or self.uncorrectable_reads
-            or self.runtime_retired_blocks
-        ):
-            lines.append(
-                f"reliability   : {self.corrected_reads} corrected, "
-                f"{self.read_retries} retries, {self.parity_rebuilds} rebuilds, "
-                f"{self.uncorrectable_reads} lost, "
-                f"{self.runtime_retired_blocks} blocks retired"
+        if any(
+            counts[key]
+            for key in (
+                "corrected_reads",
+                "read_retries",
+                "parity_rebuilds",
+                "uncorrectable_reads",
+                "runtime_retired_blocks",
             )
-        if (
-            self.host_rejections
-            or self.device_busy_rejections
-            or self.shed_ios
-            or self.command_timeouts
-            or self.io_retries
         ):
             lines.append(
-                f"overload      : {self.host_rejections + self.device_busy_rejections} "
-                f"rejected, {self.shed_ios} shed, {self.command_timeouts} timed out, "
-                f"{self.io_retries} retries ({self.io_retries_exhausted} exhausted), "
+                f"reliability   : {counts['corrected_reads']} corrected, "
+                f"{counts['read_retries']} retries, "
+                f"{counts['parity_rebuilds']} rebuilds, "
+                f"{counts['uncorrectable_reads']} lost, "
+                f"{counts['runtime_retired_blocks']} blocks retired"
+            )
+        rejected = counts["host_rejections"] + counts["device_busy_rejections"]
+        if rejected or counts["shed_ios"] or counts["command_timeouts"] or counts["io_retries"]:
+            lines.append(
+                f"overload      : {rejected} rejected, {counts['shed_ios']} shed, "
+                f"{counts['command_timeouts']} timed out, "
+                f"{counts['io_retries']} retries "
+                f"({counts['io_retries_exhausted']} exhausted), "
                 f"{units.format_time(self.time_degraded_ns)} degraded"
             )
         if self.crash_stats.power_losses:

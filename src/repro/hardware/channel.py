@@ -16,7 +16,7 @@ registers promptly.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable
 
 
 class Channel:
@@ -49,11 +49,6 @@ class Channel:
     def park_continuation(self, resume: Callable[[], None]) -> None:
         """Queue a mid-command bus phase to run when the bus frees."""
         self.continuations.append(resume)
-
-    def pop_continuation(self) -> Optional[Callable[[], None]]:
-        if self.continuations:
-            return self.continuations.popleft()
-        return None
 
     @property
     def has_continuations(self) -> bool:

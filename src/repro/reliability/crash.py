@@ -406,72 +406,31 @@ class PowerCycleCoordinator:
 
     def _carry_counters(self, old: "SsdController", new: "SsdController") -> None:
         """Cumulative run counters survive the crash: they describe the
-        experiment, not the controller incarnation.  Everything here is
-        additive (the hybrid mount consolidation already incremented some
-        of the new FTL's merge counters)."""
+        experiment, not the controller incarnation.  Every
+        :data:`~repro.controller.controller.RUN_COUNTERS` row is additive
+        (the hybrid mount consolidation already incremented some of the
+        new FTL's merge counters); the high-watermarks carry their max."""
+        from repro.controller.controller import RUN_COUNTERS
+
         new.submitted_ios += old.submitted_ios
-        for name in (
-            "collected_blocks",
-            "relocated_pages",
-            "copyback_relocations",
-            "balancing_jobs",
-            "erase_only_reclaims",
-            "idle_jobs",
-            "condemned_retirements",
-        ):
-            setattr(new.gc, name, getattr(new.gc, name) + getattr(old.gc, name))
-        for name in ("migrations_started", "migrated_pages", "total_erases"):
-            setattr(
-                new.wear_leveler,
-                name,
-                getattr(new.wear_leveler, name) + getattr(old.wear_leveler, name),
+        if old.overload is not None:
+            # Close a degraded interval still open at the loss.
+            old.overload.time_degraded_ns = old.overload.time_degraded_total(
+                self.simulation.sim.now
             )
-        if old.write_buffer is not None and new.write_buffer is not None:
-            for name in ("hits", "absorbed_rewrites", "flushed_pages"):
-                setattr(
-                    new.write_buffer,
-                    name,
-                    getattr(new.write_buffer, name) + getattr(old.write_buffer, name),
-                )
-        for name in (
-            # DFTL
-            "cmt_hits",
-            "cmt_misses",
-            "evictions",
-            "batched_flush_entries",
-            "tp_fetch_reads",
-            # hybrid
-            "full_merges",
-            "switch_merges",
-            "merged_pages",
-            "filler_pages",
-        ):
-            if hasattr(old.ftl, name) and hasattr(new.ftl, name):
-                setattr(new.ftl, name, getattr(new.ftl, name) + getattr(old.ftl, name))
-        if old.journal is not None and new.journal is not None:
-            new.journal.total_records += old.journal.total_records
-        if old.checkpointer is not None and new.checkpointer is not None:
-            new.checkpointer.checkpoints_taken += old.checkpointer.checkpoints_taken
-            new.checkpointer.checkpoint_pages_written += (
-                old.checkpointer.checkpoint_pages_written
-            )
+        for module_name, attr, _ in RUN_COUNTERS:
+            old_module = getattr(old, module_name)
+            new_module = getattr(new, module_name)
+            if old_module is None or new_module is None or not hasattr(new_module, attr):
+                continue
+            setattr(new_module, attr, getattr(new_module, attr) + getattr(old_module, attr))
+        new.scheduler._queue_high_watermark = max(
+            new.scheduler._queue_high_watermark, old.scheduler._queue_high_watermark
+        )
         if old.reliability is not None and new.reliability is not None:
-            for name in (
-                "corrected_reads",
-                "uncorrectable_reads",
-                "read_retries",
-                "parity_rebuilds",
-                "program_fail_count",
-                "erase_fail_count",
-                "runtime_retired_blocks",
-                "writes_rejected",
-                "max_retry_index_seen",
-            ):
-                setattr(
-                    new.reliability,
-                    name,
-                    getattr(new.reliability, name) + getattr(old.reliability, name),
-                )
+            new.reliability.max_retry_index_seen = max(
+                new.reliability.max_retry_index_seen, old.reliability.max_retry_index_seen
+            )
             # Degradation state and fault-plan consumption are physical:
             # a remount does not un-retire blocks or re-arm spent faults.
             new.reliability.read_only = old.reliability.read_only

@@ -43,10 +43,7 @@ class TestContinuations:
         channel.park_continuation(lambda: order.append("a"))
         channel.park_continuation(lambda: order.append("b"))
         assert channel.has_continuations
-        channel.pop_continuation()()
-        channel.pop_continuation()()
+        channel.continuations.popleft()()
+        channel.continuations.popleft()()
         assert order == ["a", "b"]
         assert not channel.has_continuations
-
-    def test_pop_empty_returns_none(self):
-        assert Channel(0).pop_continuation() is None

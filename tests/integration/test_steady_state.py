@@ -21,7 +21,7 @@ class TestSteadyState:
             [RandomWriterThread("w", count=5000, depth=16)],
             precondition=True,
         )
-        assert result.gc_collected_blocks > 50
+        assert result.summary()["gc_collected_blocks"] > 50
         waf = result.stats.write_amplification()
         assert 1.0 < waf < 10.0
 

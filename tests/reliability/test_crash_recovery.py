@@ -23,7 +23,8 @@ from repro import (
     small_config,
 )
 from repro.core.experiments import ExperimentResult
-from repro.workloads import RandomWriterThread
+from repro.reliability.crash import PowerCycleCoordinator
+from repro.workloads import MixedWorkloadThread, RandomWriterThread
 
 FTLS = ["page", "dftl", "hybrid"]
 STRATEGIES = [RecoveryStrategy.OOB_SCAN, RecoveryStrategy.CHECKPOINT_JOURNAL]
@@ -102,6 +103,68 @@ class TestEveryCombination:
         assert result.incomplete is False
         assert result.crash_stats.power_losses == 2
         assert len(result.mount_reports) == 2
+
+
+#: Overload summary keys and the governor attribute each one reports.
+OVERLOAD_COUNTERS = {
+    "device_busy_rejections": "busy_rejections",
+    "shed_ios": "shed_ios",
+    "throttled_ios": "throttled_ios",
+    "command_timeouts": "command_timeouts",
+    "degraded_entries": "degraded_entries",
+}
+
+
+class TestCountersSurviveRemount:
+    @pytest.mark.parametrize("ftl", FTLS)
+    def test_overload_and_scheduler_counters_carry_over(self, ftl, monkeypatch):
+        """The summary counts the whole run: what the governor and the
+        scheduler counted before the power loss is not dropped with the
+        old controller."""
+        config = small_config(seed=11)
+        config.controller.ftl = FtlKind(ftl)
+        config.controller.write_buffer_pages = 16
+        config.host.max_outstanding = 64
+        overload = config.overload
+        overload.enabled = True
+        overload.device_queue_bound = 6
+        overload.host_queue_bound = 24
+        overload.command_timeout_ns = 2_000_000
+        overload.max_retries = 2
+        config.reliability.fault_plan = FaultPlan().power_loss(
+            at_ns=6_000_000, off_ns=500_000
+        )
+        pre_loss: dict[str, int] = {}
+        at_mount: dict[str, int] = {}
+        power_cycle = PowerCycleCoordinator.power_cycle
+
+        def recording_power_cycle(coordinator, loss):
+            old = coordinator.simulation.controller
+            pre_loss.update(
+                {key: getattr(old.overload, attr) for key, attr in OVERLOAD_COUNTERS.items()}
+            )
+            pre_loss["watermark"] = old.scheduler.max_queue_high_watermark()
+            report = power_cycle(coordinator, loss)
+            new = coordinator.simulation.controller
+            at_mount.update(
+                {key: getattr(new.overload, attr) for key, attr in OVERLOAD_COUNTERS.items()}
+            )
+            return report
+
+        monkeypatch.setattr(PowerCycleCoordinator, "power_cycle", recording_power_cycle)
+        simulation = Simulation(config)
+        simulation.add_thread(RandomWriterThread("writer", count=1500, depth=32))
+        simulation.add_thread(MixedWorkloadThread("mixed", count=600, read_fraction=0.5))
+        result = simulation.run()
+        assert result.crash_stats.power_losses == 1
+        assert pre_loss["device_busy_rejections"] > 0
+        summary = result.summary()
+        governor = simulation.controller.overload
+        for key, attr in OVERLOAD_COUNTERS.items():
+            # What the new governor counted itself, after the remount.
+            own = getattr(governor, attr) - at_mount[key]
+            assert summary[key] == pre_loss[key] + own, key
+        assert summary["device_queue_high_watermark"] >= pre_loss["watermark"]
 
 
 class TestRecoveryEconomics:
