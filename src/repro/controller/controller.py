@@ -252,10 +252,8 @@ class SsdController:
     # ------------------------------------------------------------------
     def enqueue_command(self, cmd: FlashCommand) -> None:
         """Queue a flash command (used by FTL, GC, WL and tests)."""
-        if cmd.deadline is None:
-            cmd.deadline = self.scheduler.deadline_for(cmd.kind, self.sim.now)
         if cmd.kind in (CommandKind.READ, CommandKind.COPYBACK):
-            lun = self.array.luns[cmd.lun_key]
+            lun = self.array.lun_of(cmd)
             lun.block(cmd.address.block).inflight_reads += 1
         original = cmd.on_complete
         cmd.on_complete = lambda c: self._command_complete(original, c)
@@ -285,7 +283,9 @@ class SsdController:
         )
         if not intercepted and original is not None:
             original(cmd)
-        self.stats.record_flash_command(cmd.source.name, cmd.kind.name, self.sim.now)
+        # ``_name_`` is the enum's documented sunder attribute; ``.name``
+        # goes through a Python-level descriptor.
+        self.stats.record_flash_command(cmd.source._name_, cmd.kind._name_, self.sim.now)
         if cmd.kind is CommandKind.ERASE:
             self.wear_leveler.on_erase()
             self.gc.maybe_trigger(cmd.lun_key)

@@ -62,6 +62,8 @@ class SsdScheduler:
         self.sim = sim
         self.array = array
         self.config = config
+        #: Only the DEADLINE policy gives commands a deadline.
+        self._deadline_policy = config.policy is SsdSchedulerPolicy.DEADLINE
         #: Allocator predicate: can a PROGRAM/COPYBACK bind a page now?
         self.can_bind = can_bind
         self.queues: dict[tuple[int, int], LunQueue] = {
@@ -99,7 +101,10 @@ class SsdScheduler:
     # ------------------------------------------------------------------
     def enqueue(self, cmd: FlashCommand) -> None:
         """Add a command to its LUN's pending queue and try to dispatch."""
-        cmd.enqueue_time = self.sim.now
+        now = self.sim.now
+        if cmd.deadline is None and self._deadline_policy:
+            cmd.deadline = self.deadline_for(cmd.kind, now)
+        cmd.enqueue_time = now
         address = cmd.address
         lun, queue, _ = self._slots[address.channel][address.lun]
         if not queue and lun.current_command is None:
@@ -318,7 +323,7 @@ class SsdScheduler:
     def deadline_for(self, kind: CommandKind, now: int) -> Optional[int]:
         """Absolute deadline a new command of ``kind`` should carry under
         the DEADLINE policy (None otherwise)."""
-        if self.config.policy is not SsdSchedulerPolicy.DEADLINE:
+        if not self._deadline_policy:
             return None
         if kind is CommandKind.READ:
             return now + self.config.read_deadline_ns

@@ -102,7 +102,7 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_seq",
         "_queue",
         "_processed",
@@ -113,7 +113,9 @@ class Simulator:
     )
 
     def __init__(self, sanitize: bool = False) -> None:
-        self._now = 0
+        #: Current virtual time in nanoseconds.  A plain attribute, read on
+        #: every event by every layer; only this class writes it.
+        self.now = 0
         self._seq = 0
         #: Heap entries: (time, seq, fn, args, handle-or-None).
         self._queue: list[tuple] = []
@@ -130,11 +132,6 @@ class Simulator:
         #: seq -> EventHandle for every handle that is still pending
         #: (sanitize mode only; stays empty otherwise).
         self._handles: dict[int, EventHandle] = {}
-
-    @property
-    def now(self) -> int:
-        """Current virtual time in nanoseconds."""
-        return self._now
 
     @property
     def processed_events(self) -> int:
@@ -154,13 +151,13 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, fn, *args)
+        return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at the absolute virtual ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
+                f"cannot schedule into the past (time={time}, now={self.now})"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -182,14 +179,14 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._queue, (self._now + delay, seq, fn, args, None))
+        heapq.heappush(self._queue, (self.now + delay, seq, fn, args, None))
         self._live += 1
 
     def post_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule_at`: no :class:`EventHandle`."""
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
+                f"cannot schedule into the past (time={time}, now={self.now})"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -220,7 +217,7 @@ class Simulator:
                 continue
             if self._sanitize:
                 self._check_monotonic(time, seq, fn)
-            self._now = time
+            self.now = time
             self._live -= 1
             self._processed += 1
             if handle is not None:
@@ -257,12 +254,12 @@ class Simulator:
                 continue
             time = entry[0]
             if until is not None and time > until:
-                self._now = until
+                self.now = until
                 break
             heappop(queue)
             if sanitize:
                 self._check_monotonic(time, entry[1], entry[2])
-            self._now = time
+            self.now = time
             self._live -= 1
             self._processed += 1
             handle = entry[4]
@@ -272,8 +269,8 @@ class Simulator:
                     self._handles.pop(entry[1], None)
             entry[2](*entry[3])
             fired += 1
-        if until is not None and self._live == 0 and self._now < until:
-            self._now = until
+        if until is not None and self._live == 0 and self.now < until:
+            self.now = until
         return fired
 
     def advance_to(self, time: int) -> None:
@@ -282,24 +279,24 @@ class Simulator:
         Only valid when no pending event lies at or before ``time``; used
         by components that account for idle periods.
         """
-        if time < self._now:
-            raise ValueError(f"cannot move clock backwards (time={time}, now={self._now})")
+        if time < self.now:
+            raise ValueError(f"cannot move clock backwards (time={time}, now={self.now})")
         next_time = self.peek_time()
         if next_time is not None and next_time <= time:
             raise SimulationError(
                 f"advance_to({time}) would skip a pending event at t={next_time}"
             )
-        self._now = time
+        self.now = time
 
     def _check_monotonic(self, time: int, seq: int, fn: Callable[..., Any]) -> None:
         """Sanitize mode: an event about to fire must not lie in the past."""
-        if time < self._now:
+        if time < self.now:
             raise SanitizerError(
                 "virtual-time-monotonicity",
                 "event would fire in the past",
                 {
                     "event_time": time,
-                    "now": self._now,
+                    "now": self.now,
                     "seq": seq,
                     "fn": getattr(fn, "__qualname__", repr(fn)),
                 },
@@ -419,4 +416,4 @@ class Simulator:
         cancelled.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Simulator(now={self._now}, pending={self.pending_events})"
+        return f"Simulator(now={self.now}, pending={self.pending_events})"

@@ -163,26 +163,26 @@ class SsdArray:
             self.channels[cmd.address.channel].occupy(now, total)
         if self.tracer.enabled:
             self.tracer.record(now, "hardware", "start", self._describe(cmd))
-        self._run_phase(cmd, phases, 0)
+        self._run_phase(cmd, lun, phases, 0)
 
     # ------------------------------------------------------------------
     # Phase machinery
     # ------------------------------------------------------------------
-    def _run_phase(self, cmd: FlashCommand, phases: tuple, index: int) -> None:
+    # The phase methods carry the command's LUN, resolved once in :meth:`start`.
+    def _run_phase(self, cmd: FlashCommand, lun: Lun, phases: tuple, index: int) -> None:
         if index == len(phases):
-            self._complete(cmd)
+            self._complete(cmd, lun)
             return
         is_array, duration = phases[index]
         if is_array:
-            lun = self.lun_of(cmd)
             lun.busy_until = self.sim.now + duration
             lun.busy_ns += duration
-            self.sim.post(duration, self._run_phase, cmd, phases, index + 1)
+            self.sim.post(duration, self._run_phase, cmd, lun, phases, index + 1)
             return
         # Bus phase.
         if not self.interleaving:
             # Channel was reserved for the whole command at start.
-            self.sim.post(duration, self._run_phase, cmd, phases, index + 1)
+            self.sim.post(duration, self._run_phase, cmd, lun, phases, index + 1)
             return
         if self.pipelining and cmd.kind is CommandKind.READ and index == 2:
             # Cache register: the LUN can accept the next operation while
@@ -190,25 +190,27 @@ class SsdArray:
             # scheduler dispatch *before* the data-out claims the channel
             # -- the next command's short command cycle slips ahead, so
             # its array time overlaps this transfer (cache-read mode).
-            self._release_lun(cmd)
+            self._release_lun(cmd, lun)
             self.on_resource_free()
         channel = self.channels[cmd.address.channel]
         now = self.sim.now
         if now >= channel.busy_until:
             channel.occupy(now, duration)
-            self.sim.post(duration, self._after_bus, cmd, phases, index)
+            self.sim.post(duration, self._after_bus, cmd, lun, phases, index)
         else:
             channel.park_continuation(
-                lambda: self._occupy_bus(cmd, phases, index, duration)
+                lambda: self._occupy_bus(cmd, lun, phases, index, duration)
             )
 
-    def _occupy_bus(self, cmd: FlashCommand, phases: tuple, index: int, duration: int) -> None:
+    def _occupy_bus(
+        self, cmd: FlashCommand, lun: Lun, phases: tuple, index: int, duration: int
+    ) -> None:
         channel = self.channels[cmd.address.channel]
         channel.occupy(self.sim.now, duration)
-        self.sim.post(duration, self._after_bus, cmd, phases, index)
+        self.sim.post(duration, self._after_bus, cmd, lun, phases, index)
 
-    def _after_bus(self, cmd: FlashCommand, phases: tuple, index: int) -> None:
-        self._run_phase(cmd, phases, index + 1)
+    def _after_bus(self, cmd: FlashCommand, lun: Lun, phases: tuple, index: int) -> None:
+        self._run_phase(cmd, lun, phases, index + 1)
         if self.interleaving:
             # Serve parked bus phases FIFO while the bus stays free.
             channel = self.channels[cmd.address.channel]
@@ -217,8 +219,7 @@ class SsdArray:
                 channel.continuations.popleft()()
         self.on_resource_free()
 
-    def _release_lun(self, cmd: FlashCommand) -> None:
-        lun = self.lun_of(cmd)
+    def _release_lun(self, cmd: FlashCommand, lun: Lun) -> None:
         if lun.current_command is cmd:
             lun.current_command = None
             self.on_lun_idle(lun)
@@ -269,9 +270,8 @@ class SsdArray:
             if self.reliability is not None:
                 self.reliability.on_page_programmed(target_address, cmd.content)
 
-    def _complete(self, cmd: FlashCommand) -> None:
+    def _complete(self, cmd: FlashCommand, lun: Lun) -> None:
         now = self.sim.now
-        lun = self.lun_of(cmd)
         decode_ns = 0
         if self.reliability is not None and cmd.kind is CommandKind.READ:
             decode_ns = self.reliability.read_decode_ns
@@ -336,22 +336,22 @@ class SsdArray:
                 else:
                     lun.on_block_erased(cmd.address.block)
         cmd.complete_time = now
-        self._release_lun(cmd)
+        self._release_lun(cmd, lun)
         self.completed_commands += 1
         if self.tracer.enabled:
             self.tracer.record(now, "hardware", "complete", self._describe(cmd))
         if decode_ns > 0:
             # ECC decode: delay only the delivery -- the LUN and channel
             # are already free for the next operation.
-            self.sim.post(decode_ns, self._deliver_decoded, cmd)
+            self.sim.post(decode_ns, self._deliver_decoded, cmd, lun)
         elif cmd.on_complete is not None:
             cmd.on_complete(cmd)
         self.on_resource_free()
 
-    def _deliver_decoded(self, cmd: FlashCommand) -> None:
+    def _deliver_decoded(self, cmd: FlashCommand, lun: Lun) -> None:
         """Deliver a read after its ECC decode delay, releasing the
         in-flight hold that kept the block safe from erases meanwhile."""
-        block = self.lun_of(cmd).block(cmd.address.block)
+        block = lun.block(cmd.address.block)
         if cmd.on_complete is not None:
             cmd.on_complete(cmd)
         block.inflight_reads -= 1

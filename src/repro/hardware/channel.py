@@ -38,7 +38,7 @@ class Channel:
     def occupy(self, now_ns: int, duration_ns: int) -> int:
         """Occupy the bus for ``duration_ns`` starting now; returns the
         end time.  The caller must have checked :meth:`is_free`."""
-        if not self.is_free(now_ns):
+        if now_ns < self.busy_until:
             raise RuntimeError(
                 f"channel {self.channel_id} occupied until {self.busy_until}, now {now_ns}"
             )

@@ -535,7 +535,9 @@ class Lun:
         return (self.channel_id, self.lun_id)
 
     def block(self, block_id: int) -> Block:
-        return self.blocks[block_id]
+        # The view cache directly; ``blocks[i]`` only to build a view.
+        view = self.blocks._cache[block_id]
+        return view if view is not None else self.blocks[block_id]
 
     def take_free_block(self, block_id: int) -> Block:
         """Remove a block from the free set (it becomes an open block)."""

@@ -52,7 +52,7 @@ class ThreadContext:
     @property
     def logical_pages(self) -> int:
         """Size of the device's logical address space, in pages."""
-        return self._os.config.logical_pages
+        return self._os.logical_pages
 
     @property
     def thread_name(self) -> str:
@@ -142,6 +142,9 @@ class OperatingSystem:
     ):
         self.sim = sim
         self.config = config
+        #: The logical address space, in pages.  Nothing changes a config's
+        #: geometry or over-provisioning after the OS is built.
+        self.logical_pages = config.logical_pages
         self.controller = controller
         self.stats = stats
         self.tracer = tracer if tracer is not None else TraceRecorder(enabled=False)

@@ -1,8 +1,12 @@
 """Unit and property tests for the discrete-event engine."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.core.engine import EventHandle, SimulationError, Simulator
 
 
@@ -281,3 +285,43 @@ def test_property_cancelled_subset_never_fires(delays, data):
         handles[index].cancel()
     sim.run()
     assert set(fired) == set(range(len(delays))) - cancel
+
+
+class TestClockIsEngineOnly:
+    """``Simulator.now`` is a plain attribute for speed; only the engine
+    may write it.  Every other module reads the clock."""
+
+    @staticmethod
+    def _clock_writes(tree: ast.AST) -> list[ast.Attribute]:
+        """Attributes named ``now`` that an assignment stores to."""
+        targets: list[ast.expr] = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets.extend(node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets.append(node.target)
+        return [
+            node
+            for target in targets
+            for node in ast.walk(target)
+            if isinstance(node, ast.Attribute) and node.attr == "now"
+        ]
+
+    def test_only_the_engine_writes_now(self):
+        package = Path(repro.__file__).parent
+        engine = package / "core" / "engine.py"
+        offenders = []
+        engine_writes = 0
+        for path in sorted(package.rglob("*.py")):
+            for node in self._clock_writes(ast.parse(path.read_text(), str(path))):
+                is_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+                if path == engine and is_self:
+                    engine_writes += 1
+                else:
+                    offenders.append(f"{path.relative_to(package)}:{node.lineno}")
+        assert offenders == []
+        assert engine_writes > 0  # the scan sees the engine's own writes
+
+    def test_scan_flags_each_assignment_form(self):
+        source = "a.now = 1\nb.now += 1\nc.now: int = 1\nd.now, e = 1, 2\nf = g.now\n"
+        assert len(self._clock_writes(ast.parse(source))) == 4

@@ -58,8 +58,11 @@ class TestLatencyRecorder:
             "p50_ns", "p95_ns", "p99_ns", "max_ns",
         }
 
-    @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=200))
-    def test_property_matches_numpy(self, samples):
+    @given(
+        st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=200),
+        st.data(),
+    )
+    def test_property_matches_numpy(self, samples, data):
         recorder = LatencyRecorder()
         for sample in samples:
             recorder.record(sample)
@@ -69,6 +72,42 @@ class TestLatencyRecorder:
         assert recorder.percentile(50) == pytest.approx(float(np.percentile(array, 50)))
         assert recorder.minimum == int(array.min())
         assert recorder.maximum == int(array.max())
+        # The same samples recorded in two halves and merged.
+        split = data.draw(st.integers(min_value=0, max_value=len(samples)), label="split")
+        head, tail = LatencyRecorder(), LatencyRecorder()
+        for sample in samples[:split]:
+            head.record(sample)
+        for sample in samples[split:]:
+            tail.record(sample)
+        head.merge(tail)
+        assert head.count == len(samples)
+        assert head.mean == pytest.approx(float(np.mean(array)))
+        assert head.minimum == int(array.min())
+        assert head.maximum == int(array.max())
+        assert head.stddev == pytest.approx(float(np.std(array)), abs=1e-6)
+        assert head.percentile(50) == pytest.approx(float(np.percentile(array, 50)))
+        assert head.percentile(99) == pytest.approx(float(np.percentile(array, 99)))
+        assert head.samples() == samples
+
+    def test_record_after_every_reader(self):
+        """No reader leaves a numpy view pinning the sample buffer: one
+        would make the next append raise ``BufferError``."""
+        recorder = LatencyRecorder()
+        for sample in (30, 10, 20):
+            recorder.record(sample)
+        readers = (
+            recorder.summary,
+            lambda: recorder.percentile(99),
+            lambda: recorder.stddev,
+            recorder.samples,
+            recorder.describe,
+            lambda: LatencyRecorder().merge(recorder),
+        )
+        for index, read in enumerate(readers):
+            read()
+            recorder.record(40 + index)
+        assert recorder.count == 3 + len(readers)
+        assert recorder.maximum == 40 + len(readers) - 1
 
 
 class TestTimeSeries:
@@ -111,6 +150,28 @@ class TestStatisticsGatherer:
         assert stats.latency[IoType.READ].mean == 100
         assert stats.os_wait[IoType.WRITE].mean == 5
         assert stats.device_latency[IoType.READ].mean == 90
+
+    def test_host_rejected_io_has_no_device_samples(self):
+        """A host-rejected IO is never dispatched: it adds an end-to-end
+        sample and a completion, but no device latency or OS wait."""
+        stats = StatisticsGatherer(bucket_ns=100)
+        stats.record_io(_completed_io(IoType.WRITE, 10, None, 70))
+        assert stats.latency[IoType.WRITE].samples() == [60]
+        assert stats.completions_over_time[IoType.WRITE].series() == [(0, 1.0)]
+        assert stats.latency_sum_over_time[IoType.WRITE].series() == [(0, 60.0)]
+        assert stats.device_latency[IoType.WRITE].count == 0
+        assert stats.os_wait[IoType.WRITE].count == 0
+        assert stats.completed_ios == 1
+
+    def test_dispatched_io_adds_all_three_samples(self):
+        stats = StatisticsGatherer(bucket_ns=100)
+        stats.record_io(_completed_io(IoType.READ, 10, 25, 170))
+        assert stats.latency[IoType.READ].samples() == [160]
+        assert stats.device_latency[IoType.READ].samples() == [145]
+        assert stats.os_wait[IoType.READ].samples() == [15]
+        assert stats.completions_over_time[IoType.READ].series() == [(0, 0.0), (100, 1.0)]
+        assert stats.latency_sum_over_time[IoType.READ].series() == [(0, 0.0), (100, 160.0)]
+        assert all(stats.latency[t].count == 0 for t in (IoType.WRITE, IoType.TRIM))
 
     def test_incomplete_io_rejected(self):
         stats = StatisticsGatherer()
