@@ -149,6 +149,7 @@ class SsdController:
         self.array.bind_program = self.allocator.bind_program
         self.array.on_resource_free = self.scheduler.pump
         self.array.on_lun_idle = self.scheduler.on_lun_idle
+        self.array.on_command_complete = self._command_complete
         self.ftl = build_ftl(config.controller.ftl, self)
         #: Reliability manager; None (the default) keeps every error
         #: path, RNG stream and completion timing untouched.
@@ -251,23 +252,28 @@ class SsdController:
     # Flash command funnel
     # ------------------------------------------------------------------
     def enqueue_command(self, cmd: FlashCommand) -> None:
-        """Queue a flash command (used by FTL, GC, WL and tests)."""
-        if cmd.kind in (CommandKind.READ, CommandKind.COPYBACK):
-            lun = self.array.lun_of(cmd)
-            lun.block(cmd.address.block).inflight_reads += 1
-        original = cmd.on_complete
-        cmd.on_complete = lambda c: self._command_complete(original, c)
+        """Queue a flash command (used by FTL, GC, WL and tests).  Its
+        ``on_complete`` is delivered by :meth:`_command_complete`."""
+        kind = cmd.kind
+        if kind is CommandKind.READ or kind is CommandKind.COPYBACK:
+            self.array.lun_of(cmd).block(cmd.address.block).hold_read()
         self.scheduler.enqueue(cmd)
         if self.overload is not None:
             self.overload.arm_timeout(cmd)
+        # A PROGRAM's binding at start keeps its LUN: one key serves both.
+        address = cmd.address
+        lun_key = (address.channel, address.lun)
         if cmd.source is CommandSource.APPLICATION:
-            self.gc.note_app_activity(cmd.lun_key)
-        if cmd.kind is CommandKind.PROGRAM and cmd.source is not CommandSource.GC:
+            self.gc.note_app_activity(lun_key)
+        if kind is CommandKind.PROGRAM and cmd.source is not CommandSource.GC:
             # The program may be unbindable on an all-live LUN; give the
             # collector a chance to start a rebalancing eviction.
-            self.gc.maybe_trigger(cmd.lun_key)
+            self.gc.maybe_trigger(lun_key)
 
-    def _command_complete(self, original, cmd: FlashCommand) -> None:
+    def _command_complete(self, cmd: FlashCommand) -> None:
+        """The array's completion hook: every command the array finishes
+        (directly or after its ECC decode) arrives here exactly once."""
+        original = cmd.on_complete
         if cmd.kind is CommandKind.ERASE:
             # Purge stale open-block registrations BEFORE the module
             # handler runs: the handler may pump the scheduler, and a new

@@ -25,7 +25,7 @@ paper studies.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.controller.ftl.base import BaseFtl
 from repro.core.events import IoRequest, WriteHints
@@ -254,11 +254,17 @@ class DftlFtl(BaseFtl):
         if self.batch_eviction:
             low = tp * self.entries_per_tp
             high = low + self.entries_per_tp
-            # simlint: disable=SIM003 -- the CMT is a plain dict; batched
-            # flush order follows deterministic insertion order, and
-            # sorting this hot path would change completion interleaving.
-            for sibling, sibling_entry in self.cmt.items():
-                if low <= sibling < high and sibling_entry.dirty:
+            cmt = self.cmt
+            # Walk the smaller side, the translation page's LPN range or
+            # the CMT: ``_persist`` on distinct LPNs commutes, so either
+            # order persists the same map.
+            if high - low <= len(cmt):
+                siblings: Iterable[int] = range(low, high)
+            else:
+                siblings = [key for key in cmt if low <= key < high]
+            for sibling in siblings:
+                sibling_entry = cmt.get(sibling)
+                if sibling_entry is not None and sibling_entry.dirty:
                     self._persist(sibling, sibling_entry.ppn)
                     sibling_entry.dirty = False
                     self.batched_flush_entries += 1

@@ -144,10 +144,6 @@ class HybridFtl(BaseFtl):
         lun_index = channel * self._luns_per_channel + lun
         self._mv_data_block[lbn] = lun_index * self._blocks_per_lun + block + 1
 
-    def _data_bit(self, lbn: int, offset: int) -> int:
-        word = lbn * self._lbn_words + (offset >> 6)
-        return self._mv_data_bits[word] >> (offset & 63) & 1
-
     def _set_data_bit(self, lbn: int, offset: int) -> None:
         word = lbn * self._lbn_words + (offset >> 6)
         self._mv_data_bits[word] |= 1 << (offset & 63)
@@ -169,11 +165,13 @@ class HybridFtl(BaseFtl):
         address = self.log_map.get(lpn)
         if address is not None:
             return address
-        lbn, offset = self._split(lpn)
+        # The split and the data-bit test inlined: this runs twice per
+        # merged page.
+        lbn, offset = divmod(lpn, self.ppb)
         encoded = self._mv_data_block[lbn]
         if encoded == 0:
             return None
-        if not self._data_bit(lbn, offset):
+        if not self._mv_data_bits[lbn * self._lbn_words + (offset >> 6)] >> (offset & 63) & 1:
             return None
         lun_index, block = divmod(encoded - 1, self._blocks_per_lun)
         channel, lun = divmod(lun_index, self._luns_per_channel)

@@ -212,15 +212,16 @@ class OverloadGovernor:
         deleted from its LUN queue and, for reads, the block's
         in-flight-read count (which gates erases) is released -- a read
         stuck behind an erase storm no longer blocks that very erase.
-        The wrapped ``on_complete`` never fires: the command never
-        executed, so neither flash-command statistics nor the
-        reliability interceptor see it.
+        Neither ``on_complete`` nor the controller's completion funnel
+        ever sees it: the command never executed, so neither
+        flash-command statistics nor the reliability interceptor count
+        it.
         """
         cmd.aborted = True
         self.controller.scheduler.abort(cmd)
         if cmd.kind is CommandKind.READ:
             lun = self.controller.array.luns[cmd.lun_key]
-            lun.block(cmd.address.block).inflight_reads -= 1
+            lun.block(cmd.address.block).release_read()
         self.command_timeouts += 1
         self.controller.tracer.record(
             self.sim.now, "overload", "timeout", f"{cmd.kind} lpn={cmd.lpn} #{cmd.id}"

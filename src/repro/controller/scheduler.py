@@ -62,8 +62,15 @@ class SsdScheduler:
         self.sim = sim
         self.array = array
         self.config = config
+        policy = config.policy
         #: Only the DEADLINE policy gives commands a deadline.
-        self._deadline_policy = config.policy is SsdSchedulerPolicy.DEADLINE
+        self._deadline_policy = policy is SsdSchedulerPolicy.DEADLINE
+        #: The policy's pick within one LUN queue, bound once and called
+        #: as ``(queue, lun_key)``.
+        self._select_in: Callable[[LunQueue, tuple[int, int]], Optional[FlashCommand]] = {
+            SsdSchedulerPolicy.FIFO: self._select_fifo,
+            SsdSchedulerPolicy.FAIR: self._select_fair,
+        }.get(policy, self._select_min)
         #: Allocator predicate: can a PROGRAM/COPYBACK bind a page now?
         self.can_bind = can_bind
         self.queues: dict[tuple[int, int], LunQueue] = {
@@ -199,22 +206,27 @@ class SsdScheduler:
         slots = self._slots[channel_id]
         luns_per_channel = len(slots)
         rotation = self._lun_rotation[channel_id]
-        best: Optional[tuple[tuple, FlashCommand, Lun, LunQueue]] = None
-        best_lun_offset = 0
+        select = self._select_in
+        cmd: Optional[FlashCommand] = None
+        # The best candidate's key, computed once a second one needs it.
+        best_key: Optional[tuple] = None
         for offset in range(luns_per_channel):
-            lun, queue, lun_key = slots[(rotation + offset) % luns_per_channel]
-            if not queue or lun.current_command is not None:
+            slot_lun, slot_queue, lun_key = slots[(rotation + offset) % luns_per_channel]
+            if not slot_queue or slot_lun.current_command is not None:
                 continue
-            candidate = self._select(lun_key)
+            candidate = select(slot_queue, lun_key)
             if candidate is None:
                 continue
-            key = self._sort_key(candidate)
-            if best is None or key < best[0]:
-                best = (key, candidate, lun, queue)
-                best_lun_offset = offset
-        if best is None:
+            if cmd is not None:
+                if best_key is None:
+                    best_key = self._sort_key(cmd)
+                key = self._sort_key(candidate)
+                if not key < best_key:
+                    continue
+                best_key = key
+            cmd, lun, queue, best_lun_offset = candidate, slot_lun, slot_queue, offset
+        if cmd is None:
             return False
-        _, cmd, lun, queue = best
         self._take(lun, queue, cmd)
         if queue:
             # The LUN goes busy with work still queued behind ``cmd``.
@@ -230,12 +242,12 @@ class SsdScheduler:
     # Policy: candidate selection within one LUN queue
     # ------------------------------------------------------------------
     def _select(self, lun_key: tuple[int, int]) -> Optional[FlashCommand]:
-        queue = self.queues[lun_key]
-        policy = self.config.policy
-        if policy is SsdSchedulerPolicy.FIFO:
-            return self._select_fifo(queue)
-        if policy is SsdSchedulerPolicy.FAIR:
-            return self._select_fair(lun_key, queue)
+        return self._select_in(self.queues[lun_key], lun_key)
+
+    def _select_min(
+        self, queue: LunQueue, lun_key: tuple[int, int]
+    ) -> Optional[FlashCommand]:
+        """The eligible command with the smallest sort key."""
         best: Optional[FlashCommand] = None
         best_key: Optional[tuple] = None
         # simlint: disable=SIM003 -- insertion order is enqueue order
@@ -247,7 +259,9 @@ class SsdScheduler:
                 best, best_key = cmd, key
         return best
 
-    def _select_fifo(self, queue: LunQueue) -> Optional[FlashCommand]:
+    def _select_fifo(
+        self, queue: LunQueue, lun_key: Optional[tuple[int, int]] = None
+    ) -> Optional[FlashCommand]:
         """The eligible command with the smallest ``(enqueue_time, id)``.
 
         ``enqueue`` stamps the never-decreasing ``sim.now``, so queue
@@ -268,7 +282,7 @@ class SsdScheduler:
         return best
 
     def _select_fair(
-        self, lun_key: tuple[int, int], queue: LunQueue
+        self, queue: LunQueue, lun_key: tuple[int, int]
     ) -> Optional[FlashCommand]:
         start = self._fair_rotation[lun_key]
         for offset in range(len(_FAIR_ORDER)):

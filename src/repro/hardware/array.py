@@ -35,6 +35,12 @@ from repro.hardware.flash import FlashStateError, Lun
 from repro.hardware.state import AddressCodec, FlashState
 
 
+def _deliver(cmd: FlashCommand) -> None:
+    """The completion hook of an array without a controller."""
+    if cmd.on_complete is not None:
+        cmd.on_complete(cmd)
+
+
 class SsdArray:
     """The simulated flash memory array (channels x LUNs)."""
 
@@ -62,11 +68,13 @@ class SsdArray:
         #: built once.  Nothing changes a phase duration after
         #: construction; the only runtime edit of ``timings`` anywhere is
         #: to ``endurance_cycles``, which ``_complete`` reads directly.
-        self._plans: dict[CommandKind, tuple[tuple[bool, int], ...]] = {
-            CommandKind.READ: ((False, t.t_cmd_ns), (True, t.t_read_ns), (False, page_in_out)),
-            CommandKind.PROGRAM: ((False, page_in_out), (True, t.t_prog_ns)),
-            CommandKind.ERASE: ((False, t.t_cmd_ns), (True, t.t_erase_ns)),
-            CommandKind.COPYBACK: (
+        #: Keyed by the kind's ``_value_`` (its name): a ``str`` caches
+        #: its hash, an enum member hashes in Python.
+        self._plans: dict[str, tuple[tuple[bool, int], ...]] = {
+            "READ": ((False, t.t_cmd_ns), (True, t.t_read_ns), (False, page_in_out)),
+            "PROGRAM": ((False, page_in_out), (True, t.t_prog_ns)),
+            "ERASE": ((False, t.t_cmd_ns), (True, t.t_erase_ns)),
+            "COPYBACK": (
                 (False, t.t_cmd_ns),
                 (True, t.t_read_ns),
                 (False, t.t_cmd_ns),
@@ -112,6 +120,9 @@ class SsdArray:
         #: Set by the controller: invoked when a LUN finishes its command
         #: and goes idle, before the matching ``on_resource_free``.
         self.on_lun_idle: Callable[[Lun], None] = lambda lun: None
+        #: Set by the controller: receives every finished command (its
+        #: completion funnel).  The default delivers ``cmd.on_complete``.
+        self.on_command_complete: Callable[[FlashCommand], None] = _deliver
         #: Set by the controller's allocator: binds the physical page of a
         #: PROGRAM (or a COPYBACK target) at command start.
         self.bind_program: Optional[Callable[[FlashCommand], PhysicalAddress]] = None
@@ -156,8 +167,10 @@ class SsdArray:
             raise FlashStateError(f"LUN {lun.key} busy, cannot start {cmd!r}")
         cmd.start_time = now
         lun.current_command = cmd
-        self._apply_start_effects(cmd, lun)
-        phases = self._plans[cmd.kind]
+        kind = cmd.kind
+        if kind is CommandKind.PROGRAM or kind is CommandKind.COPYBACK:
+            self._apply_start_effects(cmd, lun)
+        phases = self._plans[kind._value_]
         if not self.interleaving:
             total = sum(duration for _, duration in phases)
             self.channels[cmd.address.channel].occupy(now, total)
@@ -168,21 +181,20 @@ class SsdArray:
     # ------------------------------------------------------------------
     # Phase machinery
     # ------------------------------------------------------------------
-    # The phase methods carry the command's LUN, resolved once in :meth:`start`.
+    # The phase methods carry the command's LUN, resolved once in
+    # :meth:`start`.  Each phase event posts its real handler: the next
+    # phase, or :meth:`_complete` after the last one.
     def _run_phase(self, cmd: FlashCommand, lun: Lun, phases: tuple, index: int) -> None:
-        if index == len(phases):
-            self._complete(cmd, lun)
-            return
         is_array, duration = phases[index]
-        if is_array:
-            lun.busy_until = self.sim.now + duration
-            lun.busy_ns += duration
-            self.sim.post(duration, self._run_phase, cmd, lun, phases, index + 1)
-            return
-        # Bus phase.
-        if not self.interleaving:
-            # Channel was reserved for the whole command at start.
-            self.sim.post(duration, self._run_phase, cmd, lun, phases, index + 1)
+        if is_array or not self.interleaving:
+            if is_array:
+                lun.busy_until = self.sim.now + duration
+                lun.busy_ns += duration
+            # Without interleaving the channel is held from start on.
+            if index + 1 == len(phases):
+                self.sim.post(duration, self._complete, cmd, lun)
+            else:
+                self.sim.post(duration, self._run_phase, cmd, lun, phases, index + 1)
             return
         if self.pipelining and cmd.kind is CommandKind.READ and index == 2:
             # Cache register: the LUN can accept the next operation while
@@ -210,14 +222,22 @@ class SsdArray:
         self.sim.post(duration, self._after_bus, cmd, lun, phases, index)
 
     def _after_bus(self, cmd: FlashCommand, lun: Lun, phases: tuple, index: int) -> None:
-        self._run_phase(cmd, lun, phases, index + 1)
-        if self.interleaving:
-            # Serve parked bus phases FIFO while the bus stays free.
-            channel = self.channels[cmd.address.channel]
-            now = self.sim.now
-            while now >= channel.busy_until and channel.continuations:
-                channel.continuations.popleft()()
-        self.on_resource_free()
+        # Only interleaving posts this: the bus phase released the channel.
+        pump = index + 1 < len(phases)
+        if pump:
+            self._run_phase(cmd, lun, phases, index + 1)
+        else:
+            self._complete(cmd, lun)
+        # Serve parked bus phases FIFO while the bus stays free.
+        channel = self.channels[cmd.address.channel]
+        now = self.sim.now
+        while now >= channel.busy_until and channel.continuations:
+            channel.continuations.popleft()()
+            pump = True
+        # ``_complete`` pumps last; unless a continuation ran since, the
+        # device is as that pump left it and another would start nothing.
+        if pump:
+            self.on_resource_free()
 
     def _release_lun(self, cmd: FlashCommand, lun: Lun) -> None:
         if lun.current_command is cmd:
@@ -228,7 +248,8 @@ class SsdArray:
     # State effects
     # ------------------------------------------------------------------
     def _apply_start_effects(self, cmd: FlashCommand, lun: Lun) -> None:
-        """Bind program targets and mutate flash state at command start.
+        """Bind a PROGRAM's or COPYBACK's target and program it at
+        command start.
 
         Programs take effect at start (the LUN is held for the duration,
         so no other operation can observe the intermediate state); reads
@@ -259,16 +280,15 @@ class SsdArray:
                     f"copyback target {target} outside source LUN of {cmd!r}"
                 )
             cmd.target_address = target
-        if cmd.kind in (CommandKind.PROGRAM, CommandKind.COPYBACK):
-            target_address = cmd.target_address or cmd.address
-            block = lun.block(target_address.block)
-            page_index = block.program_next(cmd.content, now)
-            if page_index != target_address.page:
-                raise FlashStateError(
-                    f"binder returned page {target_address.page}, block wrote {page_index}"
-                )
-            if self.reliability is not None:
-                self.reliability.on_page_programmed(target_address, cmd.content)
+        target_address = cmd.target_address or cmd.address
+        block = lun.block(target_address.block)
+        page_index = block.program_next(cmd.content, now)
+        if page_index != target_address.page:
+            raise FlashStateError(
+                f"binder returned page {target_address.page}, block wrote {page_index}"
+            )
+        if self.reliability is not None:
+            self.reliability.on_page_programmed(target_address, cmd.content)
 
     def _complete(self, cmd: FlashCommand, lun: Lun) -> None:
         now = self.sim.now
@@ -278,14 +298,12 @@ class SsdArray:
         if cmd.kind is CommandKind.READ:
             block = lun.block(cmd.address.block)
             cmd.content = block.read(cmd.address.page)
-            if decode_ns == 0:
-                # With deferred delivery the read keeps its in-flight
-                # hold until the decode finishes, so an erase of the
-                # block cannot slip in between completion and a retry
-                # the delivery might enqueue.
-                block.inflight_reads -= 1
-                if block.inflight_reads < 0:
-                    raise FlashStateError(f"inflight_reads underflow on {cmd!r}")
+            # With deferred delivery the read keeps its in-flight hold
+            # until the decode finishes, so an erase of the block cannot
+            # slip in between completion and a retry the delivery might
+            # enqueue.
+            if decode_ns == 0 and block.release_read() < 0:
+                raise FlashStateError(f"inflight_reads underflow on {cmd!r}")
             if self.reliability is not None:
                 self.reliability.read_outcome(cmd, block, now)
         elif cmd.kind is CommandKind.PROGRAM:
@@ -294,9 +312,7 @@ class SsdArray:
                 if self.reliability.program_fails(cmd, block):
                     cmd.outcome = CommandOutcome.PROGRAM_FAIL
         elif cmd.kind is CommandKind.COPYBACK:
-            source_block = lun.block(cmd.address.block)
-            source_block.inflight_reads -= 1
-            if source_block.inflight_reads < 0:
+            if lun.block(cmd.address.block).release_read() < 0:
                 raise FlashStateError(f"inflight_reads underflow on {cmd!r}")
         elif cmd.kind is CommandKind.ERASE:
             block = lun.block(cmd.address.block)
@@ -344,18 +360,16 @@ class SsdArray:
             # ECC decode: delay only the delivery -- the LUN and channel
             # are already free for the next operation.
             self.sim.post(decode_ns, self._deliver_decoded, cmd, lun)
-        elif cmd.on_complete is not None:
-            cmd.on_complete(cmd)
+        else:
+            self.on_command_complete(cmd)
         self.on_resource_free()
 
     def _deliver_decoded(self, cmd: FlashCommand, lun: Lun) -> None:
         """Deliver a read after its ECC decode delay, releasing the
         in-flight hold that kept the block safe from erases meanwhile."""
         block = lun.block(cmd.address.block)
-        if cmd.on_complete is not None:
-            cmd.on_complete(cmd)
-        block.inflight_reads -= 1
-        if block.inflight_reads < 0:
+        self.on_command_complete(cmd)
+        if block.release_read() < 0:
             raise FlashStateError(f"inflight_reads underflow on {cmd!r}")
         self.on_resource_free()
 

@@ -216,6 +216,18 @@ class Block:
     def inflight_reads(self, value: int) -> None:
         self._s.mv_inflight_reads[self._id] = value
 
+    def hold_read(self) -> None:
+        """Count one more read queued or executing against this block."""
+        self._s.mv_inflight_reads[self._id] += 1
+
+    def release_read(self) -> int:
+        """Drop one read hold; returns the count left (negative on an
+        underflow, which the caller reports)."""
+        inflight = self._s.mv_inflight_reads
+        block_id = self._id
+        inflight[block_id] -= 1
+        return inflight[block_id]
+
     @property
     def live_count(self) -> int:
         return self._s.mv_live_count[self._id]

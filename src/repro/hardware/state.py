@@ -27,14 +27,12 @@ vectorized numpy reductions over the same buffers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.hardware.addresses import Lpn, LunIndex, Pbn, Ppn
+from repro.hardware.addresses import Lpn, LunIndex, Pbn, PhysicalAddress, Ppn
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.hardware.addresses import PhysicalAddress
 
 #: Number of 64-bit words needed for ``bits`` packed bits.
 def words_for(bits: int) -> int:
@@ -245,9 +243,7 @@ class AddressCodec:
         lun_index = channel * self.luns_per_channel + lun
         return (lun_index * self.blocks_per_lun + block) * self.pages_per_block + page
 
-    def decode(self, ppn: Ppn) -> "PhysicalAddress":
-        from repro.hardware.addresses import PhysicalAddress
-
+    def decode(self, ppn: Ppn) -> PhysicalAddress:
         page = ppn % self.pages_per_block
         block_id = ppn // self.pages_per_block
         block = block_id % self.blocks_per_lun
@@ -283,13 +279,13 @@ class MappingTable:
     def __contains__(self, lpn: Lpn) -> bool:
         return self._mv[lpn] != 0
 
-    def __getitem__(self, lpn: Lpn) -> "PhysicalAddress":
+    def __getitem__(self, lpn: Lpn) -> PhysicalAddress:
         encoded = self._mv[lpn]
         if encoded == 0:
             raise KeyError(lpn)
         return self.codec.decode(encoded - 1)
 
-    def get(self, lpn: Lpn) -> Optional["PhysicalAddress"]:
+    def get(self, lpn: Lpn) -> Optional[PhysicalAddress]:
         encoded = self._mv[lpn]
         if encoded == 0:
             return None
@@ -299,7 +295,7 @@ class MappingTable:
         """Encoded ``ppn + 1`` (0 when unmapped) -- no address boxing."""
         return self._mv[lpn]
 
-    def set(self, lpn: Lpn, address: "PhysicalAddress") -> None:
+    def set(self, lpn: Lpn, address: PhysicalAddress) -> None:
         encoded = self.codec.encode(
             address.channel, address.lun, address.block, address.page
         ) + 1
@@ -307,7 +303,7 @@ class MappingTable:
             self._mapped += 1
         self._mv[lpn] = encoded
 
-    def pop(self, lpn: Lpn) -> Optional["PhysicalAddress"]:
+    def pop(self, lpn: Lpn) -> Optional[PhysicalAddress]:
         encoded = self._mv[lpn]
         if encoded == 0:
             return None
@@ -324,7 +320,7 @@ class MappingTable:
         """All mapped LPNs, ascending (vectorized scan)."""
         return np.nonzero(self.table)[0]
 
-    def items_sorted(self) -> Iterator[tuple[int, "PhysicalAddress"]]:
+    def items_sorted(self) -> Iterator[tuple[int, PhysicalAddress]]:
         """(lpn, address) pairs in ascending LPN order."""
         decode = self.codec.decode
         table = self.table

@@ -43,6 +43,9 @@ class ThreadContext:
     def __init__(self, os: "OperatingSystem", record: "_ThreadRecord"):
         self._os = os
         self._record = record
+        #: purpose -> stream: the OS's random source, never replaced,
+        #: returns one stream per name; the memo saves the formatting.
+        self._streams: dict[str, RandomStream] = {}
 
     @property
     def now(self) -> int:
@@ -60,7 +63,11 @@ class ThreadContext:
 
     def rng(self, purpose: str = "main") -> RandomStream:
         """A deterministic random stream private to this thread."""
-        return self._os.rng.stream(f"thread:{self._record.name}:{purpose}")
+        stream = self._streams.get(purpose)
+        if stream is None:
+            stream = self._os.rng.stream(f"thread:{self._record.name}:{purpose}")
+            self._streams[purpose] = stream
+        return stream
 
     # ------------------------------------------------------------------
     # IO issuing
@@ -75,10 +82,9 @@ class ThreadContext:
         return self._issue(IoType.TRIM, lpn, hints)
 
     def _issue(self, io_type: IoType, lpn: int, hints: Optional[WriteHints]) -> IoRequest:
-        if not 0 <= lpn < self.logical_pages:
-            raise ValueError(
-                f"lpn {lpn} outside logical space [0, {self.logical_pages})"
-            )
+        logical_pages = self._os.logical_pages
+        if not 0 <= lpn < logical_pages:
+            raise ValueError(f"lpn {lpn} outside logical space [0, {logical_pages})")
         io = IoRequest(io_type, lpn, thread_name=self._record.name, hints=hints)
         self._os.issue(self._record, io)
         return io

@@ -42,24 +42,27 @@ class _RegionThread(GeneratorThread):
         self.region = region
         self.hint_fn = hint_fn
         self.issued_ops = 0
+        #: The context the region was last validated against, and the
+        #: bounds: one check per run, not one per IO.
+        self._bounds_ctx: Optional[ThreadContext] = None
+        self._bounds = (0, 0)
 
     def _region(self, ctx: ThreadContext) -> tuple[int, int]:
+        if ctx is self._bounds_ctx:
+            return self._bounds
         if self.region is not None:
             low, high = self.region
         else:
             low, high = 0, ctx.logical_pages
         if not 0 <= low < high <= ctx.logical_pages:
             raise ValueError(f"region ({low}, {high}) outside logical space")
+        self._bounds_ctx, self._bounds = ctx, (low, high)
         return low, high
-
-    def _hints(self, io_type: IoType, lpn: int) -> Optional[WriteHints]:
-        if self.hint_fn is None:
-            return None
-        return self.hint_fn(io_type, lpn)
 
     def _emit(self, io_type: IoType, lpn: int) -> Op:
         self.issued_ops += 1
-        return (io_type, lpn, self._hints(io_type, lpn))
+        hint_fn = self.hint_fn
+        return (io_type, lpn, None if hint_fn is None else hint_fn(io_type, lpn))
 
 
 class SequentialWriterThread(_RegionThread):

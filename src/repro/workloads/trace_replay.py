@@ -29,7 +29,7 @@ from repro.workloads.threads import GeneratorThread, Op
 _OP_CODES = MappingProxyType({"R": IoType.READ, "W": IoType.WRITE, "T": IoType.TRIM})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecordOp:
     """One trace record: when, what, where."""
 

@@ -1,7 +1,12 @@
 """Tests for DFTL: cached mapping table, translation pages, evictions."""
 
+import random
 
+import pytest
+
+from repro.controller.ftl.dftl import _CmtEntry
 from repro.core.config import FtlKind
+from repro.hardware.addresses import PhysicalAddress
 
 from tests.controller.conftest import ControllerHarness, make_harness
 
@@ -154,3 +159,58 @@ class TestGcInteraction:
         harness.controller.check_invariants()
         # Mapping still resolves everywhere after heavy GC + TP traffic.
         assert harness.read_sync(0).data == (0, 6)
+
+
+class TestBatchedFlush:
+    """``_flush`` walks the smaller of the translation page's LPN range
+    and the CMT; both must persist exactly what a scan of the whole CMT
+    does."""
+
+    @staticmethod
+    def _scan_whole_cmt(ftl, lpn, entry) -> None:
+        """The reference: persist ``lpn``, then every dirty CMT sibling."""
+        ftl._persist(lpn, entry.ppn)
+        low = lpn // ftl.entries_per_tp * ftl.entries_per_tp
+        high = low + ftl.entries_per_tp
+        for sibling, sibling_entry in ftl.cmt.items():
+            if low <= sibling < high and sibling_entry.dirty:
+                ftl._persist(sibling, sibling_entry.ppn)
+                sibling_entry.dirty = False
+                ftl.batched_flush_entries += 1
+
+    @staticmethod
+    def _fill(ftl, rng, size) -> None:
+        logical_pages = len(ftl.persisted.table)
+        for lpn in rng.sample(range(logical_pages), size):
+            ppn = None
+            if rng.random() < 0.8:
+                ppn = PhysicalAddress(
+                    rng.randrange(2), rng.randrange(2), rng.randrange(8), rng.randrange(8)
+                )
+            ftl.cmt[lpn] = _CmtEntry(ppn, dirty=rng.random() < 0.5)
+        for lpn in rng.sample(range(logical_pages), 50):
+            ftl.persisted.set(lpn, PhysicalAddress(1, 1, 1, 1))
+
+    @pytest.mark.parametrize("cmt_size", [20, 200, 900])
+    def test_matches_a_scan_of_the_whole_cmt(self, cmt_size):
+        for seed in range(5):
+            ftls = []
+            for flush in ("smaller side", "whole CMT"):
+                harness = dftl_harness(cmt_entries=1000)
+                ftl = harness.controller.ftl
+                ftl._write_tp = lambda tp: None  # no translation-page IO
+                rng = random.Random(seed)
+                self._fill(ftl, rng, cmt_size)
+                victim = rng.randrange(len(ftl.persisted.table))
+                entry = _CmtEntry(PhysicalAddress(0, 0, 0, 0), dirty=True)
+                if flush == "smaller side":
+                    ftl._flush(victim, entry)
+                else:
+                    self._scan_whole_cmt(ftl, victim, entry)
+                ftls.append(ftl)
+            fast, reference = ftls
+            assert (fast.persisted.table == reference.persisted.table).all()
+            assert fast.batched_flush_entries == reference.batched_flush_entries
+            assert [e.dirty for e in fast.cmt.values()] == [
+                e.dirty for e in reference.cmt.values()
+            ]

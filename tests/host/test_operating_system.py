@@ -174,6 +174,28 @@ class TestContextValidation:
         assert seen["name"] == "inspect"
         assert 0.0 <= seen["draw"] < 1.0
 
+    def test_rng_streams_are_memoised_per_thread(self, config):
+        streams = {}
+
+        class Draw(Thread):
+            def on_init(self, ctx):
+                streams[self.name] = (ctx.rng("x"), ctx.rng("x"), ctx.rng("y"))
+                ctx.finish()
+
+        simulation = Simulation(config)
+        simulation.add_thread(Draw("a"))
+        simulation.add_thread(Draw("b"))
+        simulation.run()
+        a_x, a_x_again, a_y = streams["a"]
+        assert a_x is a_x_again
+        assert a_x is not a_y
+        assert a_x is not streams["b"][0]
+        # The memo leaves the random source's stream names as they were.
+        source = simulation.os.rng
+        for name, (x, _, y) in streams.items():
+            assert source.stream(f"thread:{name}:x") is x
+            assert source.stream(f"thread:{name}:y") is y
+
     def test_timers_via_schedule(self, config):
         fired = {}
 

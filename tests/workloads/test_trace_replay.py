@@ -1,5 +1,8 @@
 """Tests for trace replay."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core import units
@@ -12,6 +15,17 @@ from tests.conftest import run_workload
 
 def _trace(n=10, spacing_ns=1000, op=IoType.WRITE):
     return [TraceRecordOp(i * spacing_ns, op, i) for i in range(n)]
+
+
+class TestRecord:
+    def test_slotted_frozen_and_picklable(self):
+        record = TraceRecordOp(5, IoType.READ, 7)
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.lpn = 8
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record
+        assert copy.io_type is IoType.READ
 
 
 class TestClosedLoop:
