@@ -7,7 +7,7 @@ workload offers enough concurrency, flattening once the queue depth or
 the channel bus saturates.
 """
 
-from repro import ExperimentTemplate, Parameter
+from repro import GridExperiment, Parameter
 from repro.workloads import RandomWriterThread
 
 from benchmarks.common import bench_config, monotonically_nondecreasing, print_series
@@ -29,14 +29,14 @@ def _workload(config):
 
 
 def run_experiment():
-    template = ExperimentTemplate(
+    grid = GridExperiment(
         name="E1: throughput vs channels",
         base_config=bench_config(),
-        parameter=Parameter("channels", setter=_set_channels),
-        values=CHANNELS,
+        parameters=[Parameter("channels", setter=_set_channels)],
+        values=[CHANNELS],
         workload=_workload,
     )
-    return template.run()
+    return grid.run()
 
 
 def test_e01_parallelism_scaling(benchmark):

@@ -12,7 +12,7 @@ on throughput but leans on a thinner free-space cushion (visible as a
 burstier latency tail).
 """
 
-from repro import ExperimentTemplate, Parameter
+from repro import GridExperiment, Parameter
 from repro.workloads import RandomWriterThread, precondition_sequential
 
 from benchmarks.common import bench_config, monotonically_nondecreasing, print_series
@@ -30,14 +30,14 @@ def run_experiment():
     config = bench_config()
     # Keep the sweep feasible at greediness 8 (see config validation).
     config.controller.overprovisioning = 0.35
-    template = ExperimentTemplate(
+    grid = GridExperiment(
         name="E2: GC greediness",
         base_config=config,
-        parameter=Parameter("gc_greediness", path="controller.gc_greediness"),
-        values=GREEDINESS,
+        parameters=[Parameter("gc_greediness", path="controller.gc_greediness")],
+        values=[GREEDINESS],
         workload=_workload,
     )
-    return template.run()
+    return grid.run()
 
 
 def test_e02_gc_greediness_tradeoff(benchmark):

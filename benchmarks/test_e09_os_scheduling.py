@@ -13,7 +13,7 @@ Two sub-experiments:
   CFQ-like FAIR scheduler restores the interactive thread's share.
 """
 
-from repro import ExperimentTemplate, OsSchedulerPolicy, Parameter
+from repro import GridExperiment, OsSchedulerPolicy, Parameter
 from repro.analysis.metrics import fairness_index
 from repro.workloads import MixedWorkloadThread, RandomWriterThread, precondition_sequential
 
@@ -29,14 +29,14 @@ def _qd_workload(config):
 
 
 def _run_queue_depth_sweep():
-    template = ExperimentTemplate(
+    grid = GridExperiment(
         name="E9a: outstanding IOs",
         base_config=bench_config(),
-        parameter=Parameter("queue depth", path="host.max_outstanding"),
-        values=QUEUE_DEPTHS,
+        parameters=[Parameter("queue depth", path="host.max_outstanding")],
+        values=[QUEUE_DEPTHS],
         workload=_qd_workload,
     )
-    return template.run()
+    return grid.run()
 
 
 def _run_fairness(policy: OsSchedulerPolicy):

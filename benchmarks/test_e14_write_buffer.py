@@ -9,7 +9,7 @@ shape: throughput rises and flash program count falls as the buffer
 absorbs more rewrites; returns diminish once the hot working set fits.
 """
 
-from repro import ExperimentTemplate, Parameter
+from repro import GridExperiment, Parameter
 from repro.workloads import RandomWriterThread, precondition_sequential
 
 from benchmarks.common import bench_config, monotonically_nondecreasing, print_series
@@ -26,14 +26,14 @@ def _workload(config):
 def run_experiment():
     config = bench_config()
     config.controller.battery_ram_bytes = 4 * 1024 * 1024
-    template = ExperimentTemplate(
+    grid = GridExperiment(
         name="E14: write buffer size",
         base_config=config,
-        parameter=Parameter("buffer pages", path="controller.write_buffer_pages"),
-        values=BUFFER_PAGES,
+        parameters=[Parameter("buffer pages", path="controller.write_buffer_pages")],
+        values=[BUFFER_PAGES],
         workload=_workload,
     )
-    return template.run()
+    return grid.run()
 
 
 def test_e14_write_buffer(benchmark):

@@ -5,10 +5,11 @@ strategy for how to vary it in an experiment, and (3) a workload
 definition.  It runs an experiment and produces a comprehensive amount
 of visual statistical output."
 
-This example sweeps the GC Greediness parameter under steady-state
-random writes and prints the table plus ASCII charts of the resulting
-throughput / write-amplification / tail-latency series -- a complete,
-tractable design-space exploration in a few seconds of wall-clock time.
+A template is a one-axis ``GridExperiment``.  This example sweeps the GC
+Greediness parameter under steady-state random writes and prints the
+table plus ASCII charts of the resulting throughput /
+write-amplification / tail-latency series -- a complete, tractable
+design-space exploration in a few seconds of wall-clock time.
 
 Run with::
 
@@ -18,7 +19,7 @@ Run with::
 
 import argparse
 
-from repro import ExperimentTemplate, Parameter, demo_config
+from repro import GridExperiment, Parameter, demo_config
 from repro.analysis.reporting import ascii_chart
 from repro.workloads import RandomWriterThread, precondition_sequential
 
@@ -42,19 +43,19 @@ def main() -> None:
     base = demo_config()
     base.controller.overprovisioning = 0.3  # room for the eager end
 
-    template = ExperimentTemplate(
+    grid = GridExperiment(
         name="GC greediness under steady-state random writes",
         base_config=base,
-        parameter=Parameter("greediness", path="controller.gc_greediness"),
-        values=[1, 2, 4, 8, 12],
+        parameters=[Parameter("greediness", path="controller.gc_greediness")],
+        values=[[1, 2, 4, 8, 12]],
         workload=workload,
     )
 
     mode = "serially" if args.workers == 1 else f"on {args.workers} workers"
     print(f"running 5 simulations {mode} ...")
-    result = template.run(
-        progress=lambda value, r: print(
-            f"  greediness={value}: {r.stats.throughput_iops():,.0f} IOPS, "
+    result = grid.run(
+        progress=lambda values, r: print(
+            f"  greediness={values[0]}: {r.stats.throughput_iops():,.0f} IOPS, "
             f"WAF {r.stats.write_amplification():.2f}"
         ),
         workers=args.workers,
@@ -63,15 +64,17 @@ def main() -> None:
     print()
     print(result.table(["throughput_iops", "write_amplification", "write_p99_ns"]))
 
-    print()
-    print(ascii_chart(result.series("throughput_iops"),
-                      title="throughput (IOPS) vs greediness"))
-    print()
-    print(ascii_chart(result.series("write_amplification"),
-                      title="write amplification vs greediness"))
+    for metric, title in [
+        ("throughput_iops", "throughput (IOPS) vs greediness"),
+        ("write_amplification", "write amplification vs greediness"),
+    ]:
+        # ascii_chart wants scalar x: unpack the one-axis value tuples.
+        series = [(value, y) for (value,), y in result.series(metric)]
+        print()
+        print(ascii_chart(series, title=title))
 
     best = result.best("throughput_iops")
-    print(f"\nbest throughput at greediness={best.value} "
+    print(f"\nbest throughput at greediness={best.values[0]} "
           f"({best.metric('throughput_iops'):,.0f} IOPS)")
 
 

@@ -53,8 +53,6 @@ from repro.core.power import (
     PowerRestoreEvent,
 )
 from repro.core.experiments import (
-    ExperimentResult,
-    ExperimentTemplate,
     GridExperiment,
     GridResult,
     Parameter,
@@ -86,11 +84,9 @@ __all__ = [
     "ControllerConfig",
     "CrashConfig",
     "CrashStats",
-    "ExperimentResult",
     "ExperimentService",
     "GridExperiment",
     "GridResult",
-    "ExperimentTemplate",
     "FaultPlan",
     "FtlKind",
     "GcVictimPolicy",

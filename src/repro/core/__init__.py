@@ -16,8 +16,8 @@ as "an entire system operating in virtual time" (Section 2.1):
   as structured trace records.
 * :mod:`repro.core.simulation` -- the facade that wires all four layers
   together and runs a workload to completion.
-* :mod:`repro.core.experiments` -- the experimental-suite API: experiment
-  templates that vary one parameter or policy and report metric series.
+* :mod:`repro.core.experiments` -- the experimental-suite API: grids that
+  vary one parameter or policy (a template) or several, with metric series.
 """
 
 from repro.core.config import (
@@ -30,8 +30,6 @@ from repro.core.config import (
 from repro.core.engine import Simulator
 from repro.core.events import IoRequest, IoType
 from repro.core.experiments import (
-    ExperimentResult,
-    ExperimentTemplate,
     GridExperiment,
     GridResult,
     Parameter,
@@ -45,10 +43,8 @@ __all__ = [
     "ChipTimings",
     "SanitizerError",
     "ControllerConfig",
-    "ExperimentResult",
     "GridExperiment",
     "GridResult",
-    "ExperimentTemplate",
     "HostConfig",
     "IoRequest",
     "IoType",

@@ -857,7 +857,7 @@ def _apply_overrides(config: SimulationConfig, overrides: dict) -> SimulationCon
 def set_by_path(config: SimulationConfig, path: str, value: object) -> None:
     """Set a (possibly nested) configuration field by dotted path.
 
-    Used by experiment templates: ``set_by_path(cfg,
+    Used by experiment grids: ``set_by_path(cfg,
     "controller.gc_greediness", 4)``.  Raises ``AttributeError`` for
     unknown paths so typos in sweeps fail fast.
     """
@@ -873,11 +873,3 @@ def set_by_path(config: SimulationConfig, path: str, value: object) -> None:
     if not hasattr(target, leaf):
         raise AttributeError(f"{type(target).__name__} has no field {leaf!r}")
     setattr(target, leaf, value)
-
-
-def get_by_path(config: SimulationConfig, path: str) -> object:
-    """Read a (possibly nested) configuration field by dotted path."""
-    target = config
-    for part in path.split("."):
-        target = getattr(target, part)
-    return target

@@ -6,12 +6,14 @@ or policy (2) a strategy for how to vary it in an experiment, and (3) a
 workload definition.  It runs an experiment and produces a comprehensive
 amount of visual statistical output."
 
-:class:`ExperimentTemplate` is exactly that: a base configuration, a
-:class:`Parameter` (a dotted configuration path or a custom setter), the
-values to sweep, and a workload factory.  It runs one simulation per
-value and returns an :class:`ExperimentResult` that yields metric series
-over the parameter, per-run metric-over-time series, and formatted
-tables.
+A template is a one-axis :class:`GridExperiment`: a base configuration,
+one :class:`Parameter` (a dotted configuration path or a custom setter),
+its values and a workload factory, i.e. ``GridExperiment(name, base,
+[parameter], [values], workload)``.  More axes give the exhaustive,
+full-factorial mode of Section 2.1.  Either way it runs one simulation
+per cell and returns a :class:`GridResult` with metric series, tables
+and CSV export; run labels are value tuples (``(4,)`` for a one-axis
+sweep).
 """
 
 from __future__ import annotations
@@ -77,75 +79,6 @@ class Parameter:
             raise ValueError(f"parameter {self.name!r} has neither path nor setter")
 
 
-class ExperimentRun:
-    """One point of the sweep: the value and its simulation result."""
-
-    def __init__(self, value: object, config: SimulationConfig, result: SimulationResult) -> None:
-        self.value = value
-        self.config = config
-        self.result = result
-
-    def metric(self, name: str) -> float:
-        summary = self.result.summary()
-        if name not in summary:
-            raise KeyError(
-                f"unknown metric {name!r}; available: {sorted(summary)}"
-            )
-        return summary[name]
-
-
-class ExperimentResult:
-    """The collected sweep, with series/table accessors."""
-
-    def __init__(self, name: str, parameter: Parameter, runs: "list[ExperimentRun]") -> None:
-        self.name = name
-        self.parameter = parameter
-        self.runs = runs
-
-    def values(self) -> list:
-        return [run.value for run in self.runs]
-
-    def series(self, metric: str) -> list[tuple[object, float]]:
-        """``(parameter value, metric)`` pairs across the sweep."""
-        return [(run.value, run.metric(metric)) for run in self.runs]
-
-    def metrics(self, metric: str) -> list[float]:
-        return [run.metric(metric) for run in self.runs]
-
-    def best(self, metric: str, maximize: bool = True) -> ExperimentRun:
-        chooser = max if maximize else min
-        return chooser(self.runs, key=lambda run: run.metric(metric))
-
-    def table(self, metrics: Sequence[str]) -> str:
-        """A formatted table: one row per parameter value."""
-        from repro.analysis.reporting import format_table
-
-        headers = [self.parameter.name] + list(metrics)
-        rows = [
-            [run.value] + [run.metric(metric) for metric in metrics]
-            for run in self.runs
-        ]
-        return format_table(headers, rows, title=self.name)
-
-    def to_csv(self, path: str, metrics: Optional[Sequence[str]] = None) -> None:
-        """Export the sweep to CSV (all summary metrics by default)."""
-        import csv
-
-        if metrics is None:
-            metrics = sorted(self.runs[0].result.summary()) if self.runs else []
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([self.parameter.name] + list(metrics))
-            for run in self.runs:
-                # Metric cells go through the canonical number formatter
-                # so exports are byte-stable across runs and platforms
-                # (cache hits must reproduce a cold export exactly).
-                writer.writerow(
-                    [run.value]
-                    + [stable_number_text(run.metric(metric)) for metric in metrics]
-                )
-
-
 class GridRun:
     """One cell of a multi-parameter grid."""
 
@@ -162,7 +95,7 @@ class GridRun:
 
 
 class GridResult:
-    """A full factorial sweep over several parameters."""
+    """A full factorial sweep over one or more parameters."""
 
     def __init__(self, name: str, parameters: Sequence[Parameter], runs: "list[GridRun]") -> None:
         self.name = name
@@ -180,6 +113,10 @@ class GridResult:
 
     def series(self, metric: str) -> list[tuple[tuple, float]]:
         return [(run.values, run.metric(metric)) for run in self.runs]
+
+    def metrics(self, metric: str) -> list[float]:
+        """The metric of every run, in grid order."""
+        return [run.metric(metric) for run in self.runs]
 
     def table(self, metrics: Sequence[str]) -> str:
         from repro.analysis.reporting import format_table
@@ -207,6 +144,9 @@ class GridResult:
             writer = csv.writer(handle)
             writer.writerow([p.name for p in self.parameters] + list(metrics))
             for run in self.runs:
+                # Metric cells go through the canonical number formatter
+                # so exports are byte-stable across runs and platforms
+                # (cache hits must reproduce a cold export exactly).
                 writer.writerow(
                     list(run.values)
                     + [stable_number_text(run.metric(metric)) for metric in metrics]
@@ -214,9 +154,10 @@ class GridResult:
 
 
 class GridExperiment:
-    """Full factorial sweep over several parameters -- the exhaustive
+    """Full factorial sweep over one or more parameters: one axis is an
+    experiment template (Section 2.3), several are the exhaustive
     design-space exploration mode ("hundreds of experiments, in a
-    tractable way", paper Section 2.1)."""
+    tractable way", Section 2.1)."""
 
     def __init__(
         self,
@@ -297,73 +238,3 @@ class GridExperiment:
             for spec, result in zip(specs, results)
         ]
         return GridResult(self.name, self.parameters, runs)
-
-
-class ExperimentTemplate:
-    """Vary one parameter or policy over a workload; collect metrics."""
-
-    def __init__(
-        self,
-        name: str,
-        base_config: SimulationConfig,
-        parameter: Parameter,
-        values: Sequence,
-        workload: WorkloadFactory,
-        max_time_ns: Optional[int] = None,
-    ) -> None:
-        self.name = name
-        self.base_config = base_config
-        self.parameter = parameter
-        self.values = list(values)
-        self.workload = workload
-        self.max_time_ns = max_time_ns
-
-    def specs(self) -> list[RunSpec]:
-        """The sweep materialised as one :class:`RunSpec` per value, in
-        sweep order."""
-        specs = []
-        for index, value in enumerate(self.values):
-            config = self.base_config.copy()
-            self.parameter.apply(config, value)
-            specs.append(
-                RunSpec(
-                    config=config,
-                    workload=self.workload,
-                    max_time_ns=self.max_time_ns,
-                    index=index,
-                    label=value,
-                )
-            )
-        return specs
-
-    def run(
-        self,
-        progress: Optional[Callable[[object, SimulationResult], None]] = None,
-        workers: WorkerCount = 1,
-        cache: Optional[object] = None,
-    ) -> ExperimentResult:
-        """Run one simulation per parameter value.
-
-        ``progress``, if given, is called after each run (live output in
-        the demo spirit); it fires in sweep order even when
-        ``workers > 1`` (or ``workers="auto"``, one per CPU) distributes
-        the runs over a process pool.  ``cache`` -- a
-        :class:`repro.service.cache.ResultCache` or a cache-directory
-        path -- transparently reuses previously computed runs.
-        """
-        specs = self.specs()
-        executor = SweepExecutor(workers=workers)
-        results = executor.map(
-            specs,
-            progress=(
-                None
-                if progress is None
-                else lambda spec, result: progress(spec.label, result)
-            ),
-            cache=_resolve_cache(cache),
-        )
-        runs = [
-            ExperimentRun(spec.label, spec.config, result)
-            for spec, result in zip(specs, results)
-        ]
-        return ExperimentResult(self.name, self.parameter, runs)

@@ -9,7 +9,7 @@ processes.  This module provides the machinery:
 * :class:`RunSpec` -- one picklable unit of work: a fully-prepared
   configuration, a reference to the workload factory, and the time
   limit.  The parameter values have already been applied to the config
-  by the experiment template, so workers never see ``Parameter`` objects
+  by the experiment grid, so workers never see ``Parameter`` objects
   (whose ``setter`` may be an unpicklable lambda).
 * :class:`SweepExecutor` -- fans specs out over a
   :class:`concurrent.futures.ProcessPoolExecutor` and reassembles the

@@ -255,10 +255,6 @@ class Simulation:
         """Register a workload thread (see ``OperatingSystem.add_thread``)."""
         self.os.add_thread(thread, depends_on=depends_on, collect_stats=collect_stats)
 
-    def add_threads(self, threads: Iterable) -> None:
-        for thread in threads:
-            self.add_thread(thread)
-
     def run(self, max_time_ns: Optional[int] = None) -> SimulationResult:
         """Run to completion (or to the time limit) and collect results."""
         if self._ran:

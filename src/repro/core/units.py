@@ -48,19 +48,9 @@ def seconds(value: float) -> int:
     return round(value * SECOND)
 
 
-def to_microseconds(ns: int) -> float:
-    """Convert integer nanoseconds to floating-point microseconds."""
-    return ns / MICROSECOND
-
-
 def to_milliseconds(ns: int) -> float:
     """Convert integer nanoseconds to floating-point milliseconds."""
     return ns / MILLISECOND
-
-
-def to_seconds(ns: int) -> float:
-    """Convert integer nanoseconds to floating-point seconds."""
-    return ns / SECOND
 
 
 def format_time(ns: int) -> str:

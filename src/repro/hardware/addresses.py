@@ -44,10 +44,6 @@ class PhysicalAddress(NamedTuple):
     block: int
     page: int
 
-    def block_address(self) -> "PhysicalAddress":
-        """The same address with the page component zeroed (block id)."""
-        return PhysicalAddress(self.channel, self.lun, self.block, 0)
-
     def same_lun(self, other: "PhysicalAddress") -> bool:
         return self.channel == other.channel and self.lun == other.lun
 
@@ -77,8 +73,3 @@ def iter_luns(geometry: SsdGeometry) -> Iterator[tuple[int, int]]:
 def lun_index(geometry: SsdGeometry, channel: int, lun: int) -> LunIndex:
     """Flat index of a LUN in channel-major order."""
     return channel * geometry.luns_per_channel + lun
-
-
-def lun_from_index(geometry: SsdGeometry, index: int) -> tuple[int, int]:
-    """Inverse of :func:`lun_index`."""
-    return divmod(index, geometry.luns_per_channel)

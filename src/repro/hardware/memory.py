@@ -73,16 +73,9 @@ class MemoryManager:
     def free_ram(self, label: str) -> None:
         self.ram.free(label)
 
-    def free_battery_ram(self, label: str) -> None:
-        self.battery_ram.free(label)
-
     @property
     def ram_available(self) -> int:
         return self.ram.available_bytes
-
-    @property
-    def battery_ram_available(self) -> int:
-        return self.battery_ram.available_bytes
 
     def report(self) -> str:
         lines = ["== controller memory =="]

@@ -258,10 +258,6 @@ class LintContext:
         on_line = self.line_suppressions.get(violation.line, set())
         return violation.rule_id in on_line or "all" in on_line
 
-    def suppressed_count(self, rule_id: str) -> int:
-        count = sum(1 for ids in self.line_suppressions.values() if rule_id in ids)
-        return count + (1 if rule_id in self.file_suppressions else 0)
-
 
 def run_rules(
     context: LintContext, rules: Iterable[Rule]

@@ -219,7 +219,7 @@ class ResultCache:
 
     Implements the :class:`repro.core.parallel.ResultSource` protocol
     (``lookup``/``store``), so it plugs directly into
-    ``SweepExecutor.map(specs, cache=...)``, ``ExperimentTemplate.run
+    ``SweepExecutor.map(specs, cache=...)``, ``GridExperiment.run
     (cache=...)`` and the :class:`~repro.service.jobs.ExperimentService`.
 
     A spec whose workload has no stable identity (lambda, closure,

@@ -12,10 +12,10 @@ warmed by the benchmark is a cache hit for the CLI and vice versa.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Optional, Sequence
 
-from repro.core.config import SimulationConfig, demo_config, set_by_path, small_config
+from repro.core.config import SimulationConfig, demo_config, small_config
+from repro.core.experiments import GridExperiment, Parameter
 from repro.core.parallel import RunSpec
 from repro.host.interface import temperature_hint
 from repro.workloads import (
@@ -164,27 +164,18 @@ def grid_specs(
 ) -> list[RunSpec]:
     """Materialise a full-factorial grid over dotted config paths.
 
-    ``axes`` is ``[(path, values), ...]``; the product is enumerated in
-    axis-major order (itertools.product semantics), matching
-    :class:`~repro.core.experiments.GridExperiment`.  The base
-    configuration is ``small`` or ``demo``.
+    ``axes`` is ``[(path, values), ...]``; the cells are the
+    :class:`~repro.core.experiments.GridExperiment` specs over one
+    ``Parameter(path, path=path)`` per axis, in axis-major order.  The
+    base configuration is ``small`` or ``demo``.
     """
-    if not axes:
-        raise ValueError("at least one axis required")
     base_config = small_config() if base == "small" else demo_config()
     base_config.seed = seed
-    specs = []
-    for index, combination in enumerate(itertools.product(*(values for _, values in axes))):
-        config = base_config.copy()
-        for (path, _), value in zip(axes, combination):
-            set_by_path(config, path, value)
-        specs.append(
-            RunSpec(
-                config=config,
-                workload=functools.partial(mixed_workload, ios=ios),
-                max_time_ns=max_time_ns,
-                index=index,
-                label=combination,
-            )
-        )
-    return specs
+    return GridExperiment(
+        "grid",
+        base_config,
+        [Parameter(path, path=path) for path, _ in axes],
+        [values for _, values in axes],
+        functools.partial(mixed_workload, ios=ios),
+        max_time_ns=max_time_ns,
+    ).specs()

@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
-from repro.core.experiments import ExperimentTemplate, GridExperiment
+from repro.core.experiments import GridExperiment
 from repro.core.parallel import (
     RunSpec,
     SweepExecutor,
@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 #: What may be submitted: prepared specs or a whole experiment object.
-Submittable = Union[Sequence[RunSpec], GridExperiment, ExperimentTemplate]
+Submittable = Union[Sequence[RunSpec], GridExperiment]
 
 
 class JobState(enum.Enum):
@@ -270,9 +270,8 @@ class ExperimentService:
     ) -> str:
         """Enqueue an experiment; returns its job id immediately.
 
-        ``work`` is a prepared ``list[RunSpec]``, a
-        :class:`GridExperiment` or an :class:`ExperimentTemplate` (their
-        ``specs()`` materialise the cells).  ``grid`` (a
+        ``work`` is a prepared ``list[RunSpec]`` or a
+        :class:`GridExperiment` (its ``specs()`` materialise the cells).  ``grid`` (a
         :func:`~repro.service.grids.grid_manifest` dict) is stored in
         the job manifest so a fresh process can rebuild the specs and
         :meth:`resume` by job id alone.
@@ -503,7 +502,7 @@ class ExperimentService:
     # Internals
     # ------------------------------------------------------------------
     def _coerce(self, work: Submittable) -> tuple[list[RunSpec], str]:
-        if isinstance(work, (GridExperiment, ExperimentTemplate)):
+        if isinstance(work, GridExperiment):
             return work.specs(), work.name
         specs = list(work)
         for spec in specs:

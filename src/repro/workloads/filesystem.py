@@ -159,10 +159,3 @@ class FileSystemThread(GeneratorThread):
         if self.hint_metadata_hot:
             return {"temperature": "hot"}
         return None
-
-    # ------------------------------------------------------------------
-    # Introspection for tests
-    # ------------------------------------------------------------------
-    @property
-    def live_files(self) -> int:
-        return len(self._files)

@@ -9,7 +9,6 @@ from repro.core.config import (
     SimulationConfig,
     SsdGeometry,
     demo_config,
-    get_by_path,
     set_by_path,
     small_config,
 )
@@ -127,7 +126,6 @@ class TestPathAccess:
         config = small_config()
         set_by_path(config, "controller.gc_greediness", 4)
         assert config.controller.gc_greediness == 4
-        assert get_by_path(config, "controller.gc_greediness") == 4
 
     def test_nested_paths(self):
         config = small_config()

@@ -1,8 +1,12 @@
-"""Tests for the experiment-template suite."""
+"""Tests for the experiment-template suite.
+
+A template (paper Section 2.3) is a one-axis :class:`GridExperiment`;
+``tests/core/test_grid_experiments.py`` covers several axes.
+"""
 
 import pytest
 
-from repro import ExperimentTemplate, Parameter, small_config
+from repro import GridExperiment, GridResult, Parameter, small_config
 from repro.workloads import SequentialWriterThread
 
 
@@ -11,6 +15,14 @@ def _workload(count=150):
         return [SequentialWriterThread("w", count=count, depth=8)]
 
     return factory
+
+
+def _one_axis(name, values, workload):
+    """A queue-depth template: one ``host.max_outstanding`` axis."""
+    return GridExperiment(
+        name, small_config(), [Parameter("qd", path="host.max_outstanding")],
+        [values], workload,
+    )
 
 
 class TestParameter:
@@ -35,18 +47,11 @@ class TestParameter:
 
 class TestTemplate:
     def _template(self, values=(1, 2, 4)):
-        return ExperimentTemplate(
-            name="queue depth sweep",
-            base_config=small_config(),
-            parameter=Parameter("qd", path="host.max_outstanding"),
-            values=values,
-            workload=_workload(),
-        )
+        return _one_axis("queue depth sweep", values, _workload())
 
     def test_runs_one_simulation_per_value(self):
         result = self._template().run()
-        assert result.values() == [1, 2, 4]
-        assert len(result.runs) == 3
+        assert [run.values for run in result.runs] == [(1,), (2,), (4,)]
 
     def test_base_config_not_mutated(self):
         template = self._template()
@@ -60,14 +65,14 @@ class TestTemplate:
     def test_series_and_metrics(self):
         result = self._template().run()
         series = result.series("throughput_iops")
-        assert [value for value, _ in series] == [1, 2, 4]
+        assert [values for values, _ in series] == [(1,), (2,), (4,)]
         assert all(metric > 0 for _, metric in series)
         assert result.metrics("completed_ios") == [150.0] * 3
 
     def test_deeper_queue_not_slower(self):
         """Sanity shape: more outstanding IOs => throughput >= QD1."""
         series = dict(self._template().run().series("throughput_iops"))
-        assert series[4] >= series[1]
+        assert series[(4,)] >= series[(1,)]
 
     def test_best_run(self):
         result = self._template().run()
@@ -88,7 +93,7 @@ class TestTemplate:
     def test_progress_callback_invoked(self):
         seen = []
         self._template(values=(1, 2)).run(progress=lambda v, r: seen.append(v))
-        assert seen == [1, 2]
+        assert seen == [(1,), (2,)]
 
     def test_workload_entries_may_carry_dependencies(self):
         def factory(config):
@@ -96,11 +101,7 @@ class TestTemplate:
             main = SequentialWriterThread("main", count=50)
             return [prep, (main, ["prep"])]
 
-        template = ExperimentTemplate(
-            "dep", small_config(), Parameter("qd", path="host.max_outstanding"),
-            [4], factory,
-        )
-        result = template.run()
+        result = _one_axis("dep", [4], factory).run()
         assert result.runs[0].metric("completed_ios") == 100.0
 
 
@@ -108,10 +109,7 @@ class TestCsvExport:
     def test_to_csv_round_trips(self, tmp_path):
         import csv
 
-        result = ExperimentTemplate(
-            "csv", small_config(), Parameter("qd", path="host.max_outstanding"),
-            [2, 8], _workload(count=60),
-        ).run()
+        result = _one_axis("csv", [2, 8], _workload(count=60)).run()
         path = tmp_path / "sweep.csv"
         result.to_csv(str(path), metrics=["completed_ios", "throughput_iops"])
         with open(path, newline="") as handle:
@@ -121,10 +119,7 @@ class TestCsvExport:
         assert float(rows[1][1]) == 60.0
 
     def test_to_csv_defaults_to_all_metrics(self, tmp_path):
-        result = ExperimentTemplate(
-            "csv", small_config(), Parameter("qd", path="host.max_outstanding"),
-            [4], _workload(count=40),
-        ).run()
+        result = _one_axis("csv", [4], _workload(count=40)).run()
         path = tmp_path / "sweep.csv"
         result.to_csv(str(path))
         header = open(path).readline()
@@ -135,11 +130,7 @@ class TestCsvExport:
         raise while probing runs[0] for the metric list."""
         import csv
 
-        from repro import ExperimentResult
-
-        result = ExperimentResult(
-            "empty", Parameter("qd", path="host.max_outstanding"), []
-        )
+        result = GridResult("empty", [Parameter("qd", path="host.max_outstanding")], [])
         path = tmp_path / "empty.csv"
         result.to_csv(str(path))
         with open(path, newline="") as handle:
@@ -149,11 +140,7 @@ class TestCsvExport:
     def test_to_csv_empty_runs_with_explicit_metrics(self, tmp_path):
         import csv
 
-        from repro import ExperimentResult
-
-        result = ExperimentResult(
-            "empty", Parameter("qd", path="host.max_outstanding"), []
-        )
+        result = GridResult("empty", [Parameter("qd", path="host.max_outstanding")], [])
         path = tmp_path / "empty.csv"
         result.to_csv(str(path), metrics=["throughput_iops", "write_amplification"])
         with open(path, newline="") as handle:

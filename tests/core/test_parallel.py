@@ -10,7 +10,6 @@ never as a hung sweep.
 import pytest
 
 from repro import (
-    ExperimentTemplate,
     GridExperiment,
     Parameter,
     RunSpec,
@@ -51,11 +50,12 @@ def _reliability_config():
 
 
 def _greediness_template(config, workload=small_write_workload):
-    return ExperimentTemplate(
+    """A one-axis grid: the paper's experiment template."""
+    return GridExperiment(
         name="parallel-equivalence",
         base_config=config,
-        parameter=Parameter("greediness", path="controller.gc_greediness"),
-        values=[1, 2, 3, 4],
+        parameters=[Parameter("greediness", path="controller.gc_greediness")],
+        values=[[1, 2, 3, 4]],
         workload=workload,
     )
 
@@ -130,7 +130,7 @@ class TestSerialParallelEquivalence:
     def test_template_summaries_bit_identical(self):
         serial = _greediness_template(small_config()).run(workers=1)
         parallel = _greediness_template(small_config()).run(workers=WORKERS)
-        assert [run.value for run in serial.runs] == [run.value for run in parallel.runs]
+        assert [run.values for run in serial.runs] == [run.values for run in parallel.runs]
         for s, p in zip(serial.runs, parallel.runs):
             assert s.result.summary() == p.result.summary()
 

@@ -3,15 +3,17 @@
 The contract: two identical runs serialize to identical *bytes* --
 summaries via :func:`serialize_summary`, sweep exports via ``to_csv``
 -- and every float survives the round trip exactly (shortest-repr JSON
-encoding, no precision loss).
+encoding, no precision loss).  A one-axis sweep's CSV export also
+matches ``tests/fixtures/golden_sweep.csv`` byte for byte.
 """
 
 import functools
 import math
+from pathlib import Path
 
 import pytest
 
-from repro import ExperimentTemplate, Parameter, small_config
+from repro import GridExperiment, Parameter, small_config
 from repro.core.statistics import (
     deserialize_summary,
     plain_number,
@@ -21,14 +23,16 @@ from repro.core.statistics import (
 from repro.service.grids import mixed_workload
 
 IOS = 150
+GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "fixtures" / "golden_sweep.csv"
 
 
-def template() -> ExperimentTemplate:
-    return ExperimentTemplate(
+def template() -> GridExperiment:
+    """A one-axis grid: the paper's experiment template."""
+    return GridExperiment(
         name="serialization",
         base_config=small_config(),
-        parameter=Parameter("greediness", path="controller.gc_greediness"),
-        values=[1, 2],
+        parameters=[Parameter("greediness", path="controller.gc_greediness")],
+        values=[[1, 2]],
         workload=functools.partial(mixed_workload, ios=IOS),
     )
 
@@ -96,3 +100,11 @@ def test_to_csv_exports_are_byte_identical(tmp_path):
     first = path_one.read_bytes()
     assert first == path_two.read_bytes()
     assert first.startswith(b"greediness,")
+
+
+def test_one_axis_csv_export_matches_golden(tmp_path):
+    """The fixture was exported by the single-parameter template class
+    that the one-axis grid replaced: the fold changed no byte."""
+    path = tmp_path / "sweep.csv"
+    template().run().to_csv(str(path))
+    assert path.read_bytes() == GOLDEN_SWEEP.read_bytes()

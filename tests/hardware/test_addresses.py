@@ -6,7 +6,6 @@ from repro.core.config import SsdGeometry
 from repro.hardware.addresses import (
     PhysicalAddress,
     iter_luns,
-    lun_from_index,
     lun_index,
     validate_address,
 )
@@ -24,9 +23,6 @@ class TestPhysicalAddress:
         address = PhysicalAddress(1, 2, 3, 4)
         assert (address.channel, address.lun, address.block, address.page) == (1, 2, 3, 4)
         assert str(address) == "(c1,l2,b3,p4)"
-
-    def test_block_address_zeroes_page(self):
-        assert PhysicalAddress(1, 2, 3, 4).block_address() == PhysicalAddress(1, 2, 3, 0)
 
     def test_same_lun(self):
         a = PhysicalAddress(1, 2, 3, 4)
@@ -68,4 +64,3 @@ class TestIteration:
     def test_lun_index_round_trip(self, geometry):
         for index, (channel, lun) in enumerate(iter_luns(geometry)):
             assert lun_index(geometry, channel, lun) == index
-            assert lun_from_index(geometry, index) == (channel, lun)

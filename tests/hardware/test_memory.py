@@ -11,7 +11,6 @@ class TestAllocation:
         memory.allocate_ram("map", 600)
         assert memory.ram_available == 400
         memory.allocate_battery_ram("buffer", 80)
-        assert memory.battery_ram_available == 20
 
     def test_over_allocation_rejected(self):
         memory = MemoryManager(1000, 100)

@@ -14,15 +14,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    ExperimentTemplate,
     FaultPlan,
     FtlKind,
+    GridExperiment,
+    GridResult,
     Parameter,
     RecoveryStrategy,
     Simulation,
     small_config,
 )
-from repro.core.experiments import ExperimentResult
 from repro.reliability.crash import PowerCycleCoordinator
 from repro.workloads import MixedWorkloadThread, RandomWriterThread
 
@@ -228,16 +228,14 @@ class TestPayForWhatYouUse:
 
 class TestMetricsExport:
     def test_to_csv_carries_recovery_counters(self, tmp_path):
-        template = ExperimentTemplate(
+        grid = GridExperiment(
             name="crash-export",
             base_config=crash_config(strategy=RecoveryStrategy.CHECKPOINT_JOURNAL),
-            parameter=Parameter(
-                "interval", path="crash.checkpoint_interval_ns"
-            ),
-            values=[10_000_000, 50_000_000],
+            parameters=[Parameter("interval", path="crash.checkpoint_interval_ns")],
+            values=[[10_000_000, 50_000_000]],
             workload=crash_workload,
         )
-        sweep = template.run()
+        sweep = grid.run()
         path = tmp_path / "sweep.csv"
         sweep.to_csv(str(path))
         header = path.read_text().splitlines()[0].split(",")
@@ -253,9 +251,7 @@ class TestMetricsExport:
 
     def test_to_csv_with_no_runs_writes_a_bare_header(self, tmp_path):
         """PR 2's empty-runs path: an aborted sweep still exports."""
-        empty = ExperimentResult(
-            "aborted", Parameter("x", path="seed"), runs=[]
-        )
+        empty = GridResult("aborted", [Parameter("x", path="seed")], runs=[])
         path = tmp_path / "empty.csv"
         empty.to_csv(str(path))
         assert path.read_text().strip() == "x"

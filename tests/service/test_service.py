@@ -15,7 +15,6 @@ import json
 import pytest
 
 from repro import (
-    ExperimentTemplate,
     GridExperiment,
     Parameter,
     RunSpec,
@@ -63,6 +62,17 @@ def small_grid(ios: int = IOS, depths=(4, 8)) -> list:
     return grid_specs(
         [SMALL_AXES[0], ("host.max_outstanding", list(depths))],
         ios=ios,
+    )
+
+
+def greediness_sweep(values) -> GridExperiment:
+    """A one-axis grid over GC greediness (an experiment template)."""
+    return GridExperiment(
+        name="greediness",
+        base_config=small_config(),
+        parameters=[Parameter("greediness", path="controller.gc_greediness")],
+        values=[values],
+        workload=functools.partial(mixed_workload, ios=IOS),
     )
 
 
@@ -114,13 +124,7 @@ def test_perturbation_reruns_exactly_the_changed_cells(service):
 
 
 def test_submit_accepts_template_and_grid(service):
-    template = ExperimentTemplate(
-        name="greediness",
-        base_config=small_config(),
-        parameter=Parameter("greediness", path="controller.gc_greediness"),
-        values=[1, 2],
-        workload=functools.partial(mixed_workload, ios=IOS),
-    )
+    template = greediness_sweep([1, 2])
     results = service.results(service.submit(template))
     assert len(results) == 2
 
@@ -199,13 +203,7 @@ def test_run_to_completion_drives_the_poll_loop(service):
 
 
 def test_experiment_run_with_cache_path(tmp_path):
-    template = ExperimentTemplate(
-        name="greediness",
-        base_config=small_config(),
-        parameter=Parameter("greediness", path="controller.gc_greediness"),
-        values=[1, 2],
-        workload=functools.partial(mixed_workload, ios=IOS),
-    )
+    template = greediness_sweep([1, 2])
     cold = template.run(cache=str(tmp_path))
     warm = template.run(cache=str(tmp_path))
     assert summaries(r.result for r in cold.runs) == summaries(
@@ -234,13 +232,7 @@ def test_grid_run_with_cache_object(tmp_path):
 
 
 def test_run_rejects_unknown_cache_types():
-    template = ExperimentTemplate(
-        name="greediness",
-        base_config=small_config(),
-        parameter=Parameter("greediness", path="controller.gc_greediness"),
-        values=[1],
-        workload=functools.partial(mixed_workload, ios=IOS),
-    )
+    template = greediness_sweep([1])
     with pytest.raises(TypeError):
         template.run(cache=42)
 
@@ -497,6 +489,25 @@ def test_status_reports_events_and_manifest(tmp_path):
         status = service.wait(job_id)
     assert any("submitted" in event for event in status.events)
     assert any("manifest" in event for event in status.events)
+
+
+def test_grid_specs_are_the_grid_experiment_specs():
+    base = small_config()
+    base.seed = 7
+    grid = GridExperiment(
+        "grid",
+        base,
+        [Parameter(path, path=path) for path, _ in SMALL_AXES],
+        [values for _, values in SMALL_AXES],
+        functools.partial(mixed_workload, ios=IOS),
+    )
+    expected = grid.specs()
+    specs = grid_specs(SMALL_AXES, ios=IOS, seed=7)
+    assert [spec.label for spec in specs] == [(1, 4), (1, 8), (2, 4), (2, 8)]
+    assert [spec.label for spec in specs] == [spec.label for spec in expected]
+    assert [spec.canonical() for spec in specs] == [
+        spec.canonical() for spec in expected
+    ]
 
 
 def test_grid_manifest_roundtrip():
