@@ -326,19 +326,13 @@ class SsdController:
     def _queue_depth(self, lun_key: tuple[int, int]) -> int:
         return self.scheduler.queue_depth(lun_key)
 
-    def gc_is_collecting(self, lun_key: tuple[int, int], block_id: int) -> bool:
-        return self.gc._being_collected(lun_key, block_id)
-
-    def wl_is_migrating(self, lun_key: tuple[int, int], block_id: int) -> bool:
-        return (lun_key, block_id) in self.wear_leveler.active
-
     @property
     def busy(self) -> bool:
         """True while internal work (queued commands, GC, WL, buffered
         flushes) is still pending."""
         if self.scheduler.total_pending() > 0:
             return True
-        if self.gc.active_jobs or self.wear_leveler.active:
+        if self.gc.evacuating:
             return True
         if any(lun.is_busy for lun in self.array.luns.values()):
             return True
@@ -394,10 +388,10 @@ class SsdController:
                 f"retired block b{block_id} on {lun_key} still holds "
                 f"{int(state.live_count[global_id])} live pages"
             )
-        if self.gc._condemned:
+        condemned = sum(job.retire for job in self.gc.evacuating.values())
+        if condemned:
             raise AssertionError(
-                f"{len(self.gc._condemned)} condemned blocks not yet retired "
-                "at quiescence"
+                f"{condemned} condemned blocks not yet retired at quiescence"
             )
         if self.reliability is not None:
             self.reliability.check_invariants()

@@ -1,19 +1,34 @@
-"""Garbage collection (paper Section 2.2).
+"""Garbage collection and block evacuation (paper Section 2.2).
 
 "The default GC module strives to fulfill these goals by triggering GC
 so that a given number of blocks (GC Greediness parameter) are always
 free on each LUN."
 
-The collector keeps at most one job per LUN.  A job:
+GC and static wear leveling share one mechanism, *evacuating* a block:
+every page live in it when the job starts is relocated, then the block
+is erased (the scheduler holds the erase until no in-flight read
+targets the block).  One :class:`_Evacuation` job runs all five kinds;
+what differs is set when the job is created:
 
-1. picks a victim block according to the configured policy (greedy /
-   cost-benefit / random / oldest);
-2. relocates every page that was live at job start -- with the copyback
-   command when the chip supports it and relocation stays within the
-   LUN, otherwise with a read followed by a program (stream ``gc``);
-3. erases the victim once all relocations completed (the scheduler
-   additionally holds the erase until no in-flight read targets the
-   block).
+* **collection** -- a victim picked by the configured policy (greedy /
+  cost-benefit / random / oldest), relocated within the LUN with the
+  copyback command when the chip supports it, otherwise with a read
+  followed by a program (stream ``gc``, any LUN when ``gc_same_lun`` is
+  off);
+* **rebalancing** -- the least-live block of a LUN full of live data,
+  relocated to other LUNs (stream ``rebalance``);
+* **condemnation** -- a block that reported a program failure, relocated
+  like a collection but never by copyback, then retired, not erased;
+* **erase-only reclaim** -- a fully dead block, erased at once;
+* **static-WL migration** -- a young block chosen by
+  :class:`~repro.controller.wear_leveling.WearLeveler`, relocated to an
+  old block (stream ``wl_cold``, pages marked cold), commands tagged
+  ``WEAR_LEVELING``.
+
+``evacuating`` holds every job by ``(lun_key, block_id)``: victim
+selection, erase-only reclaim and the WL scan skip those blocks.  A LUN
+runs at most one collection, rebalancing or condemnation job at a time
+(``active_jobs``); erase-only reclaims and WL migrations run beside it.
 
 Races with the application are resolved by the FTL: a page overwritten
 while its relocation was in flight yields an orphan copy, which
@@ -22,7 +37,7 @@ while its relocation was in flight yields an orphan copy, which
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -35,34 +50,50 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controller.controller import SsdController
 
 
-class _GcJob:
-    """One in-progress collection of one victim block."""
+class _Evacuation:
+    """One block being evacuated; the fields say which kind."""
 
     __slots__ = (
         "lun_key",
         "block_id",
-        "pending_relocations",
-        "erase_issued",
-        "cross_lun",
+        "on_erased",
+        "source",
+        "stream",
+        "copyback",
         "retire",
+        "on_page",
+        "pending",
     )
 
     def __init__(
         self,
         lun_key: tuple[int, int],
         block_id: int,
-        cross_lun: bool = False,
+        on_erased: Optional[Callable[["_Evacuation"], None]] = None,
+        source: CommandSource = CommandSource.GC,
+        stream: Optional[str] = None,
+        copyback: bool = False,
         retire: bool = False,
+        on_page: Optional[Callable[[bool, tuple[int, int]], None]] = None,
     ):
         self.lun_key = lun_key
         self.block_id = block_id
-        self.pending_relocations = 0
-        self.erase_issued = False
-        #: Balancing job: relocations leave the LUN (see maybe_trigger).
-        self.cross_lun = cross_lun
-        #: Condemnation job: the block is retired after relocation
-        #: instead of erased (reliability subsystem, program failures).
+        #: Runs once the block's erase completed (never for ``retire``).
+        self.on_erased = on_erased
+        #: The source every command of the job carries.
+        self.source = source
+        #: Where relocated pages go: ``None`` keeps them on the LUN (the
+        #: allocator's ``gc_stream_for``); otherwise the stream handed to
+        #: ``place_internal``, ``"rebalance"`` leaving the LUN.
+        self.stream = stream
+        #: Relocate with copyback instead of read + program.
+        self.copyback = copyback
+        #: Retire the block after relocation instead of erasing it.
         self.retire = retire
+        #: ``on_page(live, content)`` after each relocation; ``None``
+        #: counts the page in ``relocated_pages``.
+        self.on_page = on_page
+        self.pending = 0
 
 
 class GarbageCollector:
@@ -73,7 +104,8 @@ class GarbageCollector:
         config = controller.config.controller
         self.greediness = config.gc_greediness
         self.policy = config.gc_victim_policy
-        self.same_lun = config.gc_same_lun
+        #: Relocation stream of collections and condemnations.
+        self._gc_stream = None if config.gc_same_lun else "gc"
         self.use_copyback = (
             config.enable_copyback
             and controller.config.timings.supports_copyback
@@ -85,14 +117,12 @@ class GarbageCollector:
         self.idle_threshold_ns = config.gc_idle_threshold_ns
         self._idle_timers: dict[tuple[int, int], object] = {}
         self._last_app_activity: dict[tuple[int, int], int] = {}
-        self.active_jobs: dict[tuple[int, int], _GcJob] = {}
-        #: Erase-only reclaims in flight (fully-dead blocks need no
-        #: relocation space, so they bypass the one-job-per-LUN slot).
-        self._erase_only: set[tuple[tuple[int, int], int]] = set()
-        #: Blocks condemned by the reliability subsystem (program
-        #: failures), queued or actively being drained for retirement.
-        self._condemned: set[tuple[tuple[int, int], int]] = set()
-        self._condemn_queue: dict[tuple[int, int], list[int]] = {}
+        #: Every block being evacuated, by ``(lun_key, block_id)``.
+        self.evacuating: dict[tuple[tuple[int, int], int], _Evacuation] = {}
+        #: The running collection, rebalancing or condemnation job per LUN.
+        self.active_jobs: dict[tuple[int, int], _Evacuation] = {}
+        #: Condemnations waiting for their LUN's job slot.
+        self._condemn_queue: dict[tuple[int, int], list[_Evacuation]] = {}
         self.condemned_retirements = 0
         self.collected_blocks = 0
         self.relocated_pages = 0
@@ -125,7 +155,7 @@ class GarbageCollector:
             return
         victim = self._select_victim(lun_key, lun)
         if victim is not None:
-            self._start_job(lun_key, lun, victim, cross_lun=False)
+            self._start_job(lun_key, lun, victim)
             return
         # No block holds a single dead page: the LUN is overcommitted
         # with live data (possible under skewed allocation, since GC
@@ -144,10 +174,10 @@ class GarbageCollector:
         victim = self._select_balancing_victim(lun_key, lun)
         if victim is not None:
             self.balancing_jobs += 1
-            self._start_job(lun_key, lun, victim, cross_lun=True)
+            self._start_job(lun_key, lun, victim, rebalance=True)
 
     def _cross_lun_job_active(self) -> bool:
-        return any(job.cross_lun for job in self.active_jobs.values())
+        return any(job.stream == "rebalance" for job in self.active_jobs.values())
 
     def _has_blocked_program(self, lun_key: tuple[int, int], lun: Lun) -> bool:
         allocator = self.controller.allocator
@@ -165,9 +195,8 @@ class GarbageCollector:
 
         Vectorized equivalent of the former per-block Python loop: a
         candidate is occupied (not free), not open, not bad, programmed,
-        (optionally) holds dead pages, and is not already being collected
-        or migrated.  The exclusion sets are all small, so they are
-        cleared point-wise on top of the array reductions.
+        (optionally) holds dead pages, and is not already being
+        evacuated.
         """
         state = lun.state
         start, stop = state.block_range(lun.lun_index)
@@ -180,16 +209,7 @@ class GarbageCollector:
             mask &= state.dead_count[start:stop] > 0
         for block_id in self.controller.allocator.open_block_ids(lun_key):
             mask[block_id] = False
-        for key, block_id in sorted(self._erase_only):
-            if key == lun_key:
-                mask[block_id] = False
-        for key, block_id in sorted(self._condemned):
-            if key == lun_key:
-                mask[block_id] = False
-        job = self.active_jobs.get(lun_key)
-        if job is not None:
-            mask[job.block_id] = False
-        for key, block_id in self.controller.wear_leveler.active:
+        for key, block_id in sorted(self.evacuating):
             if key == lun_key:
                 mask[block_id] = False
         return mask
@@ -262,7 +282,7 @@ class GarbageCollector:
         if victim is None:
             return
         self.idle_jobs += 1
-        self._start_job(lun_key, lun, victim, cross_lun=False)
+        self._start_job(lun_key, lun, victim)
 
     def _has_pending_app_work(self, lun_key: tuple[int, int]) -> bool:
         return any(
@@ -285,24 +305,15 @@ class GarbageCollector:
         for block_id in self.controller.allocator.open_block_ids(lun_key):
             mask[block_id] = False
         for block_id in np.nonzero(mask)[0].tolist():
-            if (lun_key, block_id) in self._erase_only:
+            # Checked per block: each enqueue pumps the scheduler, whose
+            # program bindings may re-enter ``maybe_trigger``.
+            if (lun_key, block_id) in self.evacuating:
                 continue
-            if self._being_collected(lun_key, block_id):
-                continue
-            if self.controller.wl_is_migrating(lun_key, block_id):
-                continue
-            self._erase_only.add((lun_key, block_id))
-            cmd = FlashCommand(
-                CommandKind.ERASE,
-                CommandSource.GC,
-                PhysicalAddress(lun_key[0], lun_key[1], block_id, 0),
-                context=(lun_key, block_id),
-                on_complete=self._erase_only_done,
-            )
-            self.controller.enqueue_command(cmd)
+            job = _Evacuation(lun_key, block_id, on_erased=self._reclaimed)
+            self.evacuating[(lun_key, block_id)] = job
+            self._finish(job)
 
-    def _erase_only_done(self, cmd: FlashCommand) -> None:
-        self._erase_only.discard(cmd.context)
+    def _reclaimed(self, job: _Evacuation) -> None:
         self.collected_blocks += 1
         self.erase_only_reclaims += 1
 
@@ -315,38 +326,39 @@ class GarbageCollector:
         live = state.live_count[start + candidates]
         return int(candidates[int(np.argmax(live == live.min()))])
 
-    def _being_collected(self, lun_key: tuple[int, int], block_id: int) -> bool:
-        if (lun_key, block_id) in self._erase_only:
-            return True
-        if (lun_key, block_id) in self._condemned:
-            return True
-        job = self.active_jobs.get(lun_key)
-        return job is not None and job.block_id == block_id
-
     # ------------------------------------------------------------------
     # Condemnation (reliability subsystem: program failures)
     # ------------------------------------------------------------------
     def condemn(self, lun_key: tuple[int, int], block_id: int) -> None:
         """Drain and retire a block that reported a program failure.
 
-        The block's live pages are relocated with the normal GC
-        read+program machinery (copyback is avoided: it would re-read
-        the failing block without controller-side checking), and the
-        block is then *retired*, never erased back into the free pool.
-        Condemnation uses the one-job-per-LUN slot, queueing behind an
-        in-progress collection if necessary; until the job starts the
-        block sits in ``_condemned``, which keeps victim selection, WL
-        and erase-only reclaim away from it.
+        The block's live pages are relocated with read+program
+        (copyback is avoided: it would re-read the failing block without
+        controller-side checking), and the block is then *retired*,
+        never erased back into the free pool.  Condemnation uses the
+        one-job-per-LUN slot, queueing behind an in-progress collection
+        if necessary; queued or draining, the block is in
+        ``evacuating``, which keeps victim selection, WL and erase-only
+        reclaim away from it.  A block already being evacuated is left
+        to its job.
         """
         key = (lun_key, block_id)
-        if key in self._condemned:
+        if key in self.evacuating:
             return
         block = self.controller.array.luns[lun_key].block(block_id)
         if block.is_bad:
             return  # already retired (e.g. a second failure raced in)
-        self._condemned.add(key)
-        self._condemn_queue.setdefault(lun_key, []).append(block_id)
+        job = _Evacuation(lun_key, block_id, stream=self._gc_stream, retire=True)
+        self.evacuating[key] = job
+        self._condemn_queue.setdefault(lun_key, []).append(job)
         self._pump_condemn(lun_key)
+
+    def debt(self) -> int:
+        """Blocks the collector owes a relocation job, each counted once:
+        the running job of every LUN plus the queued condemnations."""
+        return len(self.active_jobs) + sum(
+            len(queue) for queue in self._condemn_queue.values()
+        )
 
     def _pump_condemn(self, lun_key: tuple[int, int]) -> None:
         if lun_key in self.active_jobs:
@@ -354,28 +366,20 @@ class GarbageCollector:
         queue = self._condemn_queue.get(lun_key)
         if not queue:
             return
-        block_id = queue.pop(0)
-        lun = self.controller.array.luns[lun_key]
-        job = _GcJob(lun_key, block_id, retire=True)
+        job = queue.pop(0)
         self.active_jobs[lun_key] = job
-        block = lun.block(block_id)
+        block = self.controller.array.luns[lun_key].block(job.block_id)
         live_pages = block.live_page_indexes()
         self.controller.tracer.record(
             self.controller.sim.now,
             "controller",
             "gc-condemn",
-            f"draining (c{lun_key[0]},l{lun_key[1]},b{block_id}) "
+            f"draining (c{lun_key[0]},l{lun_key[1]},b{job.block_id}) "
             f"live={len(live_pages)}",
         )
-        if not live_pages:
-            self._retire_block(job)
-            return
-        job.pending_relocations = len(live_pages)
-        for page_index in live_pages:
-            source = PhysicalAddress(lun_key[0], lun_key[1], block_id, page_index)
-            self._relocate_by_read_program(job, source)
+        self._evacuate(job, live_pages)
 
-    def _retire_block(self, job: _GcJob) -> None:
+    def _retire_block(self, job: _Evacuation) -> None:
         lun_key, block_id = job.lun_key, job.block_id
         controller = self.controller
         lun = controller.array.luns[lun_key]
@@ -384,7 +388,7 @@ class GarbageCollector:
         lun.retire_block(block_id)
         controller.array.retired_blocks += 1
         self.active_jobs.pop(lun_key, None)
-        self._condemned.discard((lun_key, block_id))
+        self.evacuating.pop((lun_key, block_id), None)
         self.condemned_retirements += 1
         controller.tracer.record(
             controller.sim.now,
@@ -401,83 +405,124 @@ class GarbageCollector:
         self.maybe_trigger(lun_key)
 
     # ------------------------------------------------------------------
+    # Static-WL migration (the wear leveler decides which block)
+    # ------------------------------------------------------------------
+    def migrate(self, lun_key: tuple[int, int], block_id: int) -> None:
+        """Move a young block's (cold) live data to old blocks, then
+        erase it so hot writes can use it."""
+        job = _Evacuation(
+            lun_key,
+            block_id,
+            on_erased=self._migrated,
+            source=CommandSource.WEAR_LEVELING,
+            stream="wl_cold",
+            on_page=self._page_migrated,
+        )
+        self.evacuating[(lun_key, block_id)] = job
+        block = self.controller.array.luns[lun_key].block(block_id)
+        live_pages = block.live_page_indexes()
+        self.controller.tracer.record(
+            self.controller.sim.now,
+            "controller",
+            "wl-start",
+            f"young block (c{lun_key[0]},l{lun_key[1]},b{block_id}) "
+            f"erases={block.erase_count} live={len(live_pages)}",
+        )
+        self._evacuate(job, live_pages)
+
+    def _page_migrated(self, live: bool, content: tuple[int, int]) -> None:
+        if live and content[0] >= 0:
+            # Migrated data is cold by assumption (paper, option 1).
+            self.controller.temperature.mark_cold(content[0])
+        self.controller.wear_leveler.migrated_pages += 1
+
+    def _migrated(self, job: _Evacuation) -> None:
+        self.controller.tracer.record(
+            self.controller.sim.now,
+            "controller",
+            "wl-done",
+            f"freed (c{job.lun_key[0]},l{job.lun_key[1]},b{job.block_id})",
+        )
+
+    # ------------------------------------------------------------------
     # Job execution
     # ------------------------------------------------------------------
     def _start_job(
-        self, lun_key: tuple[int, int], lun: Lun, victim_id: int, cross_lun: bool
+        self, lun_key: tuple[int, int], lun: Lun, victim_id: int, rebalance: bool = False
     ) -> None:
-        job = _GcJob(lun_key, victim_id, cross_lun=cross_lun)
-        self.active_jobs[lun_key] = job
-        block = lun.block(victim_id)
-        live_pages = block.live_page_indexes()
+        if rebalance:
+            job = _Evacuation(lun_key, victim_id, self._collected, stream="rebalance")
+        else:
+            job = _Evacuation(
+                lun_key,
+                victim_id,
+                self._collected,
+                stream=self._gc_stream,
+                copyback=self.use_copyback,
+            )
+        self.active_jobs[lun_key] = self.evacuating[(lun_key, victim_id)] = job
+        live_pages = lun.block(victim_id).live_page_indexes()
         self.controller.tracer.record(
             self.controller.sim.now,
             "controller",
             "gc-start",
             f"victim (c{lun_key[0]},l{lun_key[1]},b{victim_id}) "
-            f"live={len(live_pages)}{' rebalance' if cross_lun else ''}",
+            f"live={len(live_pages)}{' rebalance' if rebalance else ''}",
         )
-        if not live_pages:
-            self._issue_erase(job)
-            return
-        job.pending_relocations = len(live_pages)
-        for page_index in live_pages:
-            source = PhysicalAddress(lun_key[0], lun_key[1], victim_id, page_index)
-            if self.use_copyback and not cross_lun:
-                self._relocate_by_copyback(job, source)
-            else:
-                self._relocate_by_read_program(job, source)
+        self._evacuate(job, live_pages)
 
-    def _relocate_by_copyback(self, job: _GcJob, source: PhysicalAddress) -> None:
-        cmd = FlashCommand(
-            CommandKind.COPYBACK,
-            CommandSource.GC,
-            source,
-            stream="gc",
-            context=job,
-            on_complete=self._copyback_done,
-        )
-        self.controller.enqueue_command(cmd)
+    def _evacuate(self, job: _Evacuation, live_pages: list[int]) -> None:
+        """Relocate ``live_pages`` of the job's block, or finish the job
+        at once when there are none."""
+        if not live_pages:
+            self._finish(job)
+            return
+        job.pending = len(live_pages)
+        if job.copyback:
+            kind, stream, done = CommandKind.COPYBACK, "gc", self._copyback_done
+        else:
+            kind, stream, done = CommandKind.READ, "default", self._relocation_read_done
+        channel, lun = job.lun_key
+        enqueue = self.controller.enqueue_command
+        for page_index in live_pages:
+            enqueue(
+                FlashCommand(
+                    kind,
+                    job.source,
+                    PhysicalAddress(channel, lun, job.block_id, page_index),
+                    stream=stream,
+                    context=job,
+                    on_complete=done,
+                )
+            )
 
     def _copyback_done(self, cmd: FlashCommand) -> None:
         assert cmd.target_address is not None and cmd.content is not None
         self.copyback_relocations += 1
         self._relocation_done(cmd.context, cmd.content, cmd.address, cmd.target_address)
 
-    def _relocate_by_read_program(self, job: _GcJob, source: PhysicalAddress) -> None:
-        cmd = FlashCommand(
-            CommandKind.READ,
-            CommandSource.GC,
-            source,
-            context=job,
-            on_complete=self._relocation_read_done,
-        )
-        self.controller.enqueue_command(cmd)
-
     def _relocation_read_done(self, cmd: FlashCommand) -> None:
         assert cmd.content is not None
         job = cmd.context
-        if job.cross_lun:
-            # Balancing eviction: the data must leave this LUN.  Stream
-            # "rebalance" is not reserve-exempt, so other LUNs keep their
-            # GC headroom.
-            lun_key = self.controller.allocator.place_internal(
-                "rebalance", exclude=job.lun_key
-            )
-            stream = "rebalance"
-        elif self.same_lun:
+        stream = job.stream
+        if stream is None:
             lun_key = cmd.lun_key
             stream = self.controller.allocator.gc_stream_for(cmd.content[0])
         else:
-            lun_key, stream = self.controller.allocator.place_internal("gc"), "gc"
+            # A balancing eviction must leave this LUN.  Stream
+            # "rebalance" is not reserve-exempt, so other LUNs keep their
+            # GC headroom.
+            lun_key = self.controller.allocator.place_internal(
+                stream, exclude=job.lun_key if stream == "rebalance" else None
+            )
         program = FlashCommand(
             CommandKind.PROGRAM,
-            CommandSource.GC,
+            job.source,
             PhysicalAddress(lun_key[0], lun_key[1], -1, -1),
             lpn=cmd.content[0],
             content=cmd.content,
             stream=stream,
-            context=(cmd.context, cmd.address),
+            context=(job, cmd.address),
             on_complete=self._relocation_program_done,
         )
         self.controller.enqueue_command(program)
@@ -489,25 +534,28 @@ class GarbageCollector:
 
     def _relocation_done(
         self,
-        job: _GcJob,
+        job: _Evacuation,
         content: tuple[int, int],
         old_address: PhysicalAddress,
         new_address: PhysicalAddress,
     ) -> None:
-        self.controller.ftl.on_relocation(content, old_address, new_address)
-        self.relocated_pages += 1
-        job.pending_relocations -= 1
-        if job.pending_relocations == 0:
-            if job.retire:
-                self._retire_block(job)
-            else:
-                self._issue_erase(job)
+        live = self.controller.ftl.on_relocation(content, old_address, new_address)
+        if job.on_page is None:
+            self.relocated_pages += 1
+        else:
+            job.on_page(live, content)
+        job.pending -= 1
+        if job.pending == 0:
+            self._finish(job)
 
-    def _issue_erase(self, job: _GcJob) -> None:
-        job.erase_issued = True
+    def _finish(self, job: _Evacuation) -> None:
+        """Retire the emptied block or erase it."""
+        if job.retire:
+            self._retire_block(job)
+            return
         cmd = FlashCommand(
             CommandKind.ERASE,
-            CommandSource.GC,
+            job.source,
             PhysicalAddress(job.lun_key[0], job.lun_key[1], job.block_id, 0),
             context=job,
             on_complete=self._erase_done,
@@ -516,6 +564,10 @@ class GarbageCollector:
 
     def _erase_done(self, cmd: FlashCommand) -> None:
         job = cmd.context
+        self.evacuating.pop((job.lun_key, job.block_id), None)
+        job.on_erased(job)
+
+    def _collected(self, job: _Evacuation) -> None:
         self.active_jobs.pop(job.lun_key, None)
         self.collected_blocks += 1
         self.controller.tracer.record(
@@ -529,7 +581,7 @@ class GarbageCollector:
         self._pump_condemn(job.lun_key)
         # The LUN may still be below the watermark: chain the next job.
         self.maybe_trigger(job.lun_key)
-        if job.cross_lun:
+        if job.stream == "rebalance":
             # The device-wide rebalancing slot is free again: other LUNs
             # may have been waiting for it.
             for lun_key in self.controller.array.luns:

@@ -16,9 +16,10 @@ Three responsibilities:
   cost, exactly like a full NVMe submission queue.
 * **Degraded mode**: crossing the queue-depth watermark
   (``degraded_enter_pending``) or the GC-debt watermark
-  (``gc_debt_watermark`` concurrent GC jobs) enters a degraded state
-  that sheds low-priority IOs and rate-limits admission until the
-  backlog drains to the exit watermark.  Time spent degraded and every
+  (``gc_debt_watermark`` blocks, counted by
+  :meth:`~repro.controller.gc.GarbageCollector.debt`) enters a
+  degraded state that sheds low-priority IOs and rate-limits admission
+  until the backlog drains to the exit watermark.  Time spent degraded and every
   entry are counted.
 * **Command timeouts** (:meth:`arm_timeout`): an application command
   still queued ``command_timeout_ns`` after enqueue is aborted -- it is
@@ -134,10 +135,6 @@ class OverloadGovernor:
     # ------------------------------------------------------------------
     # Degraded mode
     # ------------------------------------------------------------------
-    def _gc_debt(self) -> int:
-        gc = self.controller.gc
-        return len(gc.active_jobs) + len(gc._condemned)
-
     def _update_degraded(self, pending: int) -> None:
         cfg = self.config
         over = (
@@ -145,7 +142,7 @@ class OverloadGovernor:
             and pending >= cfg.degraded_enter_pending
         ) or (
             cfg.gc_debt_watermark is not None
-            and self._gc_debt() >= cfg.gc_debt_watermark
+            and self.controller.gc.debt() >= cfg.gc_debt_watermark
         )
         if not self.degraded:
             if over:
@@ -161,7 +158,7 @@ class OverloadGovernor:
             and pending <= cfg.exit_pending()
             and (
                 cfg.gc_debt_watermark is None
-                or self._gc_debt() < cfg.gc_debt_watermark
+                or self.controller.gc.debt() < cfg.gc_debt_watermark
             )
         )
         if recovered:

@@ -10,9 +10,12 @@ very long time, and can target them for static wear leveling."
 Static WL is implemented here: every ``check_interval_erases`` block
 erases the module scans for blocks whose erase count lies well below the
 average and which have not been erased for several average erase
-intervals.  The live (hence cold) data of such a block is migrated to an
-*old* block -- the pages are reported to the temperature module as cold
--- and the young block is erased, making it available to hot writes.
+intervals.  The module only decides: it hands each such block to
+:meth:`repro.controller.gc.GarbageCollector.migrate`, whose evacuation
+job -- the one every GC kind runs on -- moves the live (hence cold) data
+to an *old* block, reports the pages to the temperature module as cold,
+and erases the young block, making it available to hot writes.  At most
+``max_concurrent_migrations`` such jobs run at once.
 
 Dynamic WL -- handing young free blocks to hot streams and old free
 blocks to cold streams -- lives in the allocator's free-block selection
@@ -26,22 +29,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.hardware.addresses import PhysicalAddress, iter_luns
-from repro.hardware.commands import CommandKind, CommandSource, FlashCommand
+from repro.hardware.addresses import iter_luns
+from repro.hardware.commands import CommandSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controller.controller import SsdController
-
-
-class _Migration:
-    """One in-progress static-WL migration of one young block."""
-
-    __slots__ = ("lun_key", "block_id", "pending")
-
-    def __init__(self, lun_key: tuple[int, int], block_id: int):
-        self.lun_key = lun_key
-        self.block_id = block_id
-        self.pending = 0
 
 
 class WearLeveler:
@@ -55,7 +47,6 @@ class WearLeveler:
         #: not starve later LUNs of migrations.
         self._scan_rotation = 0
         self.total_erases = 0
-        self.active: dict[tuple[tuple[int, int], int], _Migration] = {}
         self.migrations_started = 0
         self.migrated_pages = 0
 
@@ -95,8 +86,13 @@ class WearLeveler:
         lun_keys = list(iter_luns(geometry))
         start = self._scan_rotation % len(lun_keys)
         self._scan_rotation += 1
+        gc = self.controller.gc
+        cap = self.config.max_concurrent_migrations
+        migrating = sum(
+            job.source is CommandSource.WEAR_LEVELING for job in gc.evacuating.values()
+        )
         for offset in range(len(lun_keys)):
-            if len(self.active) >= self.config.max_concurrent_migrations:
+            if migrating >= cap:
                 return
             lun_key = lun_keys[(start + offset) % len(lun_keys)]
             lun = array.luns[lun_key]
@@ -117,92 +113,13 @@ class WearLeveler:
             for block_id in self.controller.allocator.open_block_ids(lun_key):
                 mask[block_id] = False
             for block_id in np.nonzero(mask)[0].tolist():
-                if (lun_key, block_id) in self.active:
+                if (lun_key, block_id) in gc.evacuating:
                     continue
-                if self.controller.gc_is_collecting(lun_key, block_id):
-                    continue
-                self._migrate(lun_key, block_id)
-                if len(self.active) >= self.config.max_concurrent_migrations:
+                self.migrations_started += 1
+                gc.migrate(lun_key, block_id)
+                migrating += 1
+                if migrating >= cap:
                     return
-
-    def _migrate(self, lun_key: tuple[int, int], block_id: int) -> None:
-        migration = _Migration(lun_key, block_id)
-        self.active[(lun_key, block_id)] = migration
-        self.migrations_started += 1
-        lun = self.controller.array.luns[lun_key]
-        block = lun.block(block_id)
-        live_pages = block.live_page_indexes()
-        self.controller.tracer.record(
-            self.controller.sim.now,
-            "controller",
-            "wl-start",
-            f"young block (c{lun_key[0]},l{lun_key[1]},b{block_id}) "
-            f"erases={block.erase_count} live={len(live_pages)}",
-        )
-        migration.pending = len(live_pages)
-        if not live_pages:
-            self._issue_erase(migration)
-            return
-        for page_index in live_pages:
-            source = PhysicalAddress(lun_key[0], lun_key[1], block_id, page_index)
-            cmd = FlashCommand(
-                CommandKind.READ,
-                CommandSource.WEAR_LEVELING,
-                source,
-                context=migration,
-                on_complete=self._read_done,
-            )
-            self.controller.enqueue_command(cmd)
-
-    def _read_done(self, cmd: FlashCommand) -> None:
-        assert cmd.content is not None
-        lun_key = self.controller.allocator.place_internal("wl_cold")
-        program = FlashCommand(
-            CommandKind.PROGRAM,
-            CommandSource.WEAR_LEVELING,
-            PhysicalAddress(lun_key[0], lun_key[1], -1, -1),
-            lpn=cmd.content[0],
-            content=cmd.content,
-            stream="wl_cold",
-            context=(cmd.context, cmd.address),
-            on_complete=self._program_done,
-        )
-        self.controller.enqueue_command(program)
-
-    def _program_done(self, cmd: FlashCommand) -> None:
-        migration, source = cmd.context
-        assert cmd.content is not None
-        live = self.controller.ftl.on_relocation(cmd.content, source, cmd.address)
-        if live and cmd.content[0] >= 0:
-            # Migrated data is cold by assumption (paper, option 1).
-            self.controller.temperature.mark_cold(cmd.content[0])
-        self.migrated_pages += 1
-        migration.pending -= 1
-        if migration.pending == 0:
-            self._issue_erase(migration)
-
-    def _issue_erase(self, migration: _Migration) -> None:
-        cmd = FlashCommand(
-            CommandKind.ERASE,
-            CommandSource.WEAR_LEVELING,
-            PhysicalAddress(
-                migration.lun_key[0], migration.lun_key[1], migration.block_id, 0
-            ),
-            context=migration,
-            on_complete=self._erase_done,
-        )
-        self.controller.enqueue_command(cmd)
-
-    def _erase_done(self, cmd: FlashCommand) -> None:
-        migration = cmd.context
-        self.active.pop((migration.lun_key, migration.block_id), None)
-        self.controller.tracer.record(
-            self.controller.sim.now,
-            "controller",
-            "wl-done",
-            f"freed (c{migration.lun_key[0]},l{migration.lun_key[1]},"
-            f"b{migration.block_id})",
-        )
 
     # ------------------------------------------------------------------
     # Reporting

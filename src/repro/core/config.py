@@ -583,7 +583,7 @@ class OverloadConfig:
     * **Device admission & degraded mode** -- ``device_queue_bound``
       caps total pending flash commands; past it the controller busies
       new IOs.  Crossing ``degraded_enter_pending`` queued commands or
-      ``gc_debt_watermark`` concurrent GC jobs enters *degraded mode*,
+      ``gc_debt_watermark`` blocks of GC debt enters *degraded mode*,
       which sheds IOs whose priority hint exceeds
       ``shed_priority_threshold`` and enforces a minimum virtual-time
       gap of ``degraded_admission_gap_ns`` between admissions until the
@@ -633,8 +633,10 @@ class OverloadConfig:
     #: Pending flash commands at which degraded mode exits; ``None``
     #: derives half of ``degraded_enter_pending``.
     degraded_exit_pending: Optional[int] = None
-    #: Concurrent GC jobs at which the controller enters degraded mode
-    #: (GC debt); ``None`` disables the GC trigger.
+    #: GC debt at which the controller enters degraded mode: blocks with
+    #: a running collection, rebalancing or condemnation job plus queued
+    #: condemnations, each block counted once; ``None`` disables the GC
+    #: trigger.
     gc_debt_watermark: Optional[int] = None
     #: Degraded mode: minimum virtual-time gap between admitted IOs
     #: (rate limiting); 0 disables the throttle.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Callable, Optional
+from typing import Callable
 
 from repro import FtlKind, Simulation, small_config
 from repro.core import units
@@ -59,12 +59,11 @@ class _ListWriter(GeneratorThread):
 
     def __init__(self, name: str, lpns: list[int], rounds: int, depth: int = 8):
         super().__init__(name, depth=depth)
-        self.ops = [lpn for _ in range(rounds) for lpn in lpns]
+        self._lpns = iter([lpn for _ in range(rounds) for lpn in lpns])
 
     def next_io(self, ctx):
-        if not self.ops:
-            return None
-        return (IoType.WRITE, self.ops.pop(0), None)
+        lpn = next(self._lpns, None)
+        return None if lpn is None else (IoType.WRITE, lpn, None)
 
 
 def _base(seed: int = 7) -> SimulationConfig:
@@ -173,9 +172,8 @@ def run_scenario(name: str) -> dict[str, object]:
     simulation = Simulation(config)
     fill = precondition_sequential(config.logical_pages)
     simulation.add_thread(fill)
-    depends_on: Optional[list[str]] = [fill.name]
     for thread in make_threads(config.logical_pages):
-        simulation.add_thread(thread, depends_on=depends_on)
+        simulation.add_thread(thread, depends_on=[fill.name])
     result = simulation.run()
     assert not result.incomplete, f"{name} left outstanding IOs"
     controller = simulation.controller

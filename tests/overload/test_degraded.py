@@ -18,6 +18,7 @@ from repro.workloads.threads import GeneratorThread, Op
 from repro.workloads.trace_replay import generate_poisson_trace
 
 from tests.conftest import run_workload
+from tests.controller.conftest import ControllerHarness
 
 
 class PriorityWriter(GeneratorThread):
@@ -80,6 +81,30 @@ class TestWatermarks:
             precondition=True,
         )
         assert result.summary()["degraded_entries"] > 0
+
+
+    def test_draining_condemned_block_is_one_unit_of_gc_debt(self):
+        config = degraded_config(degraded_enter_pending=None, gc_debt_watermark=2)
+        harness = ControllerHarness(config)
+        for lpn in range(64):
+            harness.write(lpn)
+        harness.run()
+        controller = harness.controller
+        lun_key, lun = next(iter(controller.array.luns.items()))
+        open_ids = controller.allocator.open_block_ids(lun_key)
+        block_id = next(
+            block_id
+            for block_id, block in enumerate(lun.blocks)
+            if block.live_count > 0 and block_id not in open_ids
+        )
+        controller.gc.condemn(lun_key, block_id)
+        # One condemnation draining in the LUN's job slot: one job, one
+        # block, below a watermark of two.
+        harness.write(0)
+        assert controller.overload.degraded is False
+        assert controller.gc.debt() == 1
+        harness.run()
+        controller.check_invariants()
 
 
 class TestShedding:

@@ -59,6 +59,12 @@ CASES = {
         # 92.5 before the flash-command lifecycle rework.
         77.8,
     ),
+    "page_gc_write": (
+        FtlKind.PAGE,
+        lambda: RandomWriterThread("measured", count=2_000, depth=8),
+        2_000,
+        324.5,
+    ),
     "hybrid_write": (
         FtlKind.HYBRID,
         lambda: RandomWriterThread("measured", count=300, depth=32),

@@ -2,7 +2,8 @@
 
 ``.github/workflows/ci.yml`` lists the ``benchmarks/test_e*.py`` files
 explicitly, spread over three shards.  A new experiment file that no
-shard names, or a file named by two shards, fails here.
+shard names, a file named by two shards, or one that another job runs
+as well fails here.
 """
 
 import re
@@ -12,16 +13,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _claims_job() -> str:
+CLAIMS_FILE = r"benchmarks/test_e\d+_\w+\.py"
+
+
+def _jobs() -> dict[str, str]:
+    """Every CI job's text, by job name."""
     workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    start = workflow.index("\n  claims:\n")
-    following = re.search(r"\n  [\w-]+:\n", workflow[start + 1:])
-    return workflow[start: start + 1 + following.start()] if following else workflow[start:]
+    jobs_text = workflow[workflow.index("\njobs:\n"):]
+    heads = list(re.finditer(r"\n  ([\w-]+):\n", jobs_text))
+    ends = [head.start() for head in heads[1:]] + [len(jobs_text)]
+    return {head.group(1): jobs_text[head.start(): end] for head, end in zip(heads, ends)}
 
 
 def test_every_claims_file_runs_in_exactly_one_shard():
-    job = _claims_job()
-    listed = Counter(re.findall(r"benchmarks/test_e\d+_\w+\.py", job))
+    job = _jobs()["claims"]
+    listed = Counter(re.findall(CLAIMS_FILE, job))
     on_disk = {
         path.relative_to(ROOT).as_posix()
         for path in (ROOT / "benchmarks").glob("test_e*.py")
@@ -30,3 +36,12 @@ def test_every_claims_file_runs_in_exactly_one_shard():
     assert set(listed) == on_disk
     assert all(count == 1 for count in listed.values()), listed
     assert len(re.findall(r"- shard: \d+", job)) == 3
+
+
+def test_no_other_job_runs_a_claims_file():
+    elsewhere = {
+        name: re.findall(CLAIMS_FILE, text)
+        for name, text in _jobs().items()
+        if name != "claims"
+    }
+    assert not any(elsewhere.values()), elsewhere

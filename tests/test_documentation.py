@@ -36,6 +36,24 @@ class TestDesignDocument:
         for module in modules:
             importlib.import_module(module)
 
+    def test_layout_names_only_existing_modules(self):
+        block = _read("DESIGN.md").split("## 5. Repository layout")[1].split("```")[1]
+        lines = block.splitlines()
+        package, named = "", []
+        for line in lines[lines.index("src/repro/") + 1:]:
+            if not line.startswith(" "):
+                break
+            tokens = line.split()
+            if tokens[0].endswith("/"):
+                package, tokens = tokens[0], tokens[1:]
+            named += [package + token for token in tokens if token.endswith(".py")]
+        assert named, "DESIGN.md lost its source layout"
+        missing = [
+            name for name in named
+            if not os.path.exists(os.path.join(ROOT, "src", "repro", name))
+        ]
+        assert missing == []
+
     def test_experiments_document_covers_every_bench(self):
         experiments = _read("EXPERIMENTS.md")
         bench_files = sorted(
