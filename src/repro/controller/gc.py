@@ -480,7 +480,7 @@ class GarbageCollector:
         job.pending = len(live_pages)
         if job.copyback:
             kind, stream, done = CommandKind.COPYBACK, "gc", self._copyback_done
-        else:
+        else:  # a read binds no block: it keeps the command's default stream
             kind, stream, done = CommandKind.READ, "default", self._relocation_read_done
         channel, lun = job.lun_key
         enqueue = self.controller.enqueue_command
