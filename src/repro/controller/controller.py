@@ -284,9 +284,7 @@ class SsdController:
         # retransmitted.  The original callback then fires only when the
         # recovery path delivers a good copy.  Each physical attempt is
         # still recorded in the flash-command statistics below.
-        intercepted = self.reliability is not None and self.reliability.intercept_completion(
-            original, cmd
-        )
+        intercepted = self.reliability is not None and self.reliability.intercept_completion(cmd)
         if not intercepted and original is not None:
             original(cmd)
         # ``_name_`` is the enum's documented sunder attribute; ``.name``

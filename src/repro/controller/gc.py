@@ -115,7 +115,9 @@ class GarbageCollector:
         #: Proactive idle-time collection (0 disables).
         self.idle_target = config.gc_idle_target
         self.idle_threshold_ns = config.gc_idle_threshold_ns
-        self._idle_timers: dict[tuple[int, int], object] = {}
+        #: The arm token of each LUN's idle timer: a timer whose token is
+        #: not the current one is stale and returns when it fires.
+        self._idle_armed: dict[tuple[int, int], int] = {}
         self._last_app_activity: dict[tuple[int, int], int] = {}
         #: Every block being evacuated, by ``(lun_key, block_id)``.
         self.evacuating: dict[tuple[tuple[int, int], int], _Evacuation] = {}
@@ -252,27 +254,27 @@ class GarbageCollector:
         if self.idle_target <= 0 or self.controller.ftl.manages_physical_space:
             return
         self._last_app_activity[lun_key] = self.controller.sim.now
-        timer = self._idle_timers.get(lun_key)
-        if timer is not None and timer.pending:
-            timer.cancel()
-        self._idle_timers[lun_key] = self.controller.sim.schedule(
-            self.idle_threshold_ns, self._idle_check, lun_key
-        )
+        self._arm_idle_timer(lun_key)
 
-    def _idle_check(self, lun_key: tuple[int, int]) -> None:
-        if self.idle_target <= 0:
-            return
+    def _arm_idle_timer(self, lun_key: tuple[int, int]) -> None:
+        """Post the LUN's idle check one threshold from now; every timer
+        armed before it goes stale."""
+        token = self._idle_armed.get(lun_key, 0) + 1
+        self._idle_armed[lun_key] = token
+        self.controller.sim.post(self.idle_threshold_ns, self._idle_check, lun_key, token)
+
+    def _idle_check(self, lun_key: tuple[int, int], token: int) -> None:
+        if token != self._idle_armed.get(lun_key, 0):
+            return  # a later arm superseded this timer
         now = self.controller.sim.now
         last = self._last_app_activity.get(lun_key, 0)
         if now - last < self.idle_threshold_ns:
-            return  # a fresher timer exists
+            return  # the timer that activity armed checks later
         lun = self.controller.array.luns[lun_key]
         if lun.is_busy or self._has_pending_app_work(lun_key):
             # Not actually idle: the backlog keeps the LUN occupied.
             # Try again one threshold later.
-            self._idle_timers[lun_key] = self.controller.sim.schedule(
-                self.idle_threshold_ns, self._idle_check, lun_key
-            )
+            self._arm_idle_timer(lun_key)
             return
         if len(lun.free_block_ids) >= self.idle_target:
             return
@@ -587,5 +589,9 @@ class GarbageCollector:
             for lun_key in self.controller.array.luns:
                 self.maybe_trigger(lun_key)
         if self.idle_target > 0:
-            # Chain proactive collection while the LUN stays idle.
-            self.controller.sim.post(0, self._idle_check, job.lun_key)
+            # Chain proactive collection while the LUN stays idle.  The
+            # check shares the pending timer's token: a busy LUN re-arms
+            # and so retires that timer instead of adding a second poll.
+            self.controller.sim.post(
+                0, self._idle_check, job.lun_key, self._idle_armed.get(job.lun_key, 0)
+            )

@@ -11,10 +11,6 @@ What is guarded, and where:
 
 * **virtual-time monotonicity** -- the engine verifies that no event
   fires before the current virtual time (``repro.core.engine``);
-* **event-handle accounting** -- at queue drain, every
-  :class:`~repro.core.engine.EventHandle` must have fired or been
-  cancelled; a handle left dangling means the heap and the handle
-  bookkeeping diverged (``Simulator.drain_check``);
 * **erase-before-program page state machine** -- blocks verify their
   page states and live/dead counters stay consistent on every program,
   invalidate and erase (``repro.hardware.flash``);

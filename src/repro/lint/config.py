@@ -43,7 +43,6 @@ RULE_EXEMPT_FRAGMENTS: Mapping[str, tuple[str, ...]] = MappingProxyType({
     # polling).
     "SIM002": ("core/parallel.py", "service/"),
     "SIM004": (),
-    "SIM005": (),
     "SIM006": (),
     "SIM007": (),
     # Host-side entry points may read the environment; the simulator

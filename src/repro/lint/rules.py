@@ -1,7 +1,9 @@
 """The simlint rule set (SIM001..SIM009).
 
 Each rule targets a concrete way a change can silently break the
-simulator's determinism or its virtual-time model:
+simulator's determinism or its virtual-time model.  SIM005
+(``discarded-handle``) is retired with the engine's cancellable
+handles; its id stays unused.
 
 ========  ======================  ==============================================
 id        name                    hazard
@@ -15,8 +17,6 @@ SIM003    ordered-iteration       iterating a set (or bare dict view) on a
                                   hash seeds / insertion history
 SIM004    no-unpicklable-runspec  lambdas in ``RunSpec``/``Parameter`` break
                                   the process-pool sweep executor
-SIM005    discarded-handle        ``schedule()`` returns an EventHandle; if it
-                                  is discarded the cheaper ``post()`` belongs
 SIM006    no-mutable-module-state module-level mutable containers persist
                                   across Simulations in one process
 SIM007    no-float-time-literal   float delays break the integer-nanosecond
@@ -29,7 +29,7 @@ SIM009    no-id-ordering          ``id()``/``hash()`` as ordering keys vary
 Rules here are intentionally shallow: one ``ast`` pass, no type
 inference beyond the same-file container-kind table in
 :class:`repro.lint.framework.LintContext`.  False positives are handled
-with ``# simlint: disable=SIMxxx -- why`` at the site.  The
+with a ``simlint: disable`` comment and a justification at the site.  The
 cross-module dataflow rules (SIM010 and SIM012) live in
 :mod:`repro.lint.rules_dataflow`; this module composes the registry.
 """
@@ -347,35 +347,6 @@ class NoUnpicklableRunspec(Rule):
 
 
 # ---------------------------------------------------------------------------
-# SIM005
-# ---------------------------------------------------------------------------
-
-class DiscardedHandle(Rule):
-    id = "SIM005"
-    name = "discarded-handle"
-    description = (
-        "schedule()/schedule_at() result discarded; if the EventHandle is "
-        "never used, post()/post_at() is the fire-and-forget idiom"
-    )
-
-    def check(self, context: LintContext) -> Iterator[Violation]:
-        for node in ast.walk(context.tree):
-            if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
-                continue
-            call = node.value
-            name = _call_name(call)
-            if name not in ("schedule", "schedule_at"):
-                continue
-            replacement = "post()" if name == "schedule" else "post_at()"
-            yield self.violation(
-                context,
-                call,
-                f"{name}() returns an EventHandle that is discarded here; "
-                f"use {replacement} (cheaper, no cancellation bookkeeping)",
-            )
-
-
-# ---------------------------------------------------------------------------
 # SIM006
 # ---------------------------------------------------------------------------
 
@@ -433,7 +404,8 @@ class NoMutableModuleState(Rule):
 # SIM007
 # ---------------------------------------------------------------------------
 
-_TIME_ARG_CALLS = frozenset({"schedule", "schedule_at", "post", "post_at"})
+#: ``schedule`` is ``ThreadContext.schedule``, which posts to the engine.
+_TIME_ARG_CALLS = frozenset({"schedule", "post", "post_at"})
 
 
 class NoFloatTimeLiteral(Rule):
@@ -554,7 +526,6 @@ ALL_RULES: tuple[Rule, ...] = (
     NoWallclock(),
     OrderedIteration(),
     NoUnpicklableRunspec(),
-    DiscardedHandle(),
     NoMutableModuleState(),
     NoFloatTimeLiteral(),
     NoEnvironInSim(),

@@ -49,7 +49,7 @@ Two modelling simplifications, both documented where they bite:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -165,11 +165,10 @@ class ParityTracker:
 class _Rebuild:
     """One in-progress parity reconstruction of one failed read."""
 
-    __slots__ = ("cmd", "original", "pending")
+    __slots__ = ("cmd", "pending")
 
-    def __init__(self, cmd: FlashCommand, original: Optional[Callable]):
+    def __init__(self, cmd: FlashCommand):
         self.cmd = cmd
-        self.original = original
         self.pending = 0
 
 
@@ -196,8 +195,7 @@ class ReliabilityManager:
         self._forced_reads = dict(plan.read_corruptions) if plan else {}
         self._erase_attempts: dict[tuple[int, int, int], int] = {}
         self._program_attempts: dict[tuple[int, int, int], int] = {}
-        #: Command ids of raw peer reads issued for parity rebuilds.
-        self._peer_reads: set[int] = set()
+        #: Raw peer reads issued for parity rebuilds: command id -> rebuild.
         self._peer_owner: dict[int, _Rebuild] = {}
         #: Failing-command id -> rebuild state.
         self._rebuilds: dict[int, _Rebuild] = {}
@@ -259,7 +257,7 @@ class ReliabilityManager:
 
         Peer reads of an ongoing rebuild are raw reads and keep SUCCESS.
         """
-        if cmd.id in self._peer_reads:
+        if cmd.id in self._peer_owner:
             return
         if cmd.lpn is not None and self._forced_reads.get(cmd.lpn, 0) > 0:
             cmd.outcome = CommandOutcome.UNCORRECTABLE
@@ -340,17 +338,18 @@ class ReliabilityManager:
     # ------------------------------------------------------------------
     # Completion-funnel interception
     # ------------------------------------------------------------------
-    def intercept_completion(self, original: Optional[Callable], cmd: FlashCommand) -> bool:
+    def intercept_completion(self, cmd: FlashCommand) -> bool:
         """React to a command's outcome.
 
         Returns True when the manager consumed the completion: the
-        original callback is deferred (a retry, rebuild or retransmitted
-        program will deliver it later) and the caller must not invoke it.
+        command's ``on_complete`` is deferred (a retry, rebuild or
+        retransmitted program will deliver it later) and the caller must
+        not invoke it.
         Returns False for normal delivery (possibly after mutating the
         command/IO state, e.g. marking data loss).
         """
         if cmd.kind is CommandKind.READ:
-            if cmd.id in self._peer_reads:
+            if cmd.id in self._peer_owner:
                 return False  # its own on_complete is the rebuild bookkeeping
             if cmd.outcome is CommandOutcome.CORRECTED:
                 self.corrected_reads += 1
@@ -358,23 +357,23 @@ class ReliabilityManager:
                 return False
             if cmd.outcome is CommandOutcome.UNCORRECTABLE:
                 if cmd.retry_index < self.ecc.max_retries:
-                    self._retry_read(original, cmd)
+                    self._retry_read(cmd)
                     return True
                 if self.parity is not None:
-                    self._start_rebuild(original, cmd)
+                    self._start_rebuild(cmd)
                     return True
                 self._final_uncorrectable(cmd)
                 return False
             return False
         if cmd.kind is CommandKind.PROGRAM and cmd.outcome is CommandOutcome.PROGRAM_FAIL:
-            self._handle_program_fail(original, cmd)
+            self._handle_program_fail(cmd)
             return True
         return False
 
     # ------------------------------------------------------------------
     # Read retry ladder
     # ------------------------------------------------------------------
-    def _retry_read(self, original: Optional[Callable], cmd: FlashCommand) -> None:
+    def _retry_read(self, cmd: FlashCommand) -> None:
         """Re-issue a failed read one step up the retry ladder.
 
         The clone keeps the source/stream/priority of the original so
@@ -389,7 +388,7 @@ class ReliabilityManager:
             lpn=cmd.lpn,
             priority=cmd.priority,
             stream=cmd.stream,
-            on_complete=original,
+            on_complete=cmd.on_complete,
             io=cmd.io,
             context=cmd.context,
         )
@@ -424,14 +423,14 @@ class ReliabilityManager:
     # ------------------------------------------------------------------
     # Parity rebuild
     # ------------------------------------------------------------------
-    def _start_rebuild(self, original: Optional[Callable], cmd: FlashCommand) -> None:
+    def _start_rebuild(self, cmd: FlashCommand) -> None:
         """Reconstruct an uncorrectable page from its channel stripe.
 
         Issues one raw read per programmed stripe peer; the failed read
         completes (outcome REBUILT) once the last peer arrives, so the
         rebuild's latency is the peers' real queueing + service time.
         """
-        rebuild = _Rebuild(cmd, original)
+        rebuild = _Rebuild(cmd)
         address = cmd.address
         array = self.controller.array
         peers: list[PhysicalAddress] = []
@@ -473,12 +472,10 @@ class ReliabilityManager:
                 stream=cmd.stream,
                 on_complete=self._peer_read_done,
             )
-            self._peer_reads.add(peer.id)
             self._peer_owner[peer.id] = rebuild
             self.controller.enqueue_command(peer)
 
     def _peer_read_done(self, peer: FlashCommand) -> None:
-        self._peer_reads.discard(peer.id)
         rebuild = self._peer_owner.pop(peer.id)
         rebuild.pending -= 1
         if rebuild.pending == 0:
@@ -489,13 +486,13 @@ class ReliabilityManager:
         self._rebuilds.pop(cmd.id, None)
         cmd.outcome = CommandOutcome.REBUILT
         self._note("rebuilt", f"{cmd.address} lpn={cmd.lpn}")
-        if rebuild.original is not None:
-            rebuild.original(cmd)
+        if cmd.on_complete is not None:
+            cmd.on_complete(cmd)
 
     # ------------------------------------------------------------------
     # Program failure: condemn + retransmit
     # ------------------------------------------------------------------
-    def _handle_program_fail(self, original: Optional[Callable], cmd: FlashCommand) -> None:
+    def _handle_program_fail(self, cmd: FlashCommand) -> None:
         """The array reported a failed program status.
 
         The page's content is suspect: invalidate it, condemn the block
@@ -522,7 +519,7 @@ class ReliabilityManager:
             content=cmd.content,
             priority=cmd.priority,
             stream=cmd.stream,
-            on_complete=original,
+            on_complete=cmd.on_complete,
             io=cmd.io,
             context=cmd.context,
         )
@@ -532,9 +529,9 @@ class ReliabilityManager:
     # Invariants (quiescent-state checks for the test suite)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        if self._rebuilds or self._peer_reads or self._peer_owner:
+        if self._rebuilds or self._peer_owner:
             raise AssertionError(
-                f"{len(self._rebuilds)} rebuilds / {len(self._peer_reads)} "
+                f"{len(self._rebuilds)} rebuilds / {len(self._peer_owner)} "
                 "peer reads still pending at quiescence"
             )
         if self.max_retry_index_seen > self.ecc.max_retries:

@@ -104,8 +104,6 @@ class GeneratorThread(Thread):
     def on_io_completed(self, ctx: ThreadContext, io: IoRequest) -> None:
         self.in_flight -= 1
         if self.think_time_ns > 0:
-            # simlint: disable=SIM005 -- ThreadContext.schedule is already
-            # fire-and-forget (it posts internally and returns None).
             ctx.schedule(self.think_time_ns, self._pump, ctx)
         else:
             self._pump(ctx)
@@ -134,8 +132,6 @@ class GeneratorThread(Thread):
                     self._deferred = op
                     if not self._retry_armed:
                         self._retry_armed = True
-                        # simlint: disable=SIM005 -- ThreadContext.schedule
-                        # is already fire-and-forget.
                         ctx.schedule(
                             self.backpressure_retry_ns, self._retry_deferred, ctx
                         )

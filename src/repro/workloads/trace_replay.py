@@ -141,8 +141,6 @@ class TraceReplayThread(GeneratorThread):
         assert self._start_ns is not None
         record = self.trace[self._cursor]
         due = self._start_ns + record.time_ns
-        # simlint: disable=SIM005 -- ThreadContext.schedule is already
-        # fire-and-forget (it posts internally and returns None).
         ctx.schedule(max(0, due - ctx.now), self._fire, ctx)
 
     def _fire(self, ctx: ThreadContext) -> None:

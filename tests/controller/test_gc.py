@@ -170,20 +170,22 @@ class TestVictimPolicies:
 
 class TestRebalancing:
     def test_stripe_hotspot_rebalances_instead_of_deadlocking(self):
-        """All writes hammer LPNs that stripe onto one LUN while that
-        LUN also holds cold data: rebalancing must keep things moving."""
+        """The sequential fill puts every ``luns``-th LPN on LUN 0;
+        rewriting that stripe round-robin piles live data onto the other
+        LUNs until one holds no block with a dead page.  Only a
+        rebalancing job can free space there, and it must run.  (A STRIPE
+        hotspot never gets there: each rewrite kills a page on the LUN
+        it lands on.)"""
         from repro.core.config import AllocationPolicy
 
         harness = gc_harness(
-            mutate=lambda c: setattr(c.controller, "allocation", AllocationPolicy.STRIPE)
+            mutate=lambda c: setattr(c.controller, "allocation", AllocationPolicy.ROUND_ROBIN)
         )
         pages = harness.config.logical_pages
         total_luns = harness.config.geometry.total_luns
-        # Fill everything once (cold data pinned by stripe)...
         for lpn in range(pages):
             harness.write(lpn)
         harness.run()
-        # ...then overwrite only LUN 0's stripe, repeatedly.
         lun0 = [lpn for lpn in range(pages) if lpn % total_luns == 0]
         for round_ in range(6):
             for lpn in lun0:
@@ -191,3 +193,32 @@ class TestRebalancing:
             harness.run()
         harness.controller.check_invariants()
         assert len(harness.completed) == pages + 6 * len(lun0)
+        assert harness.controller.gc.balancing_jobs > 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known stall: LEAST_QUEUED rewrites end with 7 commands queued "
+        "and 8/1/1/2 free blocks per LUN, after 16 rebalancing jobs",
+    )
+    def test_least_queued_rewrites_drain(self):
+        from repro import FtlKind, Simulation, small_config
+        from repro.core.config import AllocationPolicy
+        from repro.workloads import precondition_sequential
+
+        from tests.integration.golden_evacuation import _ListWriter
+
+        config = small_config(seed=7)
+        config.controller.ftl = FtlKind.DFTL
+        config.controller.allocation = AllocationPolicy.LEAST_QUEUED
+        config.controller.wear_leveling.enabled = False
+        simulation = Simulation(config)
+        fill = precondition_sequential(config.logical_pages)
+        simulation.add_thread(fill)
+        every_fourth = list(range(0, config.logical_pages, 4))
+        simulation.add_thread(
+            _ListWriter("rewrite", every_fourth, rounds=6, depth=32), depends_on=[fill.name]
+        )
+        result = simulation.run()
+        assert not result.incomplete, (
+            f"{simulation.controller.scheduler.total_pending()} commands still queued"
+        )

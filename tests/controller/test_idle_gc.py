@@ -97,6 +97,44 @@ class TestIdleCollection:
         dirty_then_idle(lazy, idle_ns=units.milliseconds(80))
         assert burst_mean_latency(eager) < burst_mean_latency(lazy)
 
+    def test_busy_chain_check_leaves_one_idle_poll_per_lun(self):
+        """A GC job's chain check that finds its LUN busy re-arms the
+        LUN's idle poll; the poll already pending must then go quiet,
+        or every such check adds one more polling chain to the LUN."""
+        threshold = units.microseconds(500)
+        harness = idle_harness(target=6, threshold_ns=threshold)
+        pages = harness.config.logical_pages
+        for lpn in range(pages):
+            harness.write(lpn)
+        harness.run()
+        for lpn in range(0, pages, 2):
+            harness.write(lpn)
+        harness.run()
+        sim, gc = harness.sim, harness.controller.gc
+        lun_key = (0, 0)
+        lun = harness.controller.array.luns[lun_key]
+        victim = gc._select_victim(lun_key, lun)
+        assert victim is not None
+        polls = []
+
+        def always_busy(key):
+            # Every live poll of an idle LUN now records itself and re-arms.
+            polls.append((key, sim.now))
+            return True
+
+        gc._has_pending_app_work = always_busy
+        gc.note_app_activity(lun_key)
+        # The first poll finds the LUN busy and re-arms one threshold on.
+        sim.run(until=sim.now + threshold * 3 // 2)
+        assert len(polls) == 1
+        gc._start_job(lun_key, lun, victim)
+        while lun_key in gc.active_jobs:
+            sim.run(max_events=1)
+        done = sim.now  # the job's chain check is queued at this instant
+        sim.run(until=done + 10 * threshold)
+        after = [time for key, time in polls if key == lun_key and time > done]
+        assert after == [done + k * threshold for k in range(1, 11)]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             idle_harness(target=-1)

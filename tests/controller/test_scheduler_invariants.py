@@ -126,7 +126,7 @@ def _run_checked(config, storm_iops: int) -> Simulation:
                 simulation.controller.scheduler, simulation.controller.array
             )
             check()
-        while sim.step():
+        while sim.run(max_events=1):
             check()
     scheduler = simulation.controller.scheduler
     assert scheduler.total_pending() == 0

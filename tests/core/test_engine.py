@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import repro
-from repro.core.engine import EventHandle, SimulationError, Simulator
+from repro.core.engine import SimulationError, Simulator
 
 
 class TestScheduling:
@@ -17,9 +17,9 @@ class TestScheduling:
     def test_events_fire_in_time_order(self):
         sim = Simulator()
         fired = []
-        sim.schedule(30, fired.append, 30)
-        sim.schedule(10, fired.append, 10)
-        sim.schedule(20, fired.append, 20)
+        sim.post(30, fired.append, 30)
+        sim.post(10, fired.append, 10)
+        sim.post(20, fired.append, 20)
         sim.run()
         assert fired == [10, 20, 30]
 
@@ -27,14 +27,14 @@ class TestScheduling:
         sim = Simulator()
         fired = []
         for tag in range(5):
-            sim.schedule(7, fired.append, tag)
+            sim.post(7, fired.append, tag)
         sim.run()
         assert fired == [0, 1, 2, 3, 4]
 
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
         seen = []
-        sim.schedule(42, lambda: seen.append(sim.now))
+        sim.post(42, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [42]
         assert sim.now == 42
@@ -42,22 +42,25 @@ class TestScheduling:
     def test_zero_delay_runs_after_current_instant_queue(self):
         sim = Simulator()
         fired = []
-        sim.schedule(5, fired.append, "first")
-        sim.schedule(5, lambda: sim.schedule(0, fired.append, "nested"))
-        sim.schedule(5, fired.append, "second")
+        sim.post(5, fired.append, "first")
+        sim.post(5, lambda: sim.post(0, fired.append, "nested"))
+        sim.post(5, fired.append, "second")
         sim.run()
         assert fired == ["first", "second", "nested"]
 
     def test_negative_delay_rejected(self):
+        sim = Simulator()
         with pytest.raises(ValueError):
-            Simulator().schedule(-1, lambda: None)
+            sim.post(-1, lambda: None)
+        with pytest.raises(ValueError):
+            sim.post_at(-1, lambda: None)
 
     def test_schedule_at_in_past_rejected(self):
         sim = Simulator()
-        sim.schedule(10, lambda: None)
+        sim.post(10, lambda: None)
         sim.run()
         with pytest.raises(ValueError):
-            sim.schedule_at(5, lambda: None)
+            sim.post_at(5, lambda: None)
 
     def test_events_can_schedule_events(self):
         sim = Simulator()
@@ -66,95 +69,16 @@ class TestScheduling:
         def chain(n):
             fired.append(sim.now)
             if n > 0:
-                sim.schedule(10, chain, n - 1)
+                sim.post(10, chain, n - 1)
 
-        sim.schedule(0, chain, 3)
+        sim.post(0, chain, 3)
         sim.run()
         assert fired == [0, 10, 20, 30]
 
 
-class TestCancellation:
-    def test_cancelled_event_never_fires(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(10, fired.append, "no")
-        sim.schedule(5, fired.append, "yes")
-        handle.cancel()
-        sim.run()
-        assert fired == ["yes"]
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        handle = sim.schedule(10, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert not handle.pending
-
-    def test_pending_reflects_lifecycle(self):
-        sim = Simulator()
-        handle = sim.schedule(10, lambda: None)
-        assert handle.pending
-        sim.run()
-        assert not handle.pending and handle.fired
-
-    def test_pending_events_excludes_cancelled(self):
-        sim = Simulator()
-        keep = sim.schedule(10, lambda: None)
-        drop = sim.schedule(20, lambda: None)
-        drop.cancel()
-        assert sim.pending_events == 1
-        assert keep.pending
-
-
-class TestMassCancellation:
-    """Regression: pending_events used to scan the whole heap (O(n)),
-    making a cancel-heavy workload quadratic."""
-
-    def test_cancel_10k_events_without_quadratic_blowup(self):
-        import time as wallclock
-
-        sim = Simulator()
-        fired = []
-        keepers = [sim.schedule(10_000 + i, fired.append, i) for i in range(10)]
-        victims = [sim.schedule(i + 1, lambda: None) for i in range(10_000)]
-        start = wallclock.perf_counter()
-        for handle in victims:
-            handle.cancel()
-            # The O(n)-scan implementation made each of these a full heap
-            # walk; with the live counter the whole loop is O(n) total.
-            assert sim.pending_events >= len(keepers)
-        elapsed = wallclock.perf_counter() - start
-        assert elapsed < 2.0, f"mass cancellation took {elapsed:.1f}s"
-        assert sim.pending_events == len(keepers)
-        sim.run()
-        assert fired == list(range(10))
-        assert sim.processed_events == len(keepers)
-
-    def test_compaction_purges_dominating_cancelled_entries(self):
-        sim = Simulator()
-        keep = sim.schedule(99_999, lambda: None)
-        victims = [sim.schedule(i + 1, lambda: None) for i in range(5_000)]
-        for handle in victims:
-            handle.cancel()
-        # Far more entries were cancelled than remain live: the heap must
-        # have been compacted rather than retaining 5k dead tuples.
-        assert sim.pending_events == 1
-        assert len(sim._queue) < 2_500
-        sim.run()
-        assert keep.fired
-
-    def test_cancel_after_fire_is_a_noop(self):
-        sim = Simulator()
-        handle = sim.schedule(5, lambda: None)
-        sim.run()
-        pending_before = sim.pending_events
-        handle.cancel()
-        assert sim.pending_events == pending_before == 0
-        assert handle.fired and not handle.cancelled
-
-
 class TestPost:
     def test_post_fires_like_schedule(self):
+        """``post`` takes a relative delay, ``post_at`` an absolute time."""
         sim = Simulator()
         fired = []
         sim.post(20, fired.append, "b")
@@ -176,21 +100,22 @@ class TestPost:
             sim.post_at(5, lambda: None)
 
     def test_post_and_schedule_share_fifo_order(self):
+        """``post`` and ``post_at`` share one FIFO order per instant."""
         sim = Simulator()
         fired = []
         sim.post(7, fired.append, "post-first")
-        sim.schedule(7, fired.append, "handle")
+        sim.post_at(7, fired.append, "post-at")
         sim.post(7, fired.append, "post-last")
         sim.run()
-        assert fired == ["post-first", "handle", "post-last"]
+        assert fired == ["post-first", "post-at", "post-last"]
 
 
 class TestRun:
     def test_run_until_stops_clock_at_limit(self):
         sim = Simulator()
         fired = []
-        sim.schedule(10, fired.append, "in")
-        sim.schedule(100, fired.append, "out")
+        sim.post(10, fired.append, "in")
+        sim.post(100, fired.append, "out")
         sim.run(until=50)
         assert fired == ["in"]
         assert sim.now == 50
@@ -198,31 +123,38 @@ class TestRun:
     def test_event_exactly_at_limit_fires(self):
         sim = Simulator()
         fired = []
-        sim.schedule(50, fired.append, "edge")
+        sim.post(50, fired.append, "edge")
         sim.run(until=50)
         assert fired == ["edge"]
 
     def test_run_returns_fired_count(self):
         sim = Simulator()
         for _ in range(4):
-            sim.schedule(1, lambda: None)
+            sim.post(1, lambda: None)
         assert sim.run() == 4
         assert sim.processed_events == 4
 
     def test_max_events_bounds_work(self):
         sim = Simulator()
         for _ in range(10):
-            sim.schedule(1, lambda: None)
+            sim.post(1, lambda: None)
         assert sim.run(max_events=3) == 3
         assert sim.pending_events == 7
 
     def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
+        """Stepping one event (``run(max_events=1)``) fires nothing on an
+        empty queue."""
+        sim = Simulator()
+        assert sim.run(max_events=1) == 0
+        sim.post(3, lambda: None)
+        sim.post(5, lambda: None)
+        assert sim.run(max_events=1) == 1
+        assert (sim.now, sim.pending_events) == (3, 1)
 
     def test_peek_time(self):
         sim = Simulator()
         assert sim.peek_time() is None
-        sim.schedule(33, lambda: None)
+        sim.post(33, lambda: None)
         assert sim.peek_time() == 33
 
     def test_run_until_with_empty_queue_advances_clock(self):
@@ -239,7 +171,7 @@ class TestAdvanceTo:
 
     def test_advance_past_pending_event_rejected(self):
         sim = Simulator()
-        sim.schedule(10, lambda: None)
+        sim.post(10, lambda: None)
         with pytest.raises(SimulationError):
             sim.advance_to(20)
 
@@ -250,41 +182,16 @@ class TestAdvanceTo:
             sim.advance_to(5)
 
 
-class TestHandleOrdering:
-    def test_handles_order_by_time_then_seq(self):
-        early = EventHandle(5, 2, lambda: None, ())
-        late = EventHandle(6, 1, lambda: None, ())
-        first = EventHandle(5, 1, lambda: None, ())
-        assert first < early < late
-
-
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=100))
 def test_property_events_fire_in_nondecreasing_time(delays):
     sim = Simulator()
     fire_times = []
     for delay in delays:
-        sim.schedule(delay, lambda: fire_times.append(sim.now))
+        sim.post(delay, lambda: fire_times.append(sim.now))
     sim.run()
     assert len(fire_times) == len(delays)
     assert fire_times == sorted(fire_times)
     assert sorted(fire_times) == sorted(delays)
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=1000), min_size=2, max_size=50),
-    st.data(),
-)
-def test_property_cancelled_subset_never_fires(delays, data):
-    sim = Simulator()
-    fired = []
-    handles = [sim.schedule(d, fired.append, i) for i, d in enumerate(delays)]
-    cancel = data.draw(
-        st.sets(st.integers(min_value=0, max_value=len(delays) - 1), max_size=len(delays))
-    )
-    for index in cancel:
-        handles[index].cancel()
-    sim.run()
-    assert set(fired) == set(range(len(delays))) - cancel
 
 
 class TestClockIsEngineOnly:

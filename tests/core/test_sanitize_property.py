@@ -1,12 +1,11 @@
-"""Property test: arbitrary legal schedule/post/cancel interleavings
-never trip the sanitizer.
+"""Property test: arbitrary legal post interleavings never trip the
+sanitizer.
 
 The sanitizer exists to catch *engine misuse*; anything expressible
 through the public Simulator API is by definition legal, so no
-interleaving of schedule(), schedule_at(), post(), post_at() and
-cancel() -- including operations performed from inside callbacks while
-the run is in flight -- may raise a monotonicity, handle-leak or
-accounting error.
+interleaving of post() and post_at() -- including posts made from
+inside callbacks while the run is in flight -- may raise a
+monotonicity error.
 """
 
 from __future__ import annotations
@@ -15,60 +14,48 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import Simulator
 
-# One pre-run operation: (kind, delay, cancel_target).
+# One pre-run operation: (kind, delay).
 _ops = st.lists(
     st.tuples(
-        st.sampled_from(
-            ["schedule", "schedule_at", "post", "post_at", "cancel", "nested"]
-        ),
+        st.sampled_from(["post", "post_at", "nested"]),
         st.integers(min_value=0, max_value=200),
-        st.integers(min_value=0, max_value=30),
     ),
     max_size=40,
 )
 
 
-def _apply(sim: Simulator, handles: list, kind: str, delay: int, target: int) -> None:
+def _apply(sim: Simulator, posted: list, kind: str, delay: int) -> None:
+    """Perform one operation; ``posted`` counts every event posted."""
+
     def noop():
         pass
 
     def nested():
-        # In-flight behaviour: a firing event schedules more work and
-        # cancels an arbitrary still-pending handle.
-        handles.append(sim.schedule(delay, noop))
-        sim.post(delay // 2, noop)
-        pending = [h for h in handles if h.pending]
-        if pending:
-            pending[target % len(pending)].cancel()
+        # In-flight behaviour: a firing event posts more work.
+        sim.post(delay, noop)
+        sim.post_at(sim.now + delay // 2, noop)
+        posted[0] += 2
 
-    if kind == "schedule":
-        handles.append(sim.schedule(delay, noop))
-    elif kind == "schedule_at":
-        handles.append(sim.schedule_at(sim.now + delay, noop))
-    elif kind == "post":
+    if kind == "post":
         sim.post(delay, noop)
     elif kind == "post_at":
         sim.post_at(sim.now + delay, noop)
-    elif kind == "cancel":
-        if handles:
-            # Cancelling an already-fired or already-cancelled handle is
-            # legal and must stay inert.
-            handles[target % len(handles)].cancel()
     elif kind == "nested":
         sim.post(delay, nested)
+    posted[0] += 1
 
 
 @settings(max_examples=200, deadline=None)
 @given(_ops)
 def test_interleavings_never_trip_sanitizer(ops):
     sim = Simulator(sanitize=True)
-    handles: list = []
-    for kind, delay, target in ops:
-        _apply(sim, handles, kind, delay, target)
-    sim.run()
-    sim.drain_check()  # raises SanitizerError on any leak/accounting bug
-    for handle in handles:
-        assert handle.fired or handle.cancelled
+    posted = [0]
+    for kind, delay in ops:
+        _apply(sim, posted, kind, delay)
+    sim.run()  # raises SanitizerError on a monotonicity violation
+    # Every posted event fired exactly once.
+    assert sim.pending_events == 0
+    assert sim.processed_events == posted[0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -79,9 +66,9 @@ def test_sanitize_flag_never_changes_behaviour(first, second):
     results = []
     for sanitize in (False, True):
         sim = Simulator(sanitize=sanitize)
-        handles: list = []
-        for kind, delay, target in first + second:
-            _apply(sim, handles, kind, delay, target)
+        posted = [0]
+        for kind, delay in first + second:
+            _apply(sim, posted, kind, delay)
         processed = sim.run()
         results.append((processed, sim.now, sim.pending_events))
     assert results[0] == results[1]

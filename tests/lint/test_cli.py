@@ -13,14 +13,15 @@ import pytest
 
 from repro.lint.cli import iter_python_files, lint_paths, main
 from repro.lint.config import path_is_globally_exempt, rule_applies
-from repro.lint.rules import rule_by_id
+from repro.lint.framework import LintContext
+from repro.lint.rules import ALL_RULES, rule_by_id
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 BAD_SOURCE = (
     "import random\n"
     "_CACHE = {}\n"
-    "sim.schedule(100, tick)\n"
+    "sim.post(1.5, tick)\n"
 )
 
 
@@ -50,14 +51,14 @@ def test_exit_zero_on_clean_file(clean_file, capsys):
 def test_exit_one_on_violations(bad_file, capsys):
     assert main([bad_file]) == 1
     out = capsys.readouterr().out
-    assert "SIM001" in out and "SIM006" in out and "SIM005" in out
+    assert "SIM001" in out and "SIM006" in out and "SIM007" in out
 
 
 def test_exit_two_on_no_paths(capsys):
     assert main([]) == 2
 
 
-@pytest.mark.parametrize("rule_id", ["SIM999", "SIM011"])
+@pytest.mark.parametrize("rule_id", ["SIM999", "SIM011", "SIM005"])
 def test_exit_two_on_unknown_rule(bad_file, capsys, rule_id):
     assert main(["--select", rule_id, bad_file]) == 2
 
@@ -72,7 +73,7 @@ def test_exit_two_on_syntax_error(tmp_path, capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("SIM001", "SIM005", "SIM009"):
+    for rule_id in ("SIM001", "SIM007", "SIM009"):
         assert rule_id in out
 
 
@@ -89,7 +90,7 @@ def test_select_restricts_rules(bad_file, capsys):
 def test_ignore_drops_rules(bad_file, capsys):
     assert main(["--ignore", "SIM001", "--ignore", "SIM006", bad_file]) == 1
     out = capsys.readouterr().out
-    assert "SIM005" in out and "SIM001:" not in out
+    assert "SIM007" in out and "SIM001:" not in out
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +107,7 @@ def test_json_output_schema(bad_file, capsys):
     assert [v["rule"] for v in payload["violations"]] == [
         "SIM001",
         "SIM006",
-        "SIM005",
+        "SIM007",
     ]
 
 
@@ -163,6 +164,18 @@ def test_repository_is_lint_clean():
     assert violations == [], "\n".join(
         f"{v.path}:{v.line}: {v.rule_id} {v.message}" for v in violations
     )
+
+
+def test_repository_suppressions_name_registered_rules():
+    """A suppression naming a retired or misspelled rule id silences
+    nothing and would otherwise pass unnoticed."""
+    known = {rule.id for rule in ALL_RULES} | {"all"}
+    stale = []
+    for path in iter_python_files([str(REPO_ROOT / "src")]):
+        context = LintContext(path, pathlib.Path(path).read_text())
+        named = context.file_suppressions.union(*context.line_suppressions.values())
+        stale.extend(f"{path}: {rule_id}" for rule_id in sorted(named - known))
+    assert stale == [], "\n".join(stale)
 
 
 def test_module_entry_point_runs():

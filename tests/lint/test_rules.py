@@ -253,30 +253,6 @@ def test_sim004_clean_with_module_function():
 
 
 # ---------------------------------------------------------------------------
-# SIM005 discarded-handle
-# ---------------------------------------------------------------------------
-
-def test_sim005_flags_discarded_schedule():
-    violations, _ = lint_snippet("sim.schedule(100, tick)\n", "SIM005")
-    assert ids_of(violations) == ["SIM005"]
-    assert "post()" in violations[0].message
-
-
-def test_sim005_flags_discarded_schedule_at():
-    violations, _ = lint_snippet("sim.schedule_at(500, tick)\n", "SIM005")
-    assert "post_at()" in violations[0].message
-
-
-def test_sim005_clean_when_handle_kept_or_posted():
-    violations, _ = lint_snippet(
-        "timer = sim.schedule(100, tick)\n"
-        "sim.post(100, tick)\n",
-        "SIM005",
-    )
-    assert violations == []
-
-
-# ---------------------------------------------------------------------------
 # SIM006 no-mutable-module-state
 # ---------------------------------------------------------------------------
 
@@ -526,7 +502,7 @@ def test_disable_file_does_not_leak_to_other_rules():
 def test_rule_ids_are_stable_and_unique():
     ids = [rule.id for rule in ALL_RULES]
     assert ids == sorted(ids)
-    assert len(set(ids)) == len(ids) == 11
+    assert len(set(ids)) == len(ids) == 10
     assert ids[0] == "SIM001"
     assert ids[-1] == "SIM012"
 

@@ -14,7 +14,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 BAD_SOURCE = (
     "import random\n"
     "_CACHE = {}\n"
-    "sim.schedule(100, tick)\n"
+    "sim.post(1.5, tick)\n"
 )
 
 
