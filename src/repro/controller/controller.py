@@ -312,12 +312,6 @@ class SsdController:
         hits, trims, metadata-only operations)."""
         self.sim.post(self.config.timings.t_cmd_ns, self.complete_io, io)
 
-    def complete_unmapped_read(self, io: IoRequest) -> None:
-        """A read of a never-written page: no flash access, returns
-        zeroes (data None)."""
-        io.data = None
-        self.complete_quick(io)
-
     # ------------------------------------------------------------------
     # Cross-module probes
     # ------------------------------------------------------------------

@@ -9,11 +9,16 @@ pages, and arbitrates races:
   invalidated as an orphan (:meth:`BaseFtl._commit_write`).
 * A GC/WL relocation may land after the application has already
   rewritten the page; the relocated copy is then an orphan too
-  (:meth:`BaseFtl.on_relocation` in the subclasses).
+  (:meth:`BaseFtl.on_relocation`).
 
-Subclasses implement the mapping-lookup side: in RAM for
-:class:`~repro.controller.ftl.page_ftl.PageMapFtl`, demand-paged for
-:class:`~repro.controller.ftl.dftl.DftlFtl`.
+The logical-IO path is written once, here.  The schemes differ only in
+their mapping store, which the path reaches through two hooks,
+:meth:`BaseFtl.mapped_address` and :meth:`BaseFtl._remap`: a RAM table
+for :class:`~repro.controller.ftl.page_ftl.PageMapFtl`, a demand-paged
+table for :class:`~repro.controller.ftl.dftl.DftlFtl` (which runs each
+IO once its CMT entry is loaded), and a block map plus log map for
+:class:`~repro.controller.ftl.hybrid.HybridFtl` (which also places its
+writes itself).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.events import IoRequest, WriteHints
 from repro.hardware.addresses import Lpn, PhysicalAddress
+from repro.hardware.commands import CommandKind, CommandSource, FlashCommand
 from repro.hardware.flash import PageContent
 from repro.hardware.state import VersionTable
 
@@ -53,13 +59,42 @@ class BaseFtl(abc.ABC):
         return 0
 
     # ------------------------------------------------------------------
+    # The scheme's mapping store: the two hooks the shared IO path uses
+    # ------------------------------------------------------------------
+    def mapped_address(self, lpn: Lpn) -> Optional[PhysicalAddress]:
+        """Current physical location of a logical page, if mapped."""
+        raise NotImplementedError
+
+    def _remap(self, lpn: Lpn, address: Optional[PhysicalAddress]) -> None:
+        """Point ``lpn`` at ``address`` (``None`` unmaps it).  The caller
+        has already invalidated the superseded copy."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
     # Logical IO entry points (called by the controller)
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def read(self, io: IoRequest) -> None:
         """Serve a logical read; ends with ``controller.complete_io``."""
+        address = self.mapped_address(io.lpn)
+        if address is None:
+            # Never written (or trimmed): no flash access, reads zeroes.
+            io.data = None
+            self.controller.complete_quick(io)
+            return
+        cmd = FlashCommand(
+            CommandKind.READ,
+            CommandSource.APPLICATION,
+            address,
+            lpn=io.lpn,
+            io=io,
+            on_complete=self._read_done,
+        )
+        self.controller.enqueue_command(cmd)
 
-    @abc.abstractmethod
+    def _read_done(self, cmd: FlashCommand) -> None:
+        cmd.io.data = cmd.content
+        self.controller.complete_io(cmd.io)
+
     def write(
         self,
         io: Optional[IoRequest],
@@ -68,7 +103,7 @@ class BaseFtl(abc.ABC):
         on_done: Optional[Callable[[], None]] = None,
         version: Optional[int] = None,
     ) -> None:
-        """Serve a logical write.
+        """Serve a logical write, placed by the controller's allocator.
 
         ``io`` may be ``None`` for internal writes (write-buffer
         flushes).  ``on_done``, when given, is called once the program
@@ -77,15 +112,45 @@ class BaseFtl(abc.ABC):
         admission time) pass it through; by default a fresh version is
         drawn here.
         """
+        if version is None:
+            version = self.next_version(lpn)
+        if io is not None:
+            io.version = version
+        lun_key, stream = self.controller.allocator.place_write(lpn, hints)
+        cmd = FlashCommand(
+            CommandKind.PROGRAM,
+            CommandSource.APPLICATION,
+            PhysicalAddress(lun_key[0], lun_key[1], -1, -1),
+            lpn=lpn,
+            content=(lpn, version),
+            stream=stream,
+            io=io,
+            context=on_done,
+            on_complete=self._write_done,
+        )
+        self.controller.enqueue_command(cmd)
 
-    @abc.abstractmethod
+    def _write_done(self, cmd: FlashCommand) -> None:
+        lpn, version = cmd.content
+        if self._commit_write(lpn, version, cmd.address, self.mapped_address(lpn)):
+            self._remap(lpn, cmd.address)
+        if cmd.io is not None:
+            self.controller.complete_io(cmd.io)
+        if cmd.context is not None:
+            cmd.context()
+
     def trim(self, io: IoRequest) -> None:
         """Drop the mapping for a page (the paper's trim IO type)."""
+        old_address = self.mapped_address(io.lpn)
+        if old_address is not None:
+            self._invalidate(old_address)
+            self._remap(io.lpn, None)
+        self._supersede(io.lpn)
+        self.controller.complete_quick(io)
 
     # ------------------------------------------------------------------
     # GC / WL cooperation
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def on_relocation(
         self,
         content: PageContent,
@@ -95,18 +160,22 @@ class BaseFtl(abc.ABC):
         """A GC or WL relocation finished: the data at ``old_address``
         now also exists at ``new_address``.
 
-        Updates the authoritative mapping if it still referenced
-        ``old_address`` and invalidates whichever copy is stale.
-        Returns True when the new copy became live.
+        Updates the mapping if it still referenced ``old_address`` and
+        invalidates whichever copy is stale.  Returns True when the new
+        copy became live.
         """
+        lpn, version = content
+        if self.mapped_address(lpn) == old_address:
+            self._invalidate(old_address)
+            self._remap(lpn, new_address)
+            self._journal_commit(lpn, version, new_address)
+            return True
+        self._invalidate(new_address)
+        return False
 
     # ------------------------------------------------------------------
     # Introspection (tests, invariants, reporting)
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def mapped_address(self, lpn: Lpn) -> Optional[PhysicalAddress]:
-        """Current physical location of a logical page, if mapped."""
-
     @abc.abstractmethod
     def mapped_page_count(self) -> int:
         """Number of logical pages currently mapped."""

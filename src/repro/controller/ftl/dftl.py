@@ -25,6 +25,7 @@ paper studies.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.controller.ftl.base import BaseFtl
@@ -101,30 +102,10 @@ class DftlFtl(BaseFtl):
         return -(-config.logical_pages // entries)
 
     # ------------------------------------------------------------------
-    # Logical IO
+    # Logical IO: the shared path, run once the LPN's CMT entry is loaded
     # ------------------------------------------------------------------
     def read(self, io: IoRequest) -> None:
-        self._with_entry(io.lpn, lambda: self._do_read(io))
-
-    def _do_read(self, io: IoRequest) -> None:
-        entry = self.cmt.get(io.lpn)
-        address = entry.ppn if entry is not None else self.persisted.get(io.lpn)
-        if address is None:
-            self.controller.complete_unmapped_read(io)
-            return
-        cmd = FlashCommand(
-            CommandKind.READ,
-            CommandSource.APPLICATION,
-            address,
-            lpn=io.lpn,
-            io=io,
-            on_complete=self._read_done,
-        )
-        self.controller.enqueue_command(cmd)
-
-    def _read_done(self, cmd: FlashCommand) -> None:
-        cmd.io.data = cmd.content
-        self.controller.complete_io(cmd.io)
+        self._with_entry(io.lpn, partial(super().read, io))
 
     def write(
         self,
@@ -134,54 +115,10 @@ class DftlFtl(BaseFtl):
         on_done: Optional[Callable[[], None]] = None,
         version: Optional[int] = None,
     ) -> None:
-        self._with_entry(lpn, lambda: self._do_write(io, lpn, hints, on_done, version))
-
-    def _do_write(
-        self,
-        io: Optional[IoRequest],
-        lpn: Lpn,
-        hints: WriteHints,
-        on_done: Optional[Callable[[], None]],
-        version: Optional[int] = None,
-    ) -> None:
-        if version is None:
-            version = self.next_version(lpn)
-        if io is not None:
-            io.version = version
-        lun_key, stream = self.controller.allocator.place_write(lpn, hints)
-        cmd = FlashCommand(
-            CommandKind.PROGRAM,
-            CommandSource.APPLICATION,
-            PhysicalAddress(lun_key[0], lun_key[1], -1, -1),
-            lpn=lpn,
-            content=(lpn, version),
-            stream=stream,
-            io=io,
-            context=on_done,
-            on_complete=self._write_done,
-        )
-        self.controller.enqueue_command(cmd)
-
-    def _write_done(self, cmd: FlashCommand) -> None:
-        lpn, version = cmd.content
-        old_address = self._authoritative(lpn)
-        if self._commit_write(lpn, version, cmd.address, old_address):
-            self._update_mapping(lpn, cmd.address)
-        if cmd.io is not None:
-            self.controller.complete_io(cmd.io)
-        if cmd.context is not None:
-            cmd.context()
+        self._with_entry(lpn, partial(super().write, io, lpn, hints, on_done, version))
 
     def trim(self, io: IoRequest) -> None:
-        self._with_entry(io.lpn, lambda: self._do_trim(io))
-
-    def _do_trim(self, io: IoRequest) -> None:
-        old_address = self._authoritative(io.lpn)
-        if old_address is not None:
-            self._invalidate(old_address)
-            self._update_mapping(io.lpn, None)
-        self._supersede(io.lpn)
-        self.controller.complete_quick(io)
+        self._with_entry(io.lpn, partial(super().trim, io))
 
     # ------------------------------------------------------------------
     # CMT management
@@ -227,9 +164,15 @@ class DftlFtl(BaseFtl):
                 self.cmt.move_to_end(lpn)
             continuation()
 
-    def _update_mapping(self, lpn: Lpn, ppn: Optional[PhysicalAddress]) -> None:
-        """Point ``lpn`` at ``ppn`` in the authoritative map, dirtying
-        (and if needed re-inserting) its CMT entry."""
+    def mapped_address(self, lpn: Lpn) -> Optional[PhysicalAddress]:
+        entry = self.cmt.get(lpn)
+        if entry is not None:
+            return entry.ppn
+        return self.persisted.get(lpn)
+
+    def _remap(self, lpn: Lpn, ppn: Optional[PhysicalAddress]) -> None:
+        """Point ``lpn`` at ``ppn``, dirtying (and if needed re-inserting)
+        its CMT entry."""
         entry = self.cmt.get(lpn)
         if entry is not None:
             entry.ppn = ppn
@@ -250,14 +193,14 @@ class DftlFtl(BaseFtl):
         """Persist a dirty entry (plus, with batch eviction, every dirty
         sibling of the same translation page) and charge the RMW cost."""
         tp = lpn // self.entries_per_tp
-        self._persist(lpn, entry.ppn)
+        self.persisted.set(lpn, entry.ppn)
         if self.batch_eviction:
             low = tp * self.entries_per_tp
             high = low + self.entries_per_tp
             cmt = self.cmt
             # Walk the smaller side, the translation page's LPN range or
-            # the CMT: ``_persist`` on distinct LPNs commutes, so either
-            # order persists the same map.
+            # the CMT: persisting distinct LPNs commutes, so either order
+            # persists the same map.
             if high - low <= len(cmt):
                 siblings: Iterable[int] = range(low, high)
             else:
@@ -265,7 +208,7 @@ class DftlFtl(BaseFtl):
             for sibling in siblings:
                 sibling_entry = cmt.get(sibling)
                 if sibling_entry is not None and sibling_entry.dirty:
-                    self._persist(sibling, sibling_entry.ppn)
+                    self.persisted.set(sibling, sibling_entry.ppn)
                     sibling_entry.dirty = False
                     self.batched_flush_entries += 1
         old_tp_address = self.tp_locations.get(tp)
@@ -280,12 +223,6 @@ class DftlFtl(BaseFtl):
             self.controller.enqueue_command(read_cmd)
         else:
             self._write_tp(tp)
-
-    def _persist(self, lpn: Lpn, ppn: Optional[PhysicalAddress]) -> None:
-        if ppn is None:
-            self.persisted.discard(lpn)
-        else:
-            self.persisted.set(lpn, ppn)
 
     def _write_tp(self, tp: int) -> None:
         pseudo = self._tp_pseudo_lpn(tp)
@@ -318,19 +255,14 @@ class DftlFtl(BaseFtl):
         old_address: PhysicalAddress,
         new_address: PhysicalAddress,
     ) -> bool:
-        lpn, _version = content
-        if lpn < 0:
-            tp = self._tp_from_pseudo(lpn)
-            if self.tp_locations.get(tp) == old_address:
-                self._invalidate(old_address)
-                self.tp_locations.set(tp, new_address)
-                return True
-            self._invalidate(new_address)
-            return False
-        if self._authoritative(lpn) == old_address:
+        pseudo = content[0]
+        if pseudo >= 0:
+            return super().on_relocation(content, old_address, new_address)
+        # A translation page moved: update the GTD.
+        tp = self._tp_from_pseudo(pseudo)
+        if self.tp_locations.get(tp) == old_address:
             self._invalidate(old_address)
-            self._update_mapping(lpn, new_address)
-            self._journal_commit(lpn, _version, new_address)
+            self.tp_locations.set(tp, new_address)
             return True
         self._invalidate(new_address)
         return False
@@ -345,7 +277,7 @@ class DftlFtl(BaseFtl):
         # which is exactly what recovery reconstructs).
         snapshot: dict[int, tuple[PhysicalAddress, int]] = {}
         for lpn in sorted(set(self.cmt) | set(self.persisted.mapped_lpns().tolist())):
-            address = self._authoritative(lpn)
+            address = self.mapped_address(lpn)
             if address is not None:
                 snapshot[lpn] = (address, self._committed_versions.get(lpn, 0))
         return snapshot
@@ -372,15 +304,6 @@ class DftlFtl(BaseFtl):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _authoritative(self, lpn: Lpn) -> Optional[PhysicalAddress]:
-        entry = self.cmt.get(lpn)
-        if entry is not None:
-            return entry.ppn
-        return self.persisted.get(lpn)
-
-    def mapped_address(self, lpn: Lpn) -> Optional[PhysicalAddress]:
-        return self._authoritative(lpn)
-
     def mapped_page_count(self) -> int:
         count = sum(
             1 for lpn, entry in self.cmt.items() if entry.ppn is not None

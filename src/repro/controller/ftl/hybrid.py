@@ -128,9 +128,6 @@ class HybridFtl(BaseFtl):
     # ------------------------------------------------------------------
     # Address helpers
     # ------------------------------------------------------------------
-    def _split(self, lpn: Lpn) -> tuple[int, int]:
-        return lpn // self.ppb, lpn % self.ppb
-
     def _data_block_of(self, lbn: int) -> Optional[tuple[int, int, int]]:
         """(channel, lun, block) of the lbn's data block, if one exists."""
         encoded = self._mv_data_block[lbn]
@@ -148,10 +145,6 @@ class HybridFtl(BaseFtl):
         word = lbn * self._lbn_words + (offset >> 6)
         self._mv_data_bits[word] |= 1 << (offset & 63)
 
-    def _clear_data_bit(self, lbn: int, offset: int) -> None:
-        word = lbn * self._lbn_words + (offset >> 6)
-        self._mv_data_bits[word] &= ~(1 << (offset & 63)) & _WORD_MASK
-
     def _fill_data_bits(self, lbn: int) -> None:
         """Mark every offset block-mapped (a switch merge's bitmap)."""
         base = lbn * self._lbn_words
@@ -161,7 +154,10 @@ class HybridFtl(BaseFtl):
         if remainder:
             self._mv_data_bits[base + full_words] = (1 << remainder) - 1
 
-    def _current_address(self, lpn: Lpn) -> Optional[PhysicalAddress]:
+    # ------------------------------------------------------------------
+    # Mapping store: the log map overrides the block map
+    # ------------------------------------------------------------------
+    def mapped_address(self, lpn: Lpn) -> Optional[PhysicalAddress]:
         address = self.log_map.get(lpn)
         if address is not None:
             return address
@@ -176,6 +172,17 @@ class HybridFtl(BaseFtl):
         lun_index, block = divmod(encoded - 1, self._blocks_per_lun)
         channel, lun = divmod(lun_index, self._luns_per_channel)
         return PhysicalAddress(channel, lun, block, offset)
+
+    def _remap(self, lpn: Lpn, address: Optional[PhysicalAddress]) -> None:
+        """Point ``lpn`` at a log page (``None`` unmaps it); either way
+        its block-mapped copy is no longer current."""
+        lbn, offset = divmod(lpn, self.ppb)
+        word = lbn * self._lbn_words + (offset >> 6)
+        self._mv_data_bits[word] &= ~(1 << (offset & 63)) & _WORD_MASK
+        if address is None:
+            self.log_map.pop(lpn, None)
+        else:
+            self.log_map[lpn] = address
 
     # ------------------------------------------------------------------
     # Physical block pool
@@ -214,27 +221,9 @@ class HybridFtl(BaseFtl):
         return PhysicalAddress(channel, lun, block_id, -1)
 
     # ------------------------------------------------------------------
-    # Logical IO
+    # Logical IO: writes append to the log (reads and trims take the
+    # shared path); the log-write completion may start a merge
     # ------------------------------------------------------------------
-    def read(self, io: IoRequest) -> None:
-        address = self._current_address(io.lpn)
-        if address is None:
-            self.controller.complete_unmapped_read(io)
-            return
-        cmd = FlashCommand(
-            CommandKind.READ,
-            CommandSource.APPLICATION,
-            address,
-            lpn=io.lpn,
-            io=io,
-            on_complete=self._read_done,
-        )
-        self.controller.enqueue_command(cmd)
-
-    def _read_done(self, cmd: FlashCommand) -> None:
-        cmd.io.data = cmd.content
-        self.controller.complete_io(cmd.io)
-
     def write(
         self,
         io: Optional[IoRequest],
@@ -280,33 +269,12 @@ class HybridFtl(BaseFtl):
         return None
 
     def _log_write_done(self, cmd: FlashCommand) -> None:
-        lpn, version = cmd.content
         log_key = ((cmd.address.channel, cmd.address.lun), cmd.address.block)
         if log_key in self._log_committed:
             self._log_committed[log_key] += 1
-        old_address = self._current_address(lpn)
-        if self._commit_write(lpn, version, cmd.address, old_address):
-            lbn, offset = self._split(lpn)
-            self._clear_data_bit(lbn, offset)
-            self.log_map[lpn] = cmd.address
-        if cmd.io is not None:
-            self.controller.complete_io(cmd.io)
-        if cmd.context is not None:
-            cmd.context()
+        self._write_done(cmd)
         if self._pending_writes and not self._merging:
             self._start_merge()
-
-    def trim(self, io: IoRequest) -> None:
-        address = self._current_address(io.lpn)
-        if address is not None:
-            self._invalidate(address)
-            if io.lpn in self.log_map:
-                del self.log_map[io.lpn]
-            else:
-                lbn, offset = self._split(io.lpn)
-                self._clear_data_bit(lbn, offset)
-        self._supersede(io.lpn)
-        self.controller.complete_quick(io)
 
     # ------------------------------------------------------------------
     # Merging
@@ -348,7 +316,7 @@ class HybridFtl(BaseFtl):
         first = block.pages[0]
         if first.state.name != "LIVE" or first.content is None:
             return None
-        lbn, offset = self._split(first.content[0])
+        lbn, offset = divmod(first.content[0], self.ppb)
         if offset != 0 or lbn >= self.num_lbns:
             return None
         for index, page in enumerate(block.pages):
@@ -393,7 +361,7 @@ class HybridFtl(BaseFtl):
         if new_key is None:
             raise RuntimeError("hybrid FTL out of merge blocks (feasibility bug)")
         snapshot: list[Optional[PhysicalAddress]] = [
-            self._current_address(lbn * self.ppb + offset) for offset in range(self.ppb)
+            self.mapped_address(lbn * self.ppb + offset) for offset in range(self.ppb)
         ]
         self._merge_step(lbn, new_key, snapshot, 0, done)
 
@@ -448,7 +416,7 @@ class HybridFtl(BaseFtl):
                 continue  # filler, already invalidated
             lpn = lbn * self.ppb + offset
             new_address = PhysicalAddress(lun_key[0], lun_key[1], block_id, offset)
-            if self._current_address(lpn) == source:
+            if self.mapped_address(lpn) == source:
                 self._invalidate(source)
                 self.log_map.pop(lpn, None)
                 self._set_data_bit(lbn, offset)
@@ -652,7 +620,7 @@ class HybridFtl(BaseFtl):
         now = self.controller.sim.now
         old_data = self._data_block_of(lbn)
         sources = [
-            self._current_address(lbn * self.ppb + offset) for offset in range(self.ppb)
+            self.mapped_address(lbn * self.ppb + offset) for offset in range(self.ppb)
         ]
         new_block = self._block(new_key)
         (lun_key, block_id) = new_key
@@ -708,9 +676,6 @@ class HybridFtl(BaseFtl):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def mapped_address(self, lpn: Lpn) -> Optional[PhysicalAddress]:
-        return self._current_address(lpn)
-
     def mapped_page_count(self) -> int:
         bits = int(popcounts(self._data_bits).sum())
         return len(self.log_map) + bits
@@ -724,7 +689,3 @@ class HybridFtl(BaseFtl):
             + int(self._data_bits.nbytes)
             + self.max_log_blocks * self.ppb * 8
         )
-
-    def log_utilisation(self) -> float:
-        """Fraction of the log pool currently allocated."""
-        return len(self._log_blocks) / self.max_log_blocks

@@ -8,13 +8,10 @@ accounted against the controller RAM budget through the memory manager.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING
 
 from repro.controller.ftl.base import BaseFtl
-from repro.core.events import IoRequest, WriteHints
-from repro.hardware.addresses import Lpn, PhysicalAddress
-from repro.hardware.commands import CommandKind, CommandSource, FlashCommand
-from repro.hardware.flash import PageContent
+from repro.hardware.addresses import PhysicalAddress
 from repro.hardware.state import MappingTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,89 +29,10 @@ class PageMapFtl(BaseFtl):
         controller.memory.allocate_ram(
             "page map", controller.config.logical_pages * self.ENTRY_BYTES
         )
-
-    # ------------------------------------------------------------------
-    # Logical IO
-    # ------------------------------------------------------------------
-    def read(self, io: IoRequest) -> None:
-        address = self._map.get(io.lpn)
-        if address is None:
-            self.controller.complete_unmapped_read(io)
-            return
-        cmd = FlashCommand(
-            CommandKind.READ,
-            CommandSource.APPLICATION,
-            address,
-            lpn=io.lpn,
-            io=io,
-            on_complete=self._read_done,
-        )
-        self.controller.enqueue_command(cmd)
-
-    def _read_done(self, cmd: FlashCommand) -> None:
-        cmd.io.data = cmd.content
-        self.controller.complete_io(cmd.io)
-
-    def write(
-        self,
-        io: Optional[IoRequest],
-        lpn: Lpn,
-        hints: WriteHints,
-        on_done: Optional[Callable[[], None]] = None,
-        version: Optional[int] = None,
-    ) -> None:
-        if version is None:
-            version = self.next_version(lpn)
-        if io is not None:
-            io.version = version
-        lun_key, stream = self.controller.allocator.place_write(lpn, hints)
-        cmd = FlashCommand(
-            CommandKind.PROGRAM,
-            CommandSource.APPLICATION,
-            PhysicalAddress(lun_key[0], lun_key[1], -1, -1),
-            lpn=lpn,
-            content=(lpn, version),
-            stream=stream,
-            io=io,
-            context=on_done,
-            on_complete=self._write_done,
-        )
-        self.controller.enqueue_command(cmd)
-
-    def _write_done(self, cmd: FlashCommand) -> None:
-        lpn, version = cmd.content
-        old_address = self._map.get(lpn)
-        if self._commit_write(lpn, version, cmd.address, old_address):
-            self._map.set(lpn, cmd.address)
-        if cmd.io is not None:
-            self.controller.complete_io(cmd.io)
-        if cmd.context is not None:
-            cmd.context()
-
-    def trim(self, io: IoRequest) -> None:
-        old_address = self._map.pop(io.lpn)
-        if old_address is not None:
-            self._invalidate(old_address)
-        self._supersede(io.lpn)
-        self.controller.complete_quick(io)
-
-    # ------------------------------------------------------------------
-    # GC / WL cooperation
-    # ------------------------------------------------------------------
-    def on_relocation(
-        self,
-        content: PageContent,
-        old_address: PhysicalAddress,
-        new_address: PhysicalAddress,
-    ) -> bool:
-        lpn, version = content
-        if self._map.get(lpn) == old_address:
-            self._invalidate(old_address)
-            self._map.set(lpn, new_address)
-            self._journal_commit(lpn, version, new_address)
-            return True
-        self._invalidate(new_address)
-        return False
+        # The mapping hooks are the table's own methods, not wrappers, so
+        # the shared IO path costs no extra call per lookup or update.
+        self.mapped_address = self._map.get
+        self._remap = self._map.set
 
     # ------------------------------------------------------------------
     # Crash consistency
@@ -139,9 +57,6 @@ class PageMapFtl(BaseFtl):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def mapped_address(self, lpn: Lpn) -> Optional[PhysicalAddress]:
-        return self._map.get(lpn)
-
     def mapped_page_count(self) -> int:
         return len(self._map)
 

@@ -198,8 +198,6 @@ class StatisticsGatherer:
         #: Reliability events (corrected reads, retries, rebuilds,
         #: retirements, ...) keyed by event kind.
         self.reliability_events: Counter[str] = Counter()
-        #: Reliability events over time (all kinds pooled).
-        self.reliability_over_time = TimeSeries(bucket_ns)
         #: Each IO type's five per-IO recorders, so :meth:`record_io`
         #: does one dict lookup instead of five.
         self._io_recorders = {
@@ -256,10 +254,9 @@ class StatisticsGatherer:
         if source_name in ("GC", "WEAR_LEVELING") and kind_name in ("PROGRAM", "COPYBACK"):
             self.gc_activity_over_time.add(time_ns)
 
-    def record_reliability_event(self, kind: str, time_ns: int) -> None:
+    def record_reliability_event(self, kind: str) -> None:
         """Record a reliability-subsystem event (controller layer hook)."""
         self.reliability_events[kind] += 1
-        self.reliability_over_time.add(time_ns)
 
     # ------------------------------------------------------------------
     # Derived metrics

@@ -43,30 +43,18 @@ class TraceRecorder:
     no-op with negligible cost.
     """
 
-    def __init__(self, enabled: bool = False, capacity: Optional[int] = None) -> None:
+    def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        #: Optional cap on retained records; older records are dropped.
-        self.capacity = capacity
         self._records: list[TraceRecord] = []
-        self._dropped = 0
 
     def record(self, time_ns: int, layer: str, event: str, detail: str) -> None:
         if not self.enabled:
             return
         self._records.append(TraceRecord(time_ns, layer, event, detail))
-        if self.capacity is not None and len(self._records) > self.capacity:
-            overflow = len(self._records) - self.capacity
-            del self._records[:overflow]
-            self._dropped += overflow
 
     @property
     def records(self) -> list[TraceRecord]:
         return list(self._records)
-
-    @property
-    def dropped(self) -> int:
-        """Records discarded due to the capacity cap."""
-        return self._dropped
 
     def __len__(self) -> int:
         return len(self._records)

@@ -99,7 +99,6 @@ class FlashCommand:
         "start_time",
         "complete_time",
         "deadline",
-        "priority",
         "stream",
         "on_complete",
         "io",
@@ -117,7 +116,6 @@ class FlashCommand:
         lpn: Optional[Lpn] = None,
         content: Optional[PageContent] = None,
         deadline: Optional[int] = None,
-        priority: int = 0,
         stream: str = "default",
         on_complete: Optional[Callable[["FlashCommand"], None]] = None,
         io: Any = None,
@@ -135,8 +133,6 @@ class FlashCommand:
         self.complete_time: Optional[int] = None
         #: Absolute virtual time by which the command should finish.
         self.deadline = deadline
-        #: Smaller is more urgent; produced from config / hints.
-        self.priority = priority
         #: Allocation stream name (e.g. "app", "app_hot", "gc", "map").
         self.stream = stream
         self.on_complete = on_complete

@@ -295,26 +295,19 @@ class MappingTable:
         """Encoded ``ppn + 1`` (0 when unmapped) -- no address boxing."""
         return self._mv[lpn]
 
-    def set(self, lpn: Lpn, address: PhysicalAddress) -> None:
-        encoded = self.codec.encode(
+    def set(self, lpn: Lpn, address: Optional[PhysicalAddress]) -> None:
+        """Map ``lpn`` to ``address``; ``None`` unmaps it."""
+        mapped = self._mv[lpn] != 0
+        if address is None:
+            if mapped:
+                self._mv[lpn] = 0
+                self._mapped -= 1
+            return
+        if not mapped:
+            self._mapped += 1
+        self._mv[lpn] = self.codec.encode(
             address.channel, address.lun, address.block, address.page
         ) + 1
-        if self._mv[lpn] == 0:
-            self._mapped += 1
-        self._mv[lpn] = encoded
-
-    def pop(self, lpn: Lpn) -> Optional[PhysicalAddress]:
-        encoded = self._mv[lpn]
-        if encoded == 0:
-            return None
-        self._mv[lpn] = 0
-        self._mapped -= 1
-        return self.codec.decode(encoded - 1)
-
-    def discard(self, lpn: Lpn) -> None:
-        if self._mv[lpn] != 0:
-            self._mv[lpn] = 0
-            self._mapped -= 1
 
     def mapped_lpns(self) -> np.ndarray:
         """All mapped LPNs, ascending (vectorized scan)."""

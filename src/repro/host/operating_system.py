@@ -100,11 +100,6 @@ class ThreadContext:
         """Declare this thread done; dependent threads may now start."""
         self._os.finish_thread(self._record)
 
-    def send_message(self, message):
-        """Send an open-interface message to the SSD (see
-        :mod:`repro.host.interface`)."""
-        return self._os.open_interface.send(message)
-
 
 class _ThreadRecord:
     """OS-side bookkeeping for one registered thread."""

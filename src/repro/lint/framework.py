@@ -108,8 +108,9 @@ class ProjectRule(Rule):
         )
 
 
-#: ``# simlint: disable=SIM001,SIM003 -- optional justification``
-#: ``# simlint: disable-file=SIM006 -- optional justification``
+#: Matches a suppression comment: a hash, then ``simlint: disable=`` (one
+#: line) or ``simlint: disable-file=`` (the whole file), comma-separated
+#: rule ids and an optional ``-- justification``.
 _SUPPRESS_RE = re.compile(
     r"#\s*simlint:\s*(disable|disable-file)\s*=\s*([A-Za-z0-9_,\s]+?)(?:\s*--.*)?$"
 )

@@ -222,9 +222,8 @@ class ReliabilityManager:
         return self.ecc.decode_ns
 
     def _note(self, kind: str, detail: str) -> None:
-        now = self.controller.sim.now
-        self.controller.stats.record_reliability_event(kind, now)
-        self.controller.tracer.record(now, "reliability", kind, detail)
+        self.controller.stats.record_reliability_event(kind)
+        self.controller.tracer.record(self.controller.sim.now, "reliability", kind, detail)
 
     @staticmethod
     def _block_key(address: PhysicalAddress) -> tuple[int, int, int]:
@@ -386,7 +385,6 @@ class ReliabilityManager:
             cmd.source,
             cmd.address,
             lpn=cmd.lpn,
-            priority=cmd.priority,
             stream=cmd.stream,
             on_complete=cmd.on_complete,
             io=cmd.io,
@@ -468,7 +466,6 @@ class ReliabilityManager:
                 CommandKind.READ,
                 cmd.source,
                 peer_address,
-                priority=cmd.priority,
                 stream=cmd.stream,
                 on_complete=self._peer_read_done,
             )
@@ -517,7 +514,6 @@ class ReliabilityManager:
             PhysicalAddress(lun_key[0], lun_key[1], -1, -1),
             lpn=cmd.lpn,
             content=cmd.content,
-            priority=cmd.priority,
             stream=cmd.stream,
             on_complete=cmd.on_complete,
             io=cmd.io,

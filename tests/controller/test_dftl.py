@@ -169,12 +169,12 @@ class TestBatchedFlush:
     @staticmethod
     def _scan_whole_cmt(ftl, lpn, entry) -> None:
         """The reference: persist ``lpn``, then every dirty CMT sibling."""
-        ftl._persist(lpn, entry.ppn)
+        ftl.persisted.set(lpn, entry.ppn)
         low = lpn // ftl.entries_per_tp * ftl.entries_per_tp
         high = low + ftl.entries_per_tp
         for sibling, sibling_entry in ftl.cmt.items():
             if low <= sibling < high and sibling_entry.dirty:
-                ftl._persist(sibling, sibling_entry.ppn)
+                ftl.persisted.set(sibling, sibling_entry.ppn)
                 sibling_entry.dirty = False
                 ftl.batched_flush_entries += 1
 

@@ -169,12 +169,6 @@ class TestConfiguration:
         assert "hybrid log map" in allocations
         assert "hybrid validity bitmaps" in allocations
 
-    def test_log_utilisation_reported(self):
-        harness = hybrid_harness(log_blocks=4)
-        assert harness.controller.ftl.log_utilisation() == 0.0
-        harness.write_sync(0)
-        assert harness.controller.ftl.log_utilisation() == 0.25
-
 
 class TestDataBlockLifecycle:
     def test_trim_of_data_resident_page(self):
@@ -187,7 +181,7 @@ class TestDataBlockLifecycle:
             harness.write(lpn)
         harness.run()
         assert 0 not in ftl.log_map  # merged into a data block
-        assert ftl._current_address(0) is not None
+        assert ftl.mapped_address(0) is not None
         harness.trim(0)
         harness.run()
         assert harness.read_sync(0).data is None

@@ -19,14 +19,6 @@ class TestRecording:
         assert recorder.records[0].time_ns == 10
         assert recorder.records[1].layer == "hardware"
 
-    def test_capacity_drops_oldest(self):
-        recorder = TraceRecorder(enabled=True, capacity=3)
-        for i in range(5):
-            recorder.record(i, "os", "e", str(i))
-        assert len(recorder) == 3
-        assert [r.detail for r in recorder.records] == ["2", "3", "4"]
-        assert recorder.dropped == 2
-
 
 class TestFilter:
     def _recorder(self):

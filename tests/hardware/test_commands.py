@@ -37,10 +37,9 @@ class TestFlashCommand:
         cmd.deadline = None
         assert not cmd.overdue(10**12)
 
-    def test_default_stream_and_priority(self):
+    def test_default_stream_and_target(self):
         cmd = FlashCommand(CommandKind.READ, CommandSource.APPLICATION, PhysicalAddress(0, 0, 0, 0))
         assert cmd.stream == "default"
-        assert cmd.priority == 0
         assert cmd.target_address is None
 
     def test_repr_mentions_kind_and_lpn(self):

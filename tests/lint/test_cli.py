@@ -188,3 +188,12 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "SIM001" in result.stdout
+
+
+def test_framework_documentation_suppresses_nothing():
+    """The comments documenting the suppression syntax next to its regex
+    must not themselves parse as suppressions of the framework module."""
+    path = REPO_ROOT / "src" / "repro" / "lint" / "framework.py"
+    context = LintContext(str(path), path.read_text())
+    assert context.file_suppressions == set()
+    assert context.line_suppressions == {}

@@ -34,6 +34,11 @@ from repro.workloads import (
 _REPRO_ROOT = Path(repro.__file__).resolve().parent
 
 
+#: CMT entries of the DFTL case: far fewer than the logical pages its
+#: random reads cover, so most reads miss and fetch a translation page.
+_DFTL_CMT_ENTRIES = 256
+
+
 def _in_repro(filename: str) -> bool:
     return Path(filename).resolve().is_relative_to(_REPRO_ROOT)
 
@@ -65,6 +70,13 @@ CASES = {
         2_000,
         324.5,
     ),
+    "dftl_read": (
+        FtlKind.DFTL,
+        lambda: RandomReaderThread("measured", count=3_000, depth=8),
+        3_000,
+        # 105.7 before the FTLs shared one logical-IO path.
+        105.6,
+    ),
     "hybrid_write": (
         FtlKind.HYBRID,
         lambda: RandomWriterThread("measured", count=300, depth=32),
@@ -80,6 +92,8 @@ def measure(name: str) -> float:
     ftl, make_thread, ios, _ = CASES[name]
     config = small_config(seed=3)
     config.controller.ftl = ftl
+    if ftl is FtlKind.DFTL:
+        config.controller.dftl.cmt_entries = _DFTL_CMT_ENTRIES
     simulation = Simulation(config)
     profiler = cProfile.Profile()
     fill = precondition_sequential(config.logical_pages)
