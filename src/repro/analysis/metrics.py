@@ -39,8 +39,9 @@ def latency_balance(stats: StatisticsGatherer) -> float:
     1.0 means identical means; the metric is min/max of the two means.
     Degenerates to 1.0 when a type has no samples (nothing to balance).
     """
-    read_mean = stats.latency[IoType.READ].mean
-    write_mean = stats.latency[IoType.WRITE].mean
+    latency = stats.latency
+    read_mean = latency[IoType.READ].mean
+    write_mean = latency[IoType.WRITE].mean
     if read_mean <= 0.0 or write_mean <= 0.0:
         return 1.0
     return min(read_mean, write_mean) / max(read_mean, write_mean)
@@ -49,8 +50,9 @@ def latency_balance(stats: StatisticsGatherer) -> float:
 def variability_balance(stats: StatisticsGatherer) -> float:
     """Like :func:`latency_balance` but over latency standard deviations
     (the paper's latency-variability metric)."""
-    read_sd = stats.latency[IoType.READ].stddev
-    write_sd = stats.latency[IoType.WRITE].stddev
+    latency = stats.latency
+    read_sd = latency[IoType.READ].stddev
+    write_sd = latency[IoType.WRITE].stddev
     if read_sd <= 0.0 or write_sd <= 0.0:
         return 1.0
     return min(read_sd, write_sd) / max(read_sd, write_sd)

@@ -241,9 +241,6 @@ class SsdScheduler:
     # ------------------------------------------------------------------
     # Policy: candidate selection within one LUN queue
     # ------------------------------------------------------------------
-    def _select(self, lun_key: tuple[int, int]) -> Optional[FlashCommand]:
-        return self._select_in(self.queues[lun_key], lun_key)
-
     def _select_min(
         self, queue: LunQueue, lun_key: tuple[int, int]
     ) -> Optional[FlashCommand]:

@@ -13,7 +13,9 @@ This module provides both:
 * :class:`TimeSeries` -- counts bucketed over virtual time, for the
   metrics-over-time graphs.
 * :class:`StatisticsGatherer` -- the aggregate attached to the whole
-  simulation and, separately, to individual threads.
+  simulation and, separately, to individual threads.  It stores each
+  completed IO once, as a row of timestamps, and derives its latency
+  recorders and time series from the rows when they are read.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ class LatencyRecorder:
         self._samples = array("q")
         self._sum = 0
         self._summary: Optional[dict[str, float]] = None
+
+    @classmethod
+    def _from_array(cls, samples: np.ndarray) -> "LatencyRecorder":
+        """A recorder holding the int64 ``samples``, as if recorded in order."""
+        recorder = cls()
+        recorder._samples.frombytes(memoryview(samples).cast("B"))
+        recorder._sum = int(samples.sum())
+        return recorder
 
     def record(self, latency_ns: int) -> None:
         if latency_ns < 0:
@@ -141,12 +151,27 @@ class TimeSeries:
             raise ValueError("bucket_ns must be positive")
         self.bucket_ns = bucket_ns
         self._buckets: Counter[int] = Counter()
-        self._last_time = 0
+
+    @classmethod
+    def _from_times(
+        cls, bucket_ns: int, times: np.ndarray, amounts: Optional[np.ndarray] = None
+    ) -> "TimeSeries":
+        """The series that :meth:`add` builds from ``times`` with
+        ``amounts`` (int64, summed exactly), or with 1.0 each."""
+        series = cls(bucket_ns)
+        buckets, inverse, counts = np.unique(
+            times // bucket_ns, return_inverse=True, return_counts=True
+        )
+        if amounts is None:
+            totals = counts.astype(np.float64)
+        else:
+            totals = np.zeros(len(buckets), dtype=np.int64)
+            np.add.at(totals, inverse, amounts)
+        series._buckets = Counter(dict(zip(buckets.tolist(), totals.tolist())))
+        return series
 
     def add(self, time_ns: int, amount: float = 1.0) -> None:
         self._buckets[time_ns // self.bucket_ns] += amount
-        if time_ns > self._last_time:
-            self._last_time = time_ns
 
     def series(self) -> list[tuple[int, float]]:
         """Dense ``(bucket_start_ns, count)`` pairs from 0 to the last
@@ -165,54 +190,48 @@ class TimeSeries:
         return [(t, v * scale) for t, v in self.series()]
 
 
+#: The columns of a :class:`StatisticsGatherer` row: an IO's issue,
+#: dispatch and completion times.
+_ISSUE, _DISPATCH, _COMPLETE = range(3)
+#: A row's value for a timestamp the IO never got.  Virtual time starts
+#: at 0, so no real timestamp reads -1.
+_UNSET = -1
+
+
 class StatisticsGatherer:
     """Aggregated per-simulation (or per-thread) statistics.
 
     One gatherer is attached to the whole simulation; additional gatherers
     may be attached to individual threads (Section 2.3) and receive only
     that thread's IO completions.
+
+    A completed IO is stored once, as a row: its issue, dispatch and
+    completion times (``-1`` where unset), appended to three
+    ``array('q')`` columns of its IO type.  The latency recorders and
+    time series are derived from the rows on every read and never
+    cached, so a gatherer holds 24 bytes per IO however often it is read.
     """
 
     def __init__(self, name: str = "global", bucket_ns: int = 10 * units.MILLISECOND) -> None:
+        if bucket_ns <= 0:
+            raise ValueError("bucket_ns must be positive")
         self.name = name
-        #: End-to-end latency by IO type.
-        self.latency: dict[IoType, LatencyRecorder] = {t: LatencyRecorder() for t in IoType}
-        #: Device-internal latency by IO type.
-        self.device_latency: dict[IoType, LatencyRecorder] = {
-            t: LatencyRecorder() for t in IoType
-        }
-        #: OS queueing time by IO type.
-        self.os_wait: dict[IoType, LatencyRecorder] = {t: LatencyRecorder() for t in IoType}
-        #: Completions over time, by IO type.
-        self.completions_over_time: dict[IoType, TimeSeries] = {
-            t: TimeSeries(bucket_ns) for t in IoType
-        }
-        #: Latency-over-time (mean per bucket is recovered by dividing).
-        self.latency_sum_over_time: dict[IoType, TimeSeries] = {
-            t: TimeSeries(bucket_ns) for t in IoType
+        self.bucket_ns = bucket_ns
+        #: Issue, dispatch and completion columns by ``IoType`` value.
+        self._rows = {t._value_: (array("q"), array("q"), array("q")) for t in IoType}
+        #: The columns' bound appends, so :meth:`record_io` looks up no method.
+        self._appends = {
+            key: tuple(column.append for column in columns) for key, columns in self._rows.items()
         }
         #: Flash command counts keyed by (source_name, kind_name).
         self.flash_commands: Counter[tuple[str, str]] = Counter()
-        #: GC activity over time (pages relocated).
-        self.gc_activity_over_time = TimeSeries(bucket_ns)
+        #: Completion times of GC and wear-leveling programs and copybacks.
+        self._gc_times = array("q")
         #: Reliability events (corrected reads, retries, rebuilds,
         #: retirements, ...) keyed by event kind.
         self.reliability_events: Counter[str] = Counter()
-        #: Each IO type's five per-IO recorders, so :meth:`record_io`
-        #: does one dict lookup instead of five.
-        self._io_recorders = {
-            t: (
-                self.latency[t],
-                self.device_latency[t],
-                self.os_wait[t],
-                self.completions_over_time[t],
-                self.latency_sum_over_time[t],
-            )
-            for t in IoType
-        }
         self.first_completion_ns: Optional[int] = None
         self.last_completion_ns: Optional[int] = None
-        self._completed = 0
         #: Cached :meth:`summary` dict; recording anything invalidates it.
         self._summary_cache: Optional[dict[str, float]] = None
 
@@ -220,53 +239,121 @@ class StatisticsGatherer:
     # Recording hooks
     # ------------------------------------------------------------------
     def record_io(self, io: IoRequest) -> None:
-        """Record a completed logical IO.
+        """Record a completed logical IO as one row.
 
-        Reads the timestamps directly rather than through the
-        :class:`IoRequest` latency properties, under the same rules: the
-        end-to-end latency needs an issue time, the device latency a
-        dispatch time and the OS wait both.
+        The end-to-end latency needs an issue time, the device latency a
+        dispatch time and the OS wait both; a negative one is an error.
         """
         complete = io.complete_time
         if complete is None:
             raise ValueError(f"{io!r} has not completed")
-        self._completed += 1
+        issue = io.issue_time
+        dispatch = io.dispatch_time
+        if issue is None:
+            issue = _UNSET
+        elif issue > complete:
+            raise ValueError(f"negative latency {complete - issue}")
+        if dispatch is None:
+            dispatch = _UNSET
+        elif dispatch > complete:
+            raise ValueError(f"negative latency {complete - dispatch}")
+        elif dispatch < issue:
+            raise ValueError(f"negative latency {dispatch - issue}")
         self._summary_cache = None
         if self.first_completion_ns is None:
             self.first_completion_ns = complete
         self.last_completion_ns = complete
-        latency, device, os_wait, completions, latency_sum = self._io_recorders[io.io_type]
-        issue = io.issue_time
-        dispatch = io.dispatch_time
-        if issue is not None:
-            latency.record(complete - issue)
-            latency_sum.add(complete, complete - issue)
-        if dispatch is not None:
-            device.record(complete - dispatch)
-            if issue is not None:
-                os_wait.record(dispatch - issue)
-        completions.add(complete)
+        append_issue, append_dispatch, append_complete = self._appends[io.io_type._value_]
+        append_issue(issue)
+        append_dispatch(dispatch)
+        append_complete(complete)
 
     def record_flash_command(self, source_name: str, kind_name: str, time_ns: int) -> None:
         """Record a completed flash command (controller layer hook)."""
         self.flash_commands[(source_name, kind_name)] += 1
         self._summary_cache = None
         if source_name in ("GC", "WEAR_LEVELING") and kind_name in ("PROGRAM", "COPYBACK"):
-            self.gc_activity_over_time.add(time_ns)
+            self._gc_times.append(time_ns)
 
     def record_reliability_event(self, kind: str) -> None:
         """Record a reliability-subsystem event (controller layer hook)."""
         self.reliability_events[kind] += 1
 
     # ------------------------------------------------------------------
+    # Views derived from the rows
+    # ------------------------------------------------------------------
+    def _column(self, io_type: IoType, column: int) -> np.ndarray:
+        """A zero-copy view of one column: drop it before the next append."""
+        return np.frombuffer(self._rows[io_type._value_][column], dtype=np.int64)
+
+    def _spans(self, io_type: IoType, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """``end - start`` of the rows of ``io_type`` that set both, in
+        recording order, and those rows' completion times (possibly a
+        column view: drop it before the next append)."""
+        first, last = self._column(io_type, start), self._column(io_type, end)
+        spans = last - first
+        complete = self._column(io_type, _COMPLETE)
+        # Only a column holding a negative value can hold the sentinel.
+        if first.min(initial=0) < 0 or last.min(initial=0) < 0:
+            both = (first != _UNSET) & (last != _UNSET)
+            return spans[both], complete[both]
+        return spans, complete
+
+    def _recorder(self, io_type: IoType, start: int, end: int) -> LatencyRecorder:
+        return LatencyRecorder._from_array(self._spans(io_type, start, end)[0])
+
+    def _recorders(self, start: int, end: int) -> dict[IoType, LatencyRecorder]:
+        return {t: self._recorder(t, start, end) for t in IoType}
+
+    @property
+    def latency(self) -> dict[IoType, LatencyRecorder]:
+        """End-to-end latency by IO type."""
+        return self._recorders(_ISSUE, _COMPLETE)
+
+    @property
+    def device_latency(self) -> dict[IoType, LatencyRecorder]:
+        """Device-internal latency by IO type."""
+        return self._recorders(_DISPATCH, _COMPLETE)
+
+    @property
+    def os_wait(self) -> dict[IoType, LatencyRecorder]:
+        """OS queueing time by IO type."""
+        return self._recorders(_ISSUE, _DISPATCH)
+
+    @property
+    def completions_over_time(self) -> dict[IoType, TimeSeries]:
+        """Completions over time, by IO type."""
+        return {
+            t: TimeSeries._from_times(self.bucket_ns, self._column(t, _COMPLETE)) for t in IoType
+        }
+
+    @property
+    def latency_sum_over_time(self) -> dict[IoType, TimeSeries]:
+        """End-to-end latency summed by completion bucket (divide by
+        :attr:`completions_over_time` for the mean per bucket)."""
+        series = {}
+        for t in IoType:
+            spans, complete = self._spans(t, _ISSUE, _COMPLETE)
+            series[t] = TimeSeries._from_times(self.bucket_ns, complete, spans)
+        return series
+
+    @property
+    def gc_activity_over_time(self) -> TimeSeries:
+        """GC and wear-leveling pages programmed over time."""
+        return TimeSeries._from_times(
+            self.bucket_ns, np.frombuffer(self._gc_times, dtype=np.int64)
+        )
+
+    # ------------------------------------------------------------------
     # Derived metrics
     # ------------------------------------------------------------------
     @property
     def completed_ios(self) -> int:
-        return self._completed
+        return sum(len(columns[_COMPLETE]) for columns in self._rows.values())
 
     def completed(self, io_type: IoType) -> int:
-        return self.latency[io_type].count
+        """IOs of ``io_type`` with an end-to-end latency (issued ones)."""
+        return int(np.count_nonzero(self._column(io_type, _ISSUE) != _UNSET))
 
     def throughput_iops(self) -> float:
         """Completed IOs per second of virtual time over the measured span."""
@@ -277,7 +364,7 @@ class StatisticsGatherer:
         ):
             return 0.0
         span = self.last_completion_ns - self.first_completion_ns
-        return self._completed * units.SECOND / span
+        return self.completed_ios * units.SECOND / span
 
     def write_amplification(self) -> float:
         """Total flash programs (incl. copybacks) / application programs."""
@@ -291,25 +378,41 @@ class StatisticsGatherer:
         )
         return total / app
 
+    def _latency_figures(self, io_type: IoType) -> tuple[float, ...]:
+        """Count, mean, p99 and stddev of the end-to-end latency of
+        ``io_type``, and its mean device latency.  One recorder is alive
+        at a time, so a summary read at the end of a run holds at most
+        one type's samples on top of the rows."""
+        latency = self._recorder(io_type, _ISSUE, _COMPLETE)
+        figures = (
+            float(latency.count), latency.mean, latency.percentile(99), latency.stddev
+        )
+        del latency
+        return figures + (self._recorder(io_type, _DISPATCH, _COMPLETE).mean,)
+
     def summary(self) -> dict[str, float]:
         """Flat metric dictionary -- the rows experiment tables report."""
         if self._summary_cache is not None:
             return dict(self._summary_cache)
-        reads = self.latency[IoType.READ]
-        writes = self.latency[IoType.WRITE]
+        reads, read_mean, read_p99, read_stddev, read_device_mean = self._latency_figures(
+            IoType.READ
+        )
+        writes, write_mean, write_p99, write_stddev, write_device_mean = (
+            self._latency_figures(IoType.WRITE)
+        )
         self._summary_cache = {
-            "completed_ios": float(self._completed),
-            "completed_reads": float(reads.count),
-            "completed_writes": float(writes.count),
+            "completed_ios": float(self.completed_ios),
+            "completed_reads": reads,
+            "completed_writes": writes,
             "throughput_iops": self.throughput_iops(),
-            "read_mean_ns": reads.mean,
-            "read_p99_ns": reads.percentile(99),
-            "read_stddev_ns": reads.stddev,
-            "write_mean_ns": writes.mean,
-            "write_p99_ns": writes.percentile(99),
-            "write_stddev_ns": writes.stddev,
-            "read_device_mean_ns": self.device_latency[IoType.READ].mean,
-            "write_device_mean_ns": self.device_latency[IoType.WRITE].mean,
+            "read_mean_ns": read_mean,
+            "read_p99_ns": read_p99,
+            "read_stddev_ns": read_stddev,
+            "write_mean_ns": write_mean,
+            "write_p99_ns": write_p99,
+            "write_stddev_ns": write_stddev,
+            "read_device_mean_ns": read_device_mean,
+            "write_device_mean_ns": write_device_mean,
             "write_amplification": self.write_amplification(),
             "erases": float(
                 sum(c for (_, kind), c in self.flash_commands.items() if kind == "ERASE")
@@ -325,10 +428,11 @@ class StatisticsGatherer:
     def report(self) -> str:
         """Multi-line human-readable report (the demo's numeric panel)."""
         lines = [f"== statistics: {self.name} =="]
-        lines.append(f"completed IOs : {self._completed}")
+        lines.append(f"completed IOs : {self.completed_ios}")
         lines.append(f"throughput    : {self.throughput_iops():,.0f} IOPS")
+        latency = self.latency
         for io_type in (IoType.READ, IoType.WRITE):
-            recorder = self.latency[io_type]
+            recorder = latency[io_type]
             if recorder.count:
                 lines.append(f"{io_type.value:<5} latency : {recorder.describe()}")
         waf = self.write_amplification()

@@ -187,11 +187,11 @@ class TestFairPolicy:
         for cmd in (app1, app2, gc):
             cmd.enqueue_time = 0
             scheduler.queues[lun_key][cmd.id] = cmd
-        first = scheduler._select(lun_key)
+        first = scheduler._select_in(scheduler.queues[lun_key], lun_key)
         assert first is app1
         del scheduler.queues[lun_key][first.id]
         scheduler._advance_fair(first)
-        second = scheduler._select(lun_key)
+        second = scheduler._select_in(scheduler.queues[lun_key], lun_key)
         assert second is gc  # rotation moved past APPLICATION
 
     def test_full_workload_completes_under_every_policy(self):

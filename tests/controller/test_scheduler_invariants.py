@@ -230,4 +230,4 @@ def test_fifo_select_matches_full_min_scan() -> None:
             eligible = [cmd for cmd in queue.values() if scheduler._eligible(cmd)]
             expected = min(eligible, key=scheduler._sort_key)
             assert expected is low
-            assert scheduler._select(lun_key) is expected
+            assert scheduler._select_in(scheduler.queues[lun_key], lun_key) is expected
