@@ -157,19 +157,21 @@ class WriteAllocator:
     # ------------------------------------------------------------------
     def can_bind(self, cmd: FlashCommand) -> bool:
         """True when a physical page can be bound for ``cmd`` right now."""
-        if cmd.kind is CommandKind.PROGRAM and cmd.address.block >= 0:
+        address = cmd.address
+        if cmd.kind is CommandKind.PROGRAM and address.block >= 0:
             # Explicitly block-bound program (hybrid FTL): bindable while
             # the designated block has room.
-            lun = self.array.luns[cmd.lun_key]
-            return not lun.block(cmd.address.block).is_full
+            lun = self.array.lun_grid[address.channel][address.lun]
+            return not lun.block(address.block).is_full
+        lun_key = (address.channel, address.lun)
         if cmd.kind is CommandKind.COPYBACK:
             # The exact gc stream is only known once the source page is
             # read at start; the conservative check is "any gc capacity".
-            return self._gc_capacity(cmd.lun_key)
+            return self._gc_capacity(lun_key)
         stream = self._stream_of(cmd)
         if _is_gc_stream(stream):
-            return self._gc_capacity(cmd.lun_key)
-        return self.has_capacity(cmd.lun_key, stream)
+            return self._gc_capacity(lun_key)
+        return self.has_capacity(lun_key, stream)
 
     def has_capacity(self, lun_key: tuple[int, int], stream: str) -> bool:
         lun = self.array.luns[lun_key]
@@ -204,14 +206,15 @@ class WriteAllocator:
     def bind_program(self, cmd: FlashCommand) -> PhysicalAddress:
         """Array callback: pick the physical page for a starting PROGRAM
         or COPYBACK command."""
-        lun_key = cmd.lun_key
-        if cmd.kind is CommandKind.PROGRAM and cmd.address.block >= 0:
+        address = cmd.address
+        if cmd.kind is CommandKind.PROGRAM and address.block >= 0:
             # Explicitly block-bound program: next sequential page of the
             # designated block.
-            block = self.array.luns[lun_key].block(cmd.address.block)
+            block = self.array.lun_grid[address.channel][address.lun].block(address.block)
             return PhysicalAddress(
-                lun_key[0], lun_key[1], cmd.address.block, block.write_pointer
+                address.channel, address.lun, address.block, block.write_pointer
             )
+        lun_key = (address.channel, address.lun)
         stream = self._stream_of(cmd)
         lun = self.array.luns[lun_key]
         block_id = self.open_blocks.get((lun_key, stream))

@@ -255,13 +255,13 @@ class SsdController:
         """Queue a flash command (used by FTL, GC, WL and tests).  Its
         ``on_complete`` is delivered by :meth:`_command_complete`."""
         kind = cmd.kind
+        address = cmd.address
         if kind is CommandKind.READ or kind is CommandKind.COPYBACK:
-            self.array.lun_of(cmd).block(cmd.address.block).hold_read()
+            self.array.lun_grid[address.channel][address.lun].block(address.block).hold_read()
         self.scheduler.enqueue(cmd)
         if self.overload is not None:
             self.overload.arm_timeout(cmd)
         # A PROGRAM's binding at start keeps its LUN: one key serves both.
-        address = cmd.address
         lun_key = (address.channel, address.lun)
         if cmd.source is CommandSource.APPLICATION:
             self.gc.note_app_activity(lun_key)

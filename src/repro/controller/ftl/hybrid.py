@@ -51,6 +51,37 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _WORD_MASK = 0xFFFFFFFFFFFFFFFF
 
 
+class _Merge:
+    """One logical block being full-merged into a fresh data block.
+
+    Every command of the merge carries the job in ``context``; the job
+    shape follows :class:`repro.controller.gc._Evacuation`.
+    """
+
+    __slots__ = ("lbn", "base_lpn", "target", "snapshot", "offset", "done")
+
+    def __init__(
+        self,
+        lbn: int,
+        base_lpn: Lpn,
+        target: PhysicalAddress,
+        snapshot: list[Optional[PhysicalAddress]],
+        done: Callable[[], None],
+    ):
+        self.lbn = lbn
+        #: The lpn at offset 0 of ``lbn``.
+        self.base_lpn = base_lpn
+        #: The new data block, as an explicit block-bound program address.
+        self.target = target
+        #: Per offset, the source location at merge start (``None`` for a
+        #: filler page).
+        self.snapshot = snapshot
+        #: The offset being copied; offsets are copied strictly in order.
+        self.offset = 0
+        #: Runs once the merge committed.
+        self.done = done
+
+
 class HybridFtl(BaseFtl):
     """Block-mapped FTL with a page-mapped log-block update area."""
 
@@ -183,6 +214,12 @@ class HybridFtl(BaseFtl):
             self.log_map.pop(lpn, None)
         else:
             self.log_map[lpn] = address
+
+    def _invalidate(self, address: PhysicalAddress) -> None:
+        # No GC trigger: merges are this FTL's reclamation, and the
+        # generic collector stands down (``manages_physical_space``).
+        lun = self.controller.array.lun_grid[address.channel][address.lun]
+        lun.block(address.block).invalidate(address.page)
 
     # ------------------------------------------------------------------
     # Physical block pool
@@ -360,77 +397,99 @@ class HybridFtl(BaseFtl):
         new_key = self._take_free_block(for_merge=True)
         if new_key is None:
             raise RuntimeError("hybrid FTL out of merge blocks (feasibility bug)")
-        snapshot: list[Optional[PhysicalAddress]] = [
-            self.mapped_address(lbn * self.ppb + offset) for offset in range(self.ppb)
-        ]
-        self._merge_step(lbn, new_key, snapshot, 0, done)
+        base_lpn = lbn * self.ppb
+        mapped = self.mapped_address
+        snapshot = [mapped(base_lpn + offset) for offset in range(self.ppb)]
+        self._merge_copy(
+            _Merge(lbn, base_lpn, self._explicit_address(new_key), snapshot, done)
+        )
 
-    def _merge_step(self, lbn, new_key, snapshot, offset, done) -> None:
-        """Copy one offset into the new data block, strictly in order."""
+    # One offset at a time, strictly in order: read -> program -> next.
+    # Each command carries the job in ``context``; the bound methods
+    # below are the completions.
+    def _merge_copy(self, job: "_Merge") -> None:
+        """Copy the job's current offset into its new data block."""
+        offset = job.offset
         if offset == self.ppb:
-            self._commit_merge(lbn, new_key, snapshot, done)
+            self._commit_merge(job)
             return
-        lpn = lbn * self.ppb + offset
-        source = snapshot[offset]
-        next_step = lambda: self._merge_step(lbn, new_key, snapshot, offset + 1, done)
+        lpn = job.base_lpn + offset
+        source = job.snapshot[offset]
         if source is None:
             # Filler page: keeps offsets aligned; dead on arrival.
             self.filler_pages += 1
             cmd = FlashCommand(
                 CommandKind.PROGRAM,
                 CommandSource.GC,
-                self._explicit_address(new_key),
+                job.target,
                 lpn=lpn,
                 content=(lpn, 0),
-                on_complete=lambda c: (self._invalidate(c.address), next_step()),
+                on_complete=self._merge_filler_done,
+                context=job,
             )
-            self.controller.enqueue_command(cmd)
-            return
-        read = FlashCommand(
-            CommandKind.READ,
-            CommandSource.GC,
-            source,
-            lpn=lpn,
-            on_complete=lambda c: self._merge_program(new_key, c.content, next_step),
-        )
-        self.controller.enqueue_command(read)
+        else:
+            cmd = FlashCommand(
+                CommandKind.READ,
+                CommandSource.GC,
+                source,
+                lpn=lpn,
+                on_complete=self._merge_read_done,
+                context=job,
+            )
+        self.controller.enqueue_command(cmd)
 
-    def _merge_program(self, new_key, content, next_step) -> None:
+    def _merge_read_done(self, read: FlashCommand) -> None:
         self.merged_pages += 1
+        job, content = read.context, read.content
         cmd = FlashCommand(
             CommandKind.PROGRAM,
             CommandSource.GC,
-            self._explicit_address(new_key),
+            job.target,
             lpn=content[0],
             content=content,
-            on_complete=lambda c: next_step(),
+            on_complete=self._merge_program_done,
+            context=job,
         )
         self.controller.enqueue_command(cmd)
 
-    def _commit_merge(self, lbn, new_key, snapshot, done) -> None:
+    def _merge_program_done(self, cmd: FlashCommand) -> None:
+        job = cmd.context
+        job.offset += 1
+        self._merge_copy(job)
+
+    def _merge_filler_done(self, cmd: FlashCommand) -> None:
+        self._invalidate(cmd.address)
+        self._merge_program_done(cmd)
+
+    def _commit_merge(self, job: "_Merge") -> None:
+        lbn, base_lpn, target = job.lbn, job.base_lpn, job.target
         old_data = self._data_block_of(lbn)
-        (lun_key, block_id) = new_key
-        for offset in range(self.ppb):
-            source = snapshot[offset]
+        channel, lun, block_id = target.channel, target.lun, target.block
+        new_block = self.controller.array.lun_grid[channel][lun].block(block_id)
+        journal = self.controller.journal
+        mapped = self.mapped_address
+        for offset, source in enumerate(job.snapshot):
             if source is None:
                 continue  # filler, already invalidated
-            lpn = lbn * self.ppb + offset
-            new_address = PhysicalAddress(lun_key[0], lun_key[1], block_id, offset)
-            if self.mapped_address(lpn) == source:
+            lpn = base_lpn + offset
+            if mapped(lpn) == source:
                 self._invalidate(source)
                 self.log_map.pop(lpn, None)
                 self._set_data_bit(lbn, offset)
-                self._journal_commit(
-                    lpn, self._committed_versions.get(lpn, 0), new_address
-                )
+                if journal is not None:
+                    self._journal_commit(
+                        lpn,
+                        self._committed_versions.get(lpn, 0),
+                        PhysicalAddress(channel, lun, block_id, offset),
+                    )
             else:
                 # Overwritten or trimmed mid-merge: the merged copy is
                 # stale on arrival.
-                self._invalidate(new_address)
-        self._set_data_block(lbn, lun_key[0], lun_key[1], block_id)
+                new_block.invalidate(offset)
+        self._set_data_block(lbn, channel, lun, block_id)
         if old_data is not None:
             self._erase_detached(old_data)
-        done()
+        job.done()
 
     def _erase_victim(self, victim) -> None:
         (lun_key, block_id) = victim

@@ -296,8 +296,9 @@ class SsdScheduler:
 
     def _eligible(self, cmd: FlashCommand) -> bool:
         if cmd.kind is CommandKind.ERASE:
-            lun = self.array.lun_of(cmd)
-            return lun.block(cmd.address.block).erasable
+            address = cmd.address
+            lun = self.array.lun_grid[address.channel][address.lun]
+            return lun.block(address.block).erasable
         if cmd.kind in (CommandKind.PROGRAM, CommandKind.COPYBACK):
             return self.can_bind(cmd)
         return True

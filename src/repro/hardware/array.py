@@ -108,7 +108,7 @@ class SsdArray:
             for c, l in iter_luns(geometry)
         }
         #: The same LUNs indexed ``[channel][lun]`` for the hot lookups.
-        self._lun_grid: list[list[Lun]] = [
+        self.lun_grid: list[list[Lun]] = [
             [self.luns[(channel, lun)] for lun in range(geometry.luns_per_channel)]
             for channel in range(geometry.channels)
         ]
@@ -136,33 +136,21 @@ class SsdArray:
     # Topology accessors
     # ------------------------------------------------------------------
     def lun(self, channel_id: int, lun_id: int) -> Lun:
-        return self._lun_grid[channel_id][lun_id]
-
-    def lun_of(self, cmd: FlashCommand) -> Lun:
-        address = cmd.address
-        return self._lun_grid[address.channel][address.lun]
+        return self.lun_grid[channel_id][lun_id]
 
     # ------------------------------------------------------------------
     # Dispatch interface (called by the SSD scheduler)
     # ------------------------------------------------------------------
-    def can_start(self, cmd: FlashCommand) -> bool:
-        """True when the command's LUN and channel are both available and
-        an erase target is actually erasable."""
-        lun = self.lun_of(cmd)
-        if lun.is_busy:
-            return False
-        channel = self.channels[cmd.address.channel]
-        if not channel.is_free(self.sim.now):
-            return False
-        if cmd.kind is CommandKind.ERASE:
-            return lun.block(cmd.address.block).erasable
-        return True
-
     def start(self, cmd: FlashCommand) -> None:
-        """Begin executing ``cmd``.  The caller must have verified
-        :meth:`can_start`."""
+        """Begin executing ``cmd`` on its idle LUN.
+
+        The scheduler starts a command only on an idle LUN whose channel
+        is free, and only once the command is eligible (a program can
+        bind, an erase target is erasable); a busy LUN raises here.
+        """
         now = self.sim.now
-        lun = self.lun_of(cmd)
+        address = cmd.address
+        lun = self.lun_grid[address.channel][address.lun]
         if lun.current_command is not None:
             raise FlashStateError(f"LUN {lun.key} busy, cannot start {cmd!r}")
         cmd.start_time = now
@@ -171,20 +159,23 @@ class SsdArray:
         if kind is CommandKind.PROGRAM or kind is CommandKind.COPYBACK:
             self._apply_start_effects(cmd, lun)
         phases = self._plans[kind._value_]
+        channel = self.channels[address.channel]
         if not self.interleaving:
-            total = sum(duration for _, duration in phases)
-            self.channels[cmd.address.channel].occupy(now, total)
+            channel.occupy(now, sum(duration for _, duration in phases))
         if self.tracer.enabled:
             self.tracer.record(now, "hardware", "start", self._describe(cmd))
-        self._run_phase(cmd, lun, phases, 0)
+        self._run_phase(cmd, lun, channel, phases, 0)
 
     # ------------------------------------------------------------------
     # Phase machinery
     # ------------------------------------------------------------------
-    # The phase methods carry the command's LUN, resolved once in
-    # :meth:`start`.  Each phase event posts its real handler: the next
-    # phase, or :meth:`_complete` after the last one.
-    def _run_phase(self, cmd: FlashCommand, lun: Lun, phases: tuple, index: int) -> None:
+    # The phase methods carry the command's LUN and channel, resolved
+    # once in :meth:`start`.  Each phase event posts its real handler:
+    # the next phase, or :meth:`_complete` after the last one.  Every
+    # plan starts with a bus phase and alternates bus and array phases.
+    def _run_phase(
+        self, cmd: FlashCommand, lun: Lun, channel: Channel, phases: tuple, index: int
+    ) -> None:
         is_array, duration = phases[index]
         if is_array or not self.interleaving:
             if is_array:
@@ -194,7 +185,7 @@ class SsdArray:
             if index + 1 == len(phases):
                 self.sim.post(duration, self._complete, cmd, lun)
             else:
-                self.sim.post(duration, self._run_phase, cmd, lun, phases, index + 1)
+                self.sim.post(duration, self._run_phase, cmd, lun, channel, phases, index + 1)
             return
         if self.pipelining and cmd.kind is CommandKind.READ and index == 2:
             # Cache register: the LUN can accept the next operation while
@@ -204,33 +195,49 @@ class SsdArray:
             # its array time overlaps this transfer (cache-read mode).
             self._release_lun(cmd, lun)
             self.on_resource_free()
-        channel = self.channels[cmd.address.channel]
         now = self.sim.now
         if now >= channel.busy_until:
-            channel.occupy(now, duration)
-            self.sim.post(duration, self._after_bus, cmd, lun, phases, index)
+            # ``Channel.occupy`` without its busy check, just made.
+            channel.busy_until = now + duration
+            channel.busy_ns += duration
+            self.sim.post(duration, self._after_bus, cmd, lun, channel, phases, index)
         else:
             channel.park_continuation(
-                lambda: self._occupy_bus(cmd, lun, phases, index, duration)
+                lambda: self._occupy_bus(cmd, lun, channel, phases, index, duration)
             )
 
     def _occupy_bus(
-        self, cmd: FlashCommand, lun: Lun, phases: tuple, index: int, duration: int
+        self,
+        cmd: FlashCommand,
+        lun: Lun,
+        channel: Channel,
+        phases: tuple,
+        index: int,
+        duration: int,
     ) -> None:
-        channel = self.channels[cmd.address.channel]
         channel.occupy(self.sim.now, duration)
-        self.sim.post(duration, self._after_bus, cmd, lun, phases, index)
+        self.sim.post(duration, self._after_bus, cmd, lun, channel, phases, index)
 
-    def _after_bus(self, cmd: FlashCommand, lun: Lun, phases: tuple, index: int) -> None:
+    def _after_bus(
+        self, cmd: FlashCommand, lun: Lun, channel: Channel, phases: tuple, index: int
+    ) -> None:
         # Only interleaving posts this: the bus phase released the channel.
-        pump = index + 1 < len(phases)
+        now = self.sim.now
+        index += 1
+        pump = index < len(phases)
         if pump:
-            self._run_phase(cmd, lun, phases, index + 1)
+            # An array phase follows every bus phase but the last: run
+            # it here rather than through ``_run_phase``.
+            duration = phases[index][1]
+            lun.busy_until = now + duration
+            lun.busy_ns += duration
+            if index + 1 == len(phases):
+                self.sim.post(duration, self._complete, cmd, lun)
+            else:
+                self.sim.post(duration, self._run_phase, cmd, lun, channel, phases, index + 1)
         else:
             self._complete(cmd, lun)
         # Serve parked bus phases FIFO while the bus stays free.
-        channel = self.channels[cmd.address.channel]
-        now = self.sim.now
         while now >= channel.busy_until and channel.continuations:
             channel.continuations.popleft()()
             pump = True
@@ -263,7 +270,7 @@ class SsdArray:
                 raise FlashStateError(f"{cmd!r} has no content to program")
             address = self.bind_program(cmd)
             validate_address(address, self.geometry)
-            if (address.channel, address.lun) != cmd.lun_key:
+            if address.lun != lun.lun_id or address.channel != lun.channel_id:
                 raise FlashStateError(
                     f"binder moved {cmd!r} across LUNs: {address}"
                 )

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import small_config
 from repro.core.config import FtlKind
+from repro.hardware.flash import PageState
 
 from tests.controller.conftest import ControllerHarness, make_harness
 
@@ -155,6 +157,54 @@ class TestConcurrencyRaces:
         harness.controller.check_invariants()
         for lpn in list(versions)[::11]:
             assert harness.read_sync(lpn).data == (lpn, versions[lpn])
+
+
+    def test_trim_and_overwrite_after_merge_snapshot(self):
+        """A page trimmed after its lbn's merge snapshot leaves the merged
+        copy stale at commit; a page overwritten then loses it to the
+        later log write.  Either way the merged copy ends dead."""
+        config = small_config()
+        config.controller.ftl = FtlKind.HYBRID
+        config.controller.hybrid.log_blocks = 2
+        config.controller.hybrid.switch_merge = False
+        # Every IO reaches the controller at once: the trim must land
+        # while the merge is still copying.
+        harness = ControllerHarness(config, max_outstanding=10_000)
+        ftl = harness.controller.ftl
+        ppb = ftl.ppb
+        jobs = []
+        copy = ftl._merge_copy
+
+        def spy(job):
+            if job.offset == 0:
+                jobs.append(job)  # the snapshot is taken
+            copy(job)
+
+        ftl._merge_copy = spy
+        # Two log blocks of in-order lbns, then one lbn more: its writes
+        # wait for a full merge of the oldest log block.
+        for lpn in range(3 * ppb):
+            harness.write(lpn)
+        while not jobs:
+            assert harness.sim.run(max_events=1) == 1
+        job = jobs[0]
+        trimmed, overwritten = job.base_lpn + ppb - 1, job.base_lpn + ppb - 2
+        assert job.snapshot[ppb - 1] is not None and job.snapshot[ppb - 2] is not None
+        assert ftl.full_merges == 1 and ftl.merged_pages == 0
+        harness.trim(trimmed)
+        harness.write(overwritten)
+        harness.run()
+        target = job.target
+        assert ftl._data_block_of(job.lbn) == (target.channel, target.lun, target.block)
+        new_block = harness.controller.array.lun(target.channel, target.lun).block(
+            target.block
+        )
+        assert new_block.pages[ppb - 1].state is PageState.DEAD
+        assert new_block.pages[ppb - 2].state is PageState.DEAD
+        assert new_block.pages[0].state is PageState.LIVE
+        harness.controller.check_invariants()
+        assert harness.read_sync(trimmed).data is None
+        assert harness.read_sync(overwritten).data == (overwritten, 2)
 
 
 class TestConfiguration:

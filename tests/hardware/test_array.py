@@ -171,15 +171,13 @@ class TestParallelism:
     def test_same_channel_without_interleaving_serialises(self):
         sim, array = make_array(interleaving=False)
         a = submit(sim, array, CommandKind.PROGRAM, lun_key=(0, 0), content=(1, 1))
-        # The channel is reserved for the whole first command; the second
-        # cannot start until it completes (can_start is False).
-        b_cmd = FlashCommand(
-            CommandKind.PROGRAM, CommandSource.APPLICATION, PhysicalAddress(0, 1, -1, -1),
-            content=(2, 1),
-        )
-        assert not array.can_start(b_cmd)
+        # The channel is reserved for the whole first command, so a
+        # command on the channel's other LUN cannot start until it ends.
+        channel = array.channels[0]
+        assert not array.lun(0, 1).is_busy
+        assert channel.busy_until == PROGRAM_NS
         sim.run()
-        assert array.can_start(b_cmd)
+        assert channel.is_free(sim.now)
         assert a.complete_time == PROGRAM_NS
 
     def test_read_data_out_waits_for_busy_channel(self):
@@ -199,13 +197,71 @@ class TestParallelism:
 
     def test_lun_busy_while_command_runs(self):
         sim, array = make_array()
-        submit(sim, array, CommandKind.PROGRAM, content=(1, 1))
-        probe = FlashCommand(
-            CommandKind.PROGRAM, CommandSource.APPLICATION, PhysicalAddress(0, 0, -1, -1),
-            content=(2, 1),
-        )
-        assert not array.can_start(probe)
+        cmd = submit(sim, array, CommandKind.PROGRAM, content=(1, 1))
         assert array.lun(0, 0).is_busy
+        assert array.lun(0, 0).current_command is cmd
+        sim.run()
+        assert not array.lun(0, 0).is_busy
+
+
+class TestPhasePlans:
+    """``_after_bus`` runs the array phase that follows a bus phase
+    inline, which holds because every plan starts with a bus phase and
+    alternates bus and array phases."""
+
+    def test_every_plan_alternates_from_a_bus_phase(self):
+        _, array = make_array()
+        assert set(array._plans) == {kind.value for kind in CommandKind}
+        for phases in array._plans.values():
+            assert [is_array for is_array, _ in phases] == [
+                index % 2 == 1 for index in range(len(phases))
+            ]
+
+    @staticmethod
+    def _event_times(sim, array, cmd):
+        """Step ``cmd`` to completion; per event, the time and the LUN's
+        and channel's state after it."""
+        lun = array.lun(cmd.address.channel, cmd.address.lun)
+        channel = array.channels[cmd.address.channel]
+        steps = []
+        while sim.run(max_events=1):
+            steps.append((sim.now, lun.busy_until, channel.busy_until, lun.is_busy))
+        return steps
+
+    @staticmethod
+    def _relative(steps, start):
+        return [(now - start, lun - start, bus - start, busy) for now, lun, bus, busy in steps]
+
+    def test_pipelined_read_phase_ends(self):
+        sim, array = make_array(pipelining=True)
+        address = program_page(sim, array, token=(1, 1))
+        start = sim.now
+        read = submit(sim, array, CommandKind.READ, address=address)
+        assert array.channels[0].busy_until == start + 10
+        steps = self._relative(self._event_times(sim, array, read), start)
+        # cmd 0-10, array 10-110, data-out 110-184 with the LUN released.
+        assert steps == [
+            (10, 110, 10, True),
+            (110, 110, 184, False),
+            (184, 110, 184, False),
+        ]
+        assert read.complete_time - start == READ_NS
+
+    def test_interleaved_copyback_phase_ends(self):
+        sim, array = make_array(interleaving=True)
+        address = program_page(sim, array, token=(4, 2))
+        start = sim.now
+        copyback = submit(sim, array, CommandKind.COPYBACK, address=address)
+        assert array.channels[0].busy_until == start + 10
+        steps = self._relative(self._event_times(sim, array, copyback), start)
+        # cmd 0-10, read 10-110, cmd 110-120, program 120-320.
+        assert steps == [
+            (10, 110, 10, True),
+            (110, 110, 120, True),
+            (120, 320, 120, True),
+            (320, 320, 120, False),
+        ]
+        assert copyback.complete_time - start == COPYBACK_NS
 
 
 class TestPipelining:
@@ -240,14 +296,13 @@ class TestPipelining:
 
 
 class TestStartEffects:
-    def test_erase_on_live_block_refused_by_can_start(self):
+    def test_block_with_live_page_not_erasable(self):
         sim, array = make_array()
         address = program_page(sim, array)
-        erase = FlashCommand(
-            CommandKind.ERASE, CommandSource.GC,
-            PhysicalAddress(0, 0, address.block, 0),
-        )
-        assert not array.can_start(erase)
+        block = array.lun(0, 0).block(address.block)
+        assert not block.erasable
+        block.invalidate(address.page)
+        assert block.erasable
 
     def test_start_on_busy_lun_raises(self):
         sim, array = make_array()

@@ -62,31 +62,35 @@ CASES = {
         lambda: RandomReaderThread("measured", count=3_000, depth=8),
         3_000,
         # 92.5 before the flash-command lifecycle rework, 77.8 before
-        # statistics stored one row per IO.
-        67.8,
+        # statistics stored one row per IO, 67.8 before the leaner
+        # phase path and block-bound programs.
+        63.2,
     ),
     "page_gc_write": (
         FtlKind.PAGE,
         lambda: RandomWriterThread("measured", count=2_000, depth=8),
         2_000,
-        # 321.4 before statistics stored one row per IO.
-        309.1,
+        # 321.4 before statistics stored one row per IO, 309.1 before
+        # the leaner phase path and block-bound programs.
+        282.8,
     ),
     "dftl_read": (
         FtlKind.DFTL,
         lambda: RandomReaderThread("measured", count=3_000, depth=8),
         3_000,
         # 105.7 before the FTLs shared one logical-IO path, 105.6 before
-        # statistics stored one row per IO.
-        95.6,
+        # statistics stored one row per IO, 95.6 before the leaner phase
+        # path and block-bound programs.
+        88.3,
     ),
     "hybrid_write": (
         FtlKind.HYBRID,
         lambda: RandomWriterThread("measured", count=300, depth=32),
         300,
         # 750.2 before the flash-command lifecycle rework, 643.5 before
-        # statistics stored one row per IO.
-        627.9,
+        # statistics stored one row per IO, 627.9 before merges ran as
+        # one slotted job.
+        519.6,
     ),
 }
 
