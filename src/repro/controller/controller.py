@@ -380,6 +380,14 @@ class SsdController:
                 f"retired block b{block_id} on {lun_key} still holds "
                 f"{int(state.live_count[global_id])} live pages"
             )
+        untracked = state.fully_dead_mask()
+        untracked[[block for blocks in state.fully_dead for block in sorted(blocks)]] = False
+        if untracked.any():
+            lun_key, block_id, _ = _locate(untracked)
+            raise AssertionError(
+                f"fully-dead block b{block_id} on {lun_key} is missing from "
+                f"its LUN's fully_dead set"
+            )
         condemned = sum(job.retire for job in self.gc.evacuating.values())
         if condemned:
             raise AssertionError(

@@ -255,7 +255,7 @@ class BaseFtl(abc.ABC):
         return self._issued_versions.bump(lpn)
 
     def _invalidate(self, address: PhysicalAddress) -> None:
-        lun = self.controller.array.luns[(address.channel, address.lun)]
+        lun = self.controller.array.lun_grid[address.channel][address.lun]
         lun.block(address.block).invalidate(address.page)
         # A LUN stalled at its free-block watermark may have been waiting
         # for its first reclaimable page: re-check the GC trigger.

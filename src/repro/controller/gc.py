@@ -293,26 +293,36 @@ class GarbageCollector:
         )
 
     def _reclaim_fully_dead(self, lun_key: tuple[int, int], lun: Lun) -> None:
-        # Fully-dead = programmed but zero live pages.  Bad blocks are
+        # Fully-dead = programmed but zero live pages: the LUN's
+        # ``fully_dead`` set, kept as blocks die.  Bad blocks are
         # excluded: runtime-retired blocks keep their dead contents
         # (stale reads and parity stay valid); they are gone for good.
         state = lun.state
-        start, stop = state.block_range(lun.lun_index)
-        mask = state.write_pointer[start:stop] > 0
-        mask &= state.live_count[start:stop] == 0
-        if not mask.any():
+        fully_dead = state.fully_dead[lun.lun_index]
+        if not fully_dead:
             return  # common case: nothing fully dead, skip the rest
-        mask &= state.bad[start:stop] == 0
-        mask &= state.block_free[start:stop] == 0
-        for block_id in self.controller.allocator.open_block_ids(lun_key):
-            mask[block_id] = False
-        for block_id in np.nonzero(mask)[0].tolist():
+        base = lun.lun_index * state.blocks_per_lun
+        live, bad, free = state.mv_live_count, state.mv_bad, state.mv_block_free
+        evacuating = self.evacuating
+        candidates = []
+        for global_id in sorted(fully_dead):
+            if live[global_id] or bad[global_id]:
+                # Programmed again since it died, or retired.
+                fully_dead.discard(global_id)
+                continue
+            block_id = global_id - base
+            if not free[global_id] and (lun_key, block_id) not in evacuating:
+                candidates.append(block_id)
+        if not candidates:
+            return  # only blocks already being erased
+        open_ids = self.controller.allocator.open_block_ids(lun_key)
+        for block_id in [b for b in candidates if b not in open_ids]:
             # Checked per block: each enqueue pumps the scheduler, whose
             # program bindings may re-enter ``maybe_trigger``.
-            if (lun_key, block_id) in self.evacuating:
+            if (lun_key, block_id) in evacuating:
                 continue
             job = _Evacuation(lun_key, block_id, on_erased=self._reclaimed)
-            self.evacuating[(lun_key, block_id)] = job
+            evacuating[(lun_key, block_id)] = job
             self._finish(job)
 
     def _reclaimed(self, job: _Evacuation) -> None:
@@ -372,13 +382,15 @@ class GarbageCollector:
         self.active_jobs[lun_key] = job
         block = self.controller.array.luns[lun_key].block(job.block_id)
         live_pages = block.live_page_indexes()
-        self.controller.tracer.record(
-            self.controller.sim.now,
-            "controller",
-            "gc-condemn",
-            f"draining (c{lun_key[0]},l{lun_key[1]},b{job.block_id}) "
-            f"live={len(live_pages)}",
-        )
+        tracer = self.controller.tracer
+        if tracer.enabled:
+            tracer.record(
+                self.controller.sim.now,
+                "controller",
+                "gc-condemn",
+                f"draining (c{lun_key[0]},l{lun_key[1]},b{job.block_id}) "
+                f"live={len(live_pages)}",
+            )
         self._evacuate(job, live_pages)
 
     def _retire_block(self, job: _Evacuation) -> None:
@@ -392,12 +404,13 @@ class GarbageCollector:
         self.active_jobs.pop(lun_key, None)
         self.evacuating.pop((lun_key, block_id), None)
         self.condemned_retirements += 1
-        controller.tracer.record(
-            controller.sim.now,
-            "controller",
-            "gc-retired",
-            f"condemned (c{lun_key[0]},l{lun_key[1]},b{block_id}) left service",
-        )
+        if controller.tracer.enabled:
+            controller.tracer.record(
+                controller.sim.now,
+                "controller",
+                "gc-retired",
+                f"condemned (c{lun_key[0]},l{lun_key[1]},b{block_id}) left service",
+            )
         if controller.reliability is not None:
             controller.reliability.on_runtime_retirement(
                 lun_key, block_id, "program failure"
@@ -423,13 +436,15 @@ class GarbageCollector:
         self.evacuating[(lun_key, block_id)] = job
         block = self.controller.array.luns[lun_key].block(block_id)
         live_pages = block.live_page_indexes()
-        self.controller.tracer.record(
-            self.controller.sim.now,
-            "controller",
-            "wl-start",
-            f"young block (c{lun_key[0]},l{lun_key[1]},b{block_id}) "
-            f"erases={block.erase_count} live={len(live_pages)}",
-        )
+        tracer = self.controller.tracer
+        if tracer.enabled:
+            tracer.record(
+                self.controller.sim.now,
+                "controller",
+                "wl-start",
+                f"young block (c{lun_key[0]},l{lun_key[1]},b{block_id}) "
+                f"erases={block.erase_count} live={len(live_pages)}",
+            )
         self._evacuate(job, live_pages)
 
     def _page_migrated(self, live: bool, content: tuple[int, int]) -> None:
@@ -439,12 +454,14 @@ class GarbageCollector:
         self.controller.wear_leveler.migrated_pages += 1
 
     def _migrated(self, job: _Evacuation) -> None:
-        self.controller.tracer.record(
-            self.controller.sim.now,
-            "controller",
-            "wl-done",
-            f"freed (c{job.lun_key[0]},l{job.lun_key[1]},b{job.block_id})",
-        )
+        tracer = self.controller.tracer
+        if tracer.enabled:
+            tracer.record(
+                self.controller.sim.now,
+                "controller",
+                "wl-done",
+                f"freed (c{job.lun_key[0]},l{job.lun_key[1]},b{job.block_id})",
+            )
 
     # ------------------------------------------------------------------
     # Job execution
@@ -464,13 +481,15 @@ class GarbageCollector:
             )
         self.active_jobs[lun_key] = self.evacuating[(lun_key, victim_id)] = job
         live_pages = lun.block(victim_id).live_page_indexes()
-        self.controller.tracer.record(
-            self.controller.sim.now,
-            "controller",
-            "gc-start",
-            f"victim (c{lun_key[0]},l{lun_key[1]},b{victim_id}) "
-            f"live={len(live_pages)}{' rebalance' if rebalance else ''}",
-        )
+        tracer = self.controller.tracer
+        if tracer.enabled:
+            tracer.record(
+                self.controller.sim.now,
+                "controller",
+                "gc-start",
+                f"victim (c{lun_key[0]},l{lun_key[1]},b{victim_id}) "
+                f"live={len(live_pages)}{' rebalance' if rebalance else ''}",
+            )
         self._evacuate(job, live_pages)
 
     def _evacuate(self, job: _Evacuation, live_pages: list[int]) -> None:
@@ -572,12 +591,14 @@ class GarbageCollector:
     def _collected(self, job: _Evacuation) -> None:
         self.active_jobs.pop(job.lun_key, None)
         self.collected_blocks += 1
-        self.controller.tracer.record(
-            self.controller.sim.now,
-            "controller",
-            "gc-done",
-            f"erased (c{job.lun_key[0]},l{job.lun_key[1]},b{job.block_id})",
-        )
+        tracer = self.controller.tracer
+        if tracer.enabled:
+            tracer.record(
+                self.controller.sim.now,
+                "controller",
+                "gc-done",
+                f"erased (c{job.lun_key[0]},l{job.lun_key[1]},b{job.block_id})",
+            )
         # Condemned blocks (reliability) jump ahead of further
         # collection: their space is unusable until they retire.
         self._pump_condemn(job.lun_key)

@@ -146,7 +146,7 @@ class Block:
     block ages and last-erase timestamps).
     """
 
-    __slots__ = ("_s", "_id", "_ppn_base", "num_pages", "sanitize", "label")
+    __slots__ = ("_s", "_id", "_ppn_base", "_fully_dead", "num_pages", "sanitize", "label")
 
     def __init__(
         self,
@@ -163,6 +163,8 @@ class Block:
         self._s = state
         self._id = block_id
         self._ppn_base = block_id * state.pages_per_block
+        #: The owning LUN's ``FlashState.fully_dead`` set.
+        self._fully_dead = state.fully_dead[block_id // state.blocks_per_lun]
         self.num_pages = num_pages
         #: Sanitizer mode (:mod:`repro.core.sanitize`): verify the page
         #: state machine and the live/dead counters on every mutation.
@@ -332,8 +334,11 @@ class Block:
         if not (valid & mask and s.mv_programmed[word] & mask):
             raise FlashStateError(f"invalidate on non-live page {page_index}")
         s.mv_valid[word] = valid & ~mask & _WORD_MASK
-        s.mv_live_count[block_id] -= 1
+        live = s.mv_live_count[block_id] - 1
+        s.mv_live_count[block_id] = live
         s.mv_dead_count[block_id] += 1
+        if not live:
+            self._fully_dead.add(block_id)
 
     def mark_torn(self, page_index: int) -> None:
         """Power-loss hook: the in-flight program writing this page was
@@ -347,8 +352,11 @@ class Block:
         valid = s.mv_valid[word]
         if valid & mask and s.mv_programmed[word] & mask:
             s.mv_valid[word] = valid & ~mask & _WORD_MASK
-            s.mv_live_count[block_id] -= 1
+            live = s.mv_live_count[block_id] - 1
+            s.mv_live_count[block_id] = live
             s.mv_dead_count[block_id] += 1
+            if not live:
+                self._fully_dead.add(block_id)
 
     def _sanitize_check(self, operation: str, full: bool = False) -> None:
         """Sanitize mode: counters and page states must agree.
@@ -432,6 +440,7 @@ class Block:
         s.mv_dead_count[block_id] = 0
         s.mv_erase_count[block_id] += 1
         s.mv_last_erase_ns[block_id] = now_ns
+        self._fully_dead.discard(block_id)
 
     def live_page_indexes(self) -> list[int]:
         """Indexes of pages the FTL still maps (GC must relocate these)."""

@@ -124,6 +124,16 @@ class FlashState:
         self.mv_bad = memoryview(self.bad)
         self.mv_block_free = memoryview(self.block_free)
 
+        #: Per LUN, the global ids of blocks holding programmed pages but
+        #: no live page: erase-only reclaim walks these instead of
+        #: scanning the LUN.  Derived state (outside :meth:`memory_bytes`)
+        #: kept by :class:`~repro.hardware.flash.Block`: added when a
+        #: block's last live page dies, discarded at erase.  It always
+        #: holds every good block with ``write_pointer > 0`` and
+        #: ``live_count == 0``; entries reprogrammed since they died, or
+        #: retired, are pruned lazily by their reader.
+        self.fully_dead: list[set[int]] = [set() for _ in range(num_luns)]
+
     # ------------------------------------------------------------------
     # Geometry helpers
     # ------------------------------------------------------------------
@@ -131,6 +141,19 @@ class FlashState:
         """Global block-id span ``[start, stop)`` owned by a LUN."""
         start = lun_index * self.blocks_per_lun
         return start, start + self.blocks_per_lun
+
+    def fully_dead_mask(self) -> np.ndarray:
+        """Good blocks holding programmed pages but no live page."""
+        return (self.bad == 0) & (self.write_pointer > 0) & (self.live_count == 0)
+
+    def reseed_fully_dead(self) -> None:
+        """Rebuild every LUN's ``fully_dead`` set from the arrays (after
+        a bulk rewrite of ``live_count``)."""
+        dead = np.nonzero(self.fully_dead_mask())[0]
+        for fully_dead in self.fully_dead:
+            fully_dead.clear()
+        for block_id in dead.tolist():
+            self.fully_dead[block_id // self.blocks_per_lun].add(block_id)
 
     def memory_bytes(self) -> int:
         """Bytes allocated (virtually) for the device-state arrays."""

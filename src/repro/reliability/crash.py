@@ -353,6 +353,7 @@ class PowerCycleCoordinator:
         # simlint: disable=SIM012 -- bulk state rebuild during remount
         state.live_count[good] = live[good]
         state.dead_count[good] = state.write_pointer[good] - live[good]  # simlint: disable=SIM012 -- bulk rebuild
+        state.reseed_fully_dead()
 
     def _mount_cleanup(self, array: "SsdArray", config) -> tuple[int, int]:
         """Erase fully-dead blocks while the device is still mounting.

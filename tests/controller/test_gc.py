@@ -1,7 +1,11 @@
 """Tests for the garbage collector."""
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import FaultPlan, FtlKind
 from repro.core.config import GcVictimPolicy
 
 from tests.controller.conftest import ControllerHarness, make_harness
@@ -222,3 +226,162 @@ class TestRebalancing:
         assert not result.incomplete, (
             f"{simulation.controller.scheduler.total_pending()} commands still queued"
         )
+
+
+def reference_fully_dead(gc, lun_key, lun):
+    """The LUN scan erase-only reclaim ran before the per-LUN index:
+    programmed, good, non-free, non-open blocks without a live page,
+    ascending."""
+    state = lun.state
+    start, stop = state.block_range(lun.lun_index)
+    mask = state.write_pointer[start:stop] > 0
+    mask &= state.live_count[start:stop] == 0
+    mask &= state.bad[start:stop] == 0
+    mask &= state.block_free[start:stop] == 0
+    for block_id in gc.controller.allocator.open_block_ids(lun_key):
+        mask[block_id] = False
+    return np.nonzero(mask)[0].tolist()
+
+
+class ReclaimRecorder:
+    """Checks every erase-only reclaim against :func:`reference_fully_dead`.
+
+    Each ``_reclaim_fully_dead`` call must enqueue, in order, the
+    reference's blocks minus those already being evacuated: at entry,
+    or by a nested call (an enqueue pumps the scheduler, which may
+    re-enter ``maybe_trigger``) before their turn.
+    """
+
+    def __init__(self, gc):
+        self.calls = 0
+        self.reclaimed = 0
+        frames: list[list[int]] = []
+        reclaim, finish = gc._reclaim_fully_dead, gc._finish
+
+        def checked_reclaim(lun_key, lun):
+            before = set(gc.evacuating)
+            candidates = reference_fully_dead(gc, lun_key, lun)
+            frames.append([])
+            reclaim(lun_key, lun)
+            enqueued = frames.pop()
+            nested = set(gc.evacuating) - before - {(lun_key, b) for b in enqueued}
+            expected = [
+                b for b in candidates
+                if (lun_key, b) not in before and (lun_key, b) not in nested
+            ]
+            assert enqueued == expected, (lun_key, enqueued, expected)
+            self.calls += 1
+            self.reclaimed += len(enqueued)
+
+        def recording_finish(job):
+            if frames and job.on_erased == gc._reclaimed:
+                frames[-1].append(job.block_id)
+            finish(job)
+
+        gc._reclaim_fully_dead = checked_reclaim
+        gc._finish = recording_finish
+
+
+def run_ops(harness, ops):
+    """Apply ``(kind, start, length)`` runs of writes or trims."""
+    pages = harness.config.logical_pages
+    for kind, start, length in ops:
+        submit = harness.write if kind == "write" else harness.trim
+        for lpn in range(start, min(start + length, pages)):
+            submit(lpn)
+    harness.run()
+
+
+class TestFullyDeadReclaim:
+    """Erase-only reclaim walks each LUN's ``fully_dead`` set."""
+
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        ftl=st.sampled_from([FtlKind.PAGE, FtlKind.DFTL]),
+        greediness=st.sampled_from([1, 2, 4]),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["write", "trim"]),
+                st.integers(0, 1_600),
+                st.integers(1, 96),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_reclaim_matches_reference_scan(self, ftl, greediness, ops):
+        harness = gc_harness(
+            greediness, mutate=lambda c: setattr(c.controller, "ftl", ftl)
+        )
+        recorder = ReclaimRecorder(harness.controller.gc)
+        harness.fill_device()
+        run_ops(harness, ops)
+        harness.controller.check_invariants()
+
+    @pytest.mark.parametrize("ftl", [FtlKind.PAGE, FtlKind.DFTL])
+    def test_trimmed_blocks_are_reclaimed_erase_only(self, ftl):
+        harness = gc_harness(4, mutate=lambda c: setattr(c.controller, "ftl", ftl))
+        recorder = ReclaimRecorder(harness.controller.gc)
+        harness.fill_device()
+        run_ops(harness, [("trim", 0, 600), ("write", 600, 600), ("write", 0, 300)])
+        harness.controller.check_invariants()
+        assert recorder.reclaimed > 0
+        assert recorder.reclaimed == harness.controller.gc.erase_only_reclaims
+
+    def test_released_dead_open_block_is_reclaimed(self):
+        """A dead block stays indexed while open (reclaim skips it) and
+        is reclaimed once ``release_open_block`` lets it go."""
+        harness = gc_harness()
+        controller = harness.controller
+        gc, allocator = controller.gc, controller.allocator
+        gc.greediness = 40  # every LUN below the watermark from the start
+        for lpn in range(40):
+            harness.write(lpn)
+        harness.run()
+        lun_key = (0, 0)
+        lun = controller.array.luns[lun_key]
+        block_id = allocator.open_blocks[(lun_key, "app")]
+        block = lun.block(block_id)
+        for page in block.live_page_indexes():
+            harness.trim(block.read(page)[0])
+        harness.run()
+        global_id = lun.lun_index * lun.blocks_per_lun + block_id
+        assert block.write_pointer > 0 and block.live_count == 0
+        assert global_id in lun.state.fully_dead[lun.lun_index]
+        gc.maybe_trigger(lun_key)
+        assert (lun_key, block_id) not in gc.evacuating  # open: skipped
+        allocator.release_open_block(lun_key, block_id)
+        gc.maybe_trigger(lun_key)
+        assert (lun_key, block_id) in gc.evacuating
+        harness.run()
+        assert block.is_empty and block.erase_count == 1
+        assert gc.erase_only_reclaims == 1
+        assert global_id not in lun.state.fully_dead[lun.lun_index]
+        controller.check_invariants()
+
+    def test_program_failed_fresh_block_is_retired_not_reclaimed(self):
+        """A program failure on a fresh block's first page leaves it dead
+        and open; the allocator releases it and GC condemns it.  The
+        index must not hand it to erase-only reclaim: it retires, and
+        the next walk prunes it."""
+
+        def failing(config):
+            config.reliability.enabled = True
+            config.reliability.spare_blocks_per_lun = 2
+            config.reliability.fault_plan = FaultPlan().fail_program(0, 0, 0, attempt=1)
+
+        harness = make_harness(failing)
+        controller = harness.controller
+        controller.gc.greediness = 40  # walk the index on every trigger
+        for lpn in range(64):
+            harness.write(lpn)
+        harness.run()
+        lun = controller.array.luns[(0, 0)]
+        block = lun.block(0)
+        assert controller.reliability.program_fail_count == 1
+        assert block.is_bad and block.erase_count == 0
+        assert controller.gc.erase_only_reclaims == 0
+        assert lun.lun_index * lun.blocks_per_lun not in lun.state.fully_dead[lun.lun_index]
+        controller.check_invariants()

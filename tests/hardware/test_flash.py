@@ -1,9 +1,15 @@
 """Tests for the page/block/LUN state machines (NAND constraints)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import FaultPlan, FtlKind, Simulation, small_config
+from repro.hardware.addresses import PhysicalAddress
 from repro.hardware.flash import Block, FlashStateError, Lun, PageState
+from repro.hardware.state import FlashState
+from repro.reliability.crash import PowerCycleCoordinator
+from repro.workloads import RandomWriterThread
 
 
 class TestBlockProgramming:
@@ -146,6 +152,103 @@ class TestLun:
         assert lun.total_dead_pages() == 1
         assert lun.total_free_pages() == 6
         assert lun.erase_counts() == [0, 0]
+
+
+class TestFullyDeadIndex:
+    """``FlashState.fully_dead``: per LUN, the global ids of programmed
+    blocks without a live page, kept as blocks die."""
+
+    def _lun(self, lun_index=1):
+        state = FlashState(2, 4, 4)
+        return Lun(0, lun_index, 4, 4, state=state, lun_index=lun_index), state
+
+    def test_invalidating_last_live_page_adds_block(self):
+        lun, state = self._lun()
+        block = lun.block(2)
+        block.program_next((0, 1), 0)
+        block.program_next((1, 1), 0)
+        block.invalidate(0)
+        assert state.fully_dead == [set(), set()]
+        block.invalidate(1)
+        assert state.fully_dead == [set(), {4 + 2}]
+
+    def test_tearing_last_live_page_adds_block(self):
+        lun, state = self._lun()
+        block = lun.block(3)
+        block.program_next((0, 1), 0)
+        block.program_next((1, 1), 0)
+        block.invalidate(0)
+        block.mark_torn(1)
+        assert state.fully_dead[1] == {4 + 3}
+
+    def test_tearing_a_dead_page_changes_nothing(self):
+        lun, state = self._lun()
+        block = lun.block(0)
+        block.program_next((0, 1), 0)
+        block.program_next((1, 1), 0)
+        block.invalidate(0)
+        block.mark_torn(0)
+        assert state.fully_dead[1] == set()
+
+    def test_erase_removes_block(self):
+        lun, state = self._lun()
+        block = lun.block(1)
+        block.program_next((0, 1), 0)
+        block.invalidate(0)
+        assert state.fully_dead[1] == {4 + 1}
+        block.erase(0)
+        assert state.fully_dead[1] == set()
+
+    def test_reseed_rebuilds_from_arrays(self):
+        state = FlashState(2, 4, 4)
+        state.write_pointer[[1, 2, 5, 6]] = 2
+        state.live_count[[2, 6]] = 1
+        state.bad[5] = 1
+        state.fully_dead[0].add(3)  # stale: erased behind the index
+        state.reseed_fully_dead()
+        assert state.fully_dead == [{1}, set()]
+
+    def test_crash_remount_reseeds_the_sets(self):
+        """The remount rewrites validity in bulk from the recovered
+        mapping: a block none of whose pages the mapping references dies
+        without an ``invalidate`` call, and the reseed must index it."""
+        simulation = Simulation(small_config())
+        array = simulation.controller.array
+        lun = array.luns[(0, 0)]
+        kept, orphaned = lun.block(0), lun.block(1)
+        kept.program_next((0, 1), 0)
+        kept.program_next((1, 1), 0)
+        orphaned.program_next((2, 1), 0)
+        mapping = {0: (PhysicalAddress(0, 0, 0, 0), 1)}
+        PowerCycleCoordinator(simulation)._rebuild_validity(array, mapping)
+        assert (kept.live_count, orphaned.live_count) == (1, 0)
+        assert array.state.fully_dead[lun.lun_index] == {lun.lun_index * lun.blocks_per_lun + 1}
+
+    def test_crash_remount_keeps_the_sets_exact(self, monkeypatch):
+        """End to end: at every remount of a DFTL run the sets equal the
+        arrays' fully-dead blocks before the mount erases them."""
+        seen: list[list[int]] = []
+        cleanup = PowerCycleCoordinator._mount_cleanup
+
+        def checked(coordinator, array, config):
+            state = array.state
+            expected = np.nonzero(state.fully_dead_mask())[0].tolist()
+            seen.append(expected)
+            assert sorted(b for dead in state.fully_dead for b in sorted(dead)) == expected
+            return cleanup(coordinator, array, config)
+
+        monkeypatch.setattr(PowerCycleCoordinator, "_mount_cleanup", checked)
+        config = small_config(seed=42)
+        config.controller.ftl = FtlKind.DFTL
+        config.reliability.fault_plan = FaultPlan().power_loss(
+            at_ns=3_000_000, off_ns=500_000
+        )
+        simulation = Simulation(config)
+        simulation.add_thread(RandomWriterThread("writer", count=600))
+        result = simulation.run()
+        assert result.crash_stats.power_losses == 1
+        assert len(seen) == 1
+        simulation.controller.check_invariants()
 
 
 @given(st.lists(st.sampled_from(["program", "invalidate", "erase"]), max_size=60))
