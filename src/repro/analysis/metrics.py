@@ -9,7 +9,7 @@ interfere with each other, which raises issues of fairness").
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.events import IoType
 from repro.core.statistics import StatisticsGatherer
@@ -84,15 +84,3 @@ def unrecoverable_read_rate(summary: dict) -> float:
     if reads <= 0.0:
         return 0.0
     return summary.get("uncorrectable_reads", 0.0) / reads
-
-
-def coefficient_of_variation(values: Iterable[float]) -> float:
-    """Standard deviation / mean; 0.0 for empty or zero-mean inputs."""
-    values = [float(v) for v in values]
-    if not values:
-        return 0.0
-    mean = sum(values) / len(values)
-    if mean == 0.0:
-        return 0.0
-    variance = sum((v - mean) ** 2 for v in values) / len(values)
-    return variance**0.5 / mean

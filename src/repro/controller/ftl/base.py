@@ -16,7 +16,8 @@ their mapping store, which the path reaches through two hooks,
 :meth:`BaseFtl.mapped_address` and :meth:`BaseFtl._remap`: a RAM table
 for :class:`~repro.controller.ftl.page_ftl.PageMapFtl`, a demand-paged
 table for :class:`~repro.controller.ftl.dftl.DftlFtl` (which runs each
-IO once its CMT entry is loaded), and a block map plus log map for
+IO once its CMT entry is loaded, and whose translation pages take the
+same path under negative pseudo-LPNs), and a block map plus log map for
 :class:`~repro.controller.ftl.hybrid.HybridFtl` (which also places its
 writes itself).
 """
@@ -44,19 +45,15 @@ class BaseFtl(abc.ABC):
     #: leveling modules stand down in that case.
     manages_physical_space = False
 
-    def __init__(self, controller: "SsdController"):
+    def __init__(self, controller: "SsdController", pseudo_lpns: int = 0):
         self.controller = controller
         logical_pages = controller.config.logical_pages
-        pseudo = self._metadata_pseudo_lpns(controller)
-        #: Highest version number issued per LPN (flat array table; DFTL's
-        #: negative translation-page pseudo-LPNs fold into the tail).
-        self._issued_versions = VersionTable(logical_pages, pseudo)
+        #: Highest version number issued per LPN (flat array table; the
+        #: ``pseudo_lpns`` negative metadata pseudo-LPNs -- DFTL's
+        #: translation pages -- fold into the tail).
+        self._issued_versions = VersionTable(logical_pages, pseudo_lpns)
         #: Highest version number that has won the mapping per LPN.
-        self._committed_versions = VersionTable(logical_pages, pseudo)
-
-    def _metadata_pseudo_lpns(self, controller: "SsdController") -> int:
-        """Negative pseudo-LPN slots the scheme versions (DFTL overrides)."""
-        return 0
+        self._committed_versions = VersionTable(logical_pages, pseudo_lpns)
 
     # ------------------------------------------------------------------
     # The scheme's mapping store: the two hooks the shared IO path uses

@@ -32,7 +32,6 @@ from repro.controller.ftl.base import BaseFtl
 from repro.core.events import IoRequest, WriteHints
 from repro.hardware.addresses import Lpn, PhysicalAddress
 from repro.hardware.commands import CommandKind, CommandSource, FlashCommand
-from repro.hardware.flash import PageContent
 from repro.hardware.state import MappingTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,12 +50,13 @@ class DftlFtl(BaseFtl):
     """Demand-paged page mapping with translation pages on flash."""
 
     def __init__(self, controller: "SsdController"):
-        super().__init__(controller)
         config = controller.config
         dftl = config.controller.dftl
         self.entry_bytes = dftl.entry_bytes
         self.entries_per_tp = max(1, config.geometry.page_size_bytes // self.entry_bytes)
         self.num_tps = -(-config.logical_pages // self.entries_per_tp)
+        # Translation page ``tp`` is versioned as pseudo-LPN ``-(tp + 1)``.
+        super().__init__(controller, self.num_tps)
         self.batch_eviction = dftl.batch_eviction
 
         gtd_bytes = self.num_tps * self.entry_bytes
@@ -83,23 +83,11 @@ class DftlFtl(BaseFtl):
 
         self.cmt_hits = 0
         self.cmt_misses = 0
-        assert self.num_tps == self._metadata_pseudo_lpns(controller)
         self.evictions = 0
         self.batched_flush_entries = 0
         #: Translation-page reads issued for CMT misses (excludes the
         #: read half of eviction read-modify-writes).
         self.tp_fetch_reads = 0
-
-    def _metadata_pseudo_lpns(self, controller: "SsdController") -> int:
-        """Version-table slots for the translation pages' pseudo-LPNs
-        (called by ``BaseFtl.__init__`` before this class's attributes
-        exist, hence the recomputation from the raw configuration)."""
-        config = controller.config
-        entries = max(
-            1,
-            config.geometry.page_size_bytes // config.controller.dftl.entry_bytes,
-        )
-        return -(-config.logical_pages // entries)
 
     # ------------------------------------------------------------------
     # Logical IO: the shared path, run once the LPN's CMT entry is loaded
@@ -164,20 +152,28 @@ class DftlFtl(BaseFtl):
                 self.cmt.move_to_end(lpn)
             continuation()
 
+    # The CMT never holds a negative key, so a translation page's
+    # pseudo-LPN always misses it and reaches the GTD.
     def mapped_address(self, lpn: Lpn) -> Optional[PhysicalAddress]:
         entry = self.cmt.get(lpn)
         if entry is not None:
             return entry.ppn
+        if lpn < 0:
+            return self.tp_locations.get(-lpn - 1)
         return self.persisted.get(lpn)
 
     def _remap(self, lpn: Lpn, ppn: Optional[PhysicalAddress]) -> None:
         """Point ``lpn`` at ``ppn``, dirtying (and if needed re-inserting)
-        its CMT entry."""
+        its CMT entry; a translation page's pseudo-LPN moves its GTD
+        entry instead."""
         entry = self.cmt.get(lpn)
         if entry is not None:
             entry.ppn = ppn
             entry.dirty = True
             self.cmt.move_to_end(lpn)
+            return
+        if lpn < 0:
+            self.tp_locations.set(-lpn - 1, ppn)
             return
         self._ensure_capacity()
         self.cmt[lpn] = _CmtEntry(ppn, dirty=True)
@@ -235,37 +231,9 @@ class DftlFtl(BaseFtl):
             lpn=pseudo,
             content=(pseudo, version),
             stream="map",
-            on_complete=self._tp_write_done,
+            on_complete=self._write_done,
         )
         self.controller.enqueue_command(cmd)
-
-    def _tp_write_done(self, cmd: FlashCommand) -> None:
-        pseudo, version = cmd.content
-        tp = self._tp_from_pseudo(pseudo)
-        old_address = self.tp_locations.get(tp)
-        if self._commit_write(pseudo, version, cmd.address, old_address):
-            self.tp_locations.set(tp, cmd.address)
-
-    # ------------------------------------------------------------------
-    # GC / WL cooperation
-    # ------------------------------------------------------------------
-    def on_relocation(
-        self,
-        content: PageContent,
-        old_address: PhysicalAddress,
-        new_address: PhysicalAddress,
-    ) -> bool:
-        pseudo = content[0]
-        if pseudo >= 0:
-            return super().on_relocation(content, old_address, new_address)
-        # A translation page moved: update the GTD.
-        tp = self._tp_from_pseudo(pseudo)
-        if self.tp_locations.get(tp) == old_address:
-            self._invalidate(old_address)
-            self.tp_locations.set(tp, new_address)
-            return True
-        self._invalidate(new_address)
-        return False
 
     # ------------------------------------------------------------------
     # Crash consistency
@@ -328,7 +296,3 @@ class DftlFtl(BaseFtl):
     @staticmethod
     def _tp_pseudo_lpn(tp: int) -> int:
         return -(tp + 1)
-
-    @staticmethod
-    def _tp_from_pseudo(pseudo: int) -> int:
-        return -pseudo - 1

@@ -35,7 +35,7 @@ block-level map gives up in exchange for its tiny RAM footprint.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class _Merge:
     shape follows :class:`repro.controller.gc._Evacuation`.
     """
 
-    __slots__ = ("lbn", "base_lpn", "target", "snapshot", "offset", "done")
+    __slots__ = ("lbn", "base_lpn", "target", "snapshot", "offset")
 
     def __init__(
         self,
@@ -66,7 +66,6 @@ class _Merge:
         base_lpn: Lpn,
         target: PhysicalAddress,
         snapshot: list[Optional[PhysicalAddress]],
-        done: Callable[[], None],
     ):
         self.lbn = lbn
         #: The lpn at offset 0 of ``lbn``.
@@ -78,8 +77,6 @@ class _Merge:
         self.snapshot = snapshot
         #: The offset being copied; offsets are copied strictly in order.
         self.offset = 0
-        #: Runs once the merge committed.
-        self.done = done
 
 
 class HybridFtl(BaseFtl):
@@ -135,17 +132,16 @@ class HybridFtl(BaseFtl):
         #: Log writes fully committed (mapping updated) per log block; a
         #: block is only merge-eligible once every write committed.
         self._log_committed: dict[tuple[tuple[int, int], int], int] = {}
-        #: Writes waiting for a merge to free log space.
+        #: Writes waiting for a merge to free log space, as
+        #: :meth:`_append_log` arguments.
         self._pending_writes: deque[
-            tuple[
-                Optional[IoRequest],
-                int,
-                WriteHints,
-                Optional[Callable[[], None]],
-                Optional[int],
-            ]
+            tuple[Optional[IoRequest], int, Optional[Callable[[], None]], int]
         ] = deque()
+        #: One full or switch merge runs at a time; a full merge walks
+        #: the victim log block's lbns in ascending order.
         self._merging = False
+        self._merge_victim: Optional[tuple[tuple[int, int], int]] = None
+        self._merge_lbns: Iterator[int] = iter(())
         self._lun_rotation = 0
 
         self.full_merges = 0
@@ -273,11 +269,30 @@ class HybridFtl(BaseFtl):
             version = self.next_version(lpn)
         if io is not None:
             io.version = version
-        slot = self._reserve_log_slot()
-        if slot is None:
-            self._pending_writes.append((io, lpn, hints, on_done, version))
+        if not self._append_log(io, lpn, on_done, version):
+            self._pending_writes.append((io, lpn, on_done, version))
             self._start_merge()
-            return
+
+    def _append_log(
+        self,
+        io: Optional[IoRequest],
+        lpn: Lpn,
+        on_done: Optional[Callable[[], None]],
+        version: int,
+    ) -> bool:
+        """Program a write into the log's append point, opening a new log
+        block when the tail is full; False when the pool has no room."""
+        slot = self._log_blocks[-1] if self._log_blocks else None
+        if slot is None or self._log_assigned[slot] >= self.ppb:
+            if len(self._log_blocks) >= self.max_log_blocks:
+                return False
+            slot = self._take_free_block(for_merge=False)
+            if slot is None:
+                return False
+            self._log_blocks.append(slot)
+            self._log_assigned[slot] = 0
+            self._log_committed[slot] = 0
+        self._log_assigned[slot] += 1
         cmd = FlashCommand(
             CommandKind.PROGRAM,
             CommandSource.APPLICATION,
@@ -289,21 +304,7 @@ class HybridFtl(BaseFtl):
             on_complete=self._log_write_done,
         )
         self.controller.enqueue_command(cmd)
-
-    def _reserve_log_slot(self) -> Optional[tuple[tuple[int, int], int]]:
-        if self._log_blocks:
-            tail = self._log_blocks[-1]
-            if self._log_assigned[tail] < self.ppb:
-                self._log_assigned[tail] += 1
-                return tail
-        if len(self._log_blocks) < self.max_log_blocks:
-            key = self._take_free_block(for_merge=False)
-            if key is not None:
-                self._log_blocks.append(key)
-                self._log_assigned[key] = 1
-                self._log_committed[key] = 0
-                return key
-        return None
+        return True
 
     def _log_write_done(self, cmd: FlashCommand) -> None:
         log_key = ((cmd.address.channel, cmd.address.lun), cmd.address.block)
@@ -323,19 +324,23 @@ class HybridFtl(BaseFtl):
         if victim is None:
             return  # in-flight log programs must land first; retried later
         self._merging = True
-        block = self._block(victim)
-        if self.switch_merge_enabled and self._switchable_lbn(victim) is not None:
-            self._do_switch_merge(victim)
-            return
-        lbns = sorted(
-            {
-                page.content[0] // self.ppb
-                for page in block.pages
-                if page.state.name == "LIVE" and page.content is not None
-            }
+        if self.switch_merge_enabled:
+            lbn = self._switchable_lbn(victim)
+            if lbn is not None:
+                self._do_switch_merge(victim, lbn)
+                return
+        self._merge_victim = victim
+        self._merge_lbns = iter(
+            sorted(
+                {
+                    page.content[0] // self.ppb
+                    for page in self._block(victim).pages
+                    if page.state.name == "LIVE" and page.content is not None
+                }
+            )
         )
         self.full_merges += 1
-        self._merge_lbn_chain(victim, lbns, 0)
+        self._merge_next()
 
     def _choose_victim(self) -> Optional[tuple[tuple[int, int], int]]:
         for key in self._log_blocks:
@@ -363,10 +368,8 @@ class HybridFtl(BaseFtl):
                 return None
         return lbn
 
-    def _do_switch_merge(self, victim) -> None:
-        """Promote a perfectly sequential log block to data block."""
-        lbn = self._switchable_lbn(victim)
-        assert lbn is not None
+    def _do_switch_merge(self, victim, lbn: int) -> None:
+        """Promote a perfectly sequential log block to ``lbn``'s data block."""
         self.switch_merges += 1
         old_data = self._data_block_of(lbn)
         (lun_key, block_id) = victim
@@ -384,25 +387,20 @@ class HybridFtl(BaseFtl):
             self._erase_detached(old_data)
         self._merge_finished()
 
-    def _merge_lbn_chain(self, victim, lbns: list[int], index: int) -> None:
-        if index == len(lbns):
-            self._erase_victim(victim)
+    def _merge_next(self) -> None:
+        """Full-merge the victim's next lbn into a fresh data block, or
+        erase the victim once every lbn is merged."""
+        lbn = next(self._merge_lbns, None)
+        if lbn is None:
+            self._erase_victim(self._merge_victim)
             return
-        self._merge_one_lbn(
-            lbns[index],
-            lambda: self._merge_lbn_chain(victim, lbns, index + 1),
-        )
-
-    def _merge_one_lbn(self, lbn: int, done: Callable[[], None]) -> None:
         new_key = self._take_free_block(for_merge=True)
         if new_key is None:
             raise RuntimeError("hybrid FTL out of merge blocks (feasibility bug)")
         base_lpn = lbn * self.ppb
         mapped = self.mapped_address
         snapshot = [mapped(base_lpn + offset) for offset in range(self.ppb)]
-        self._merge_copy(
-            _Merge(lbn, base_lpn, self._explicit_address(new_key), snapshot, done)
-        )
+        self._merge_copy(_Merge(lbn, base_lpn, self._explicit_address(new_key), snapshot))
 
     # One offset at a time, strictly in order: read -> program -> next.
     # Each command carries the job in ``context``; the bound methods
@@ -411,7 +409,10 @@ class HybridFtl(BaseFtl):
         """Copy the job's current offset into its new data block."""
         offset = job.offset
         if offset == self.ppb:
-            self._commit_merge(job)
+            old_data = self._commit_merge(job.lbn, job.target, job.snapshot)
+            if old_data is not None:
+                self._erase_detached(old_data)
+            self._merge_next()
             return
         lpn = job.base_lpn + offset
         source = job.snapshot[offset]
@@ -461,14 +462,26 @@ class HybridFtl(BaseFtl):
         self._invalidate(cmd.address)
         self._merge_program_done(cmd)
 
-    def _commit_merge(self, job: "_Merge") -> None:
-        lbn, base_lpn, target = job.lbn, job.base_lpn, job.target
+    def _commit_merge(
+        self,
+        lbn: int,
+        target: PhysicalAddress,
+        sources: list[Optional[PhysicalAddress]],
+    ) -> Optional[tuple[int, int, int]]:
+        """Make ``target``, a full copy of ``lbn`` from ``sources``, its
+        data block; returns the data block it replaced.
+
+        Shared by runtime and mount-time merges: every source that is
+        still current is invalidated and its offset moves into the block
+        map; a source superseded meanwhile leaves its copy dead.
+        """
         old_data = self._data_block_of(lbn)
         channel, lun, block_id = target.channel, target.lun, target.block
         new_block = self.controller.array.lun_grid[channel][lun].block(block_id)
         journal = self.controller.journal
         mapped = self.mapped_address
-        for offset, source in enumerate(job.snapshot):
+        base_lpn = lbn * self.ppb
+        for offset, source in enumerate(sources):
             if source is None:
                 continue  # filler, already invalidated
             lpn = base_lpn + offset
@@ -487,9 +500,7 @@ class HybridFtl(BaseFtl):
                 # stale on arrival.
                 new_block.invalidate(offset)
         self._set_data_block(lbn, channel, lun, block_id)
-        if old_data is not None:
-            self._erase_detached(old_data)
-        job.done()
+        return old_data
 
     def _erase_victim(self, victim) -> None:
         (lun_key, block_id) = victim
@@ -520,22 +531,9 @@ class HybridFtl(BaseFtl):
             self._start_merge()
 
     def _drain_pending(self) -> None:
-        while self._pending_writes:
-            slot = self._reserve_log_slot()
-            if slot is None:
-                return
-            io, lpn, hints, on_done, version = self._pending_writes.popleft()
-            cmd = FlashCommand(
-                CommandKind.PROGRAM,
-                CommandSource.APPLICATION,
-                self._explicit_address(slot),
-                lpn=lpn,
-                content=(lpn, version),
-                context=on_done,
-                io=io,
-                on_complete=self._log_write_done,
-            )
-            self.controller.enqueue_command(cmd)
+        pending = self._pending_writes
+        while pending and self._append_log(*pending[0]):
+            pending.popleft()
 
     # ------------------------------------------------------------------
     # Crash consistency
@@ -660,9 +658,10 @@ class HybridFtl(BaseFtl):
     def _mount_merge_lbn(self, lbn: int) -> bool:
         """Synchronously merge one lbn into a fresh data block at mount.
 
-        Equivalent to a runtime full merge, but performed directly on the
-        flash state machines (the event engine is frozen during a mount);
-        the coordinator charges the read/program/erase work to mount time
+        Equivalent to a runtime full merge: the copy is performed directly
+        on the flash state machines (the event engine is frozen during a
+        mount), the commit is the runtime merge's :meth:`_commit_merge`.
+        The coordinator charges the read/program/erase work to mount time
         via ``mount_consolidation``.
         """
         array = self.controller.array
@@ -677,12 +676,10 @@ class HybridFtl(BaseFtl):
         if new_key is None:
             return False
         now = self.controller.sim.now
-        old_data = self._data_block_of(lbn)
         sources = [
             self.mapped_address(lbn * self.ppb + offset) for offset in range(self.ppb)
         ]
         new_block = self._block(new_key)
-        (lun_key, block_id) = new_key
         touched: set[tuple[tuple[int, int], int]] = set()
         for offset, source in enumerate(sources):
             lpn = lbn * self.ppb + offset
@@ -695,20 +692,12 @@ class HybridFtl(BaseFtl):
                     ((source.channel, source.lun), source.block)
                 ).read(source.page)
                 new_block.program_next(content, now)
-                self._invalidate(source)
-                self.log_map.pop(lpn, None)
-                self._set_data_bit(lbn, offset)
                 touched.add(((source.channel, source.lun), source.block))
                 self.mount_consolidation["reads"] += 1
-                self._journal_commit(
-                    lpn,
-                    self._committed_versions.get(lpn, 0),
-                    PhysicalAddress(lun_key[0], lun_key[1], block_id, offset),
-                )
             self.mount_consolidation["programs"] += 1
-        self._set_data_block(lbn, lun_key[0], lun_key[1], block_id)
         self.merged_pages += sum(1 for source in sources if source is not None)
         self.full_merges += 1
+        old_data = self._commit_merge(lbn, self._explicit_address(new_key), sources)
         if old_data is not None:
             touched.add(((old_data[0], old_data[1]), old_data[2]))
         for key in sorted(touched):

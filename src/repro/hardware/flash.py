@@ -581,12 +581,6 @@ class Lun:
     def usable_blocks(self) -> int:
         return self.blocks_per_lun - len(self.bad_block_ids)
 
-    def total_live_pages(self) -> int:
-        return self.state.lun_live_pages(self.lun_index)
-
-    def total_dead_pages(self) -> int:
-        return self.state.lun_dead_pages(self.lun_index)
-
     def total_free_pages(self) -> int:
         return self.state.lun_free_pages(self.lun_index)
 

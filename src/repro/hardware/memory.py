@@ -47,9 +47,6 @@ class _Pool:
             )
         self.allocations[label] = num_bytes
 
-    def free(self, label: str) -> None:
-        self.allocations.pop(label, None)
-
 
 class MemoryManager:
     """Tracks the controller's RAM and battery-backed RAM budgets.
@@ -69,9 +66,6 @@ class MemoryManager:
     def allocate_battery_ram(self, label: str, num_bytes: int) -> None:
         """Claim ``num_bytes`` of battery-backed (persistent) RAM."""
         self.battery_ram.allocate(label, num_bytes)
-
-    def free_ram(self, label: str) -> None:
-        self.ram.free(label)
 
     @property
     def ram_available(self) -> int:

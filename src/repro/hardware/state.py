@@ -228,14 +228,6 @@ class FlashState:
     # ------------------------------------------------------------------
     # Whole-device aggregates
     # ------------------------------------------------------------------
-    def lun_live_pages(self, lun_index: LunIndex) -> int:
-        start, stop = self.block_range(lun_index)
-        return int(self.live_count[start:stop].sum())
-
-    def lun_dead_pages(self, lun_index: LunIndex) -> int:
-        start, stop = self.block_range(lun_index)
-        return int(self.dead_count[start:stop].sum())
-
     def lun_free_pages(self, lun_index: LunIndex) -> int:
         start, stop = self.block_range(lun_index)
         span = stop - start

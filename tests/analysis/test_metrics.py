@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.analysis.metrics import (
-    coefficient_of_variation,
     fairness_index,
     game_score,
     latency_balance,
@@ -71,15 +70,3 @@ class TestGameScore:
 
     def test_zero_without_throughput(self):
         assert game_score(_stats()) == 0.0
-
-
-class TestCoefficientOfVariation:
-    def test_uniform_values_have_zero_cv(self):
-        assert coefficient_of_variation([3, 3, 3]) == 0.0
-
-    def test_known_value(self):
-        assert coefficient_of_variation([1, 3]) == pytest.approx(0.5)
-
-    def test_degenerate_inputs(self):
-        assert coefficient_of_variation([]) == 0.0
-        assert coefficient_of_variation([0, 0]) == 0.0

@@ -7,6 +7,8 @@ import pytest
 from repro.controller.ftl.dftl import _CmtEntry
 from repro.core.config import FtlKind
 from repro.hardware.addresses import PhysicalAddress
+from repro.hardware.commands import CommandKind, CommandSource, FlashCommand
+from repro.hardware.flash import PageState
 
 from tests.controller.conftest import ControllerHarness, make_harness
 
@@ -159,6 +161,84 @@ class TestGcInteraction:
         harness.controller.check_invariants()
         # Mapping still resolves everywhere after heavy GC + TP traffic.
         assert harness.read_sync(0).data == (0, 6)
+
+
+class TestTranslationPagePaths:
+    """Translation page ``tp`` is versioned under the pseudo-LPN
+    ``-(tp + 1)`` and takes the shared write-completion and relocation
+    path, with the GTD (``tp_locations``) as its mapping store."""
+
+    @staticmethod
+    def _written_tp0():
+        """A harness whose dirty evictions have written translation page 0."""
+        harness = dftl_harness(cmt_entries=4)
+        for lpn in range(32):
+            harness.write_sync(lpn)
+        ftl = harness.controller.ftl
+        assert ftl.tp_locations.get(0) is not None
+        return harness, ftl
+
+    @staticmethod
+    def _copy_to_spare_block(harness, source):
+        """Program the page at ``source`` into a fresh block of its LUN,
+        as a GC/WL relocation would; returns (content, new address, block)."""
+        lun = harness.controller.array.luns[(source.channel, source.lun)]
+        content = lun.block(source.block).pages[source.page].content
+        block_id = min(lun.free_block_ids)
+        lun.take_free_block(block_id)
+        block = lun.block(block_id)
+        page = block.program_next(content, 0)
+        return content, PhysicalAddress(source.channel, source.lun, block_id, page), block
+
+    def test_relocation_moves_the_gtd_entry(self):
+        harness, ftl = self._written_tp0()
+        old = ftl.tp_locations.get(0)
+        content, new, _ = self._copy_to_spare_block(harness, old)
+        assert content[0] == -1
+        assert ftl.on_relocation(content, old, new) is True
+        assert ftl.tp_locations.get(0) == new
+        assert ftl.mapped_address(-1) == new
+        old_block = harness.controller.array.luns[(old.channel, old.lun)].block(old.block)
+        assert old_block.pages[old.page].state is PageState.DEAD
+
+    def test_relocated_copy_of_a_rewritten_tp_is_orphaned(self):
+        harness, ftl = self._written_tp0()
+        old = ftl.tp_locations.get(0)
+        content, new, block = self._copy_to_spare_block(harness, old)
+        # The translation page is rewritten while the relocation is in flight.
+        ftl._write_tp(0)
+        harness.run()
+        current = ftl.tp_locations.get(0)
+        assert current not in (None, old)
+        assert ftl.on_relocation(content, old, new) is False
+        assert ftl.tp_locations.get(0) == current
+        assert block.pages[new.page].state is PageState.DEAD
+
+    def test_tp_program_that_lost_the_version_race_is_invalidated(self):
+        harness = dftl_harness()
+        ftl = harness.controller.ftl
+        lun = harness.controller.array.luns[(0, 0)]
+        block_id = min(lun.free_block_ids)
+        lun.take_free_block(block_id)
+        block = lun.block(block_id)
+
+        def tp0_program():
+            version = ftl.next_version(-1)
+            page = block.program_next((-1, version), 0)
+            return FlashCommand(
+                CommandKind.PROGRAM,
+                CommandSource.MAPPING,
+                PhysicalAddress(0, 0, block_id, page),
+                lpn=-1,
+                content=(-1, version),
+            )
+
+        older, newer = tp0_program(), tp0_program()
+        ftl._write_done(newer)
+        ftl._write_done(older)  # lands last, with the lower version
+        assert ftl.tp_locations.get(0) == newer.address
+        assert block.pages[newer.address.page].state is PageState.LIVE
+        assert block.pages[older.address.page].state is PageState.DEAD
 
 
 class TestBatchedFlush:

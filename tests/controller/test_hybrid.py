@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro import small_config
+from repro import FaultPlan, RecoveryStrategy, Simulation, small_config
+from repro.controller.ftl.hybrid import HybridFtl
 from repro.core.config import FtlKind
 from repro.hardware.flash import PageState
+from repro.workloads import RandomWriterThread
 
 from tests.controller.conftest import ControllerHarness, make_harness
 
@@ -273,3 +275,50 @@ class TestDataBlockLifecycle:
         harness.run()
         assert ftl.filler_pages > 0
         harness.controller.check_invariants()
+
+
+class TestMountConsolidation:
+    def test_remount_consolidates_several_lbns(self, monkeypatch):
+        """A power loss that leaves the log pool unable to restart: the
+        remount full-merges several lbns synchronously, through the same
+        commit step as a runtime merge."""
+        mounts = []
+        rebuild = HybridFtl.rebuild_from_recovery
+
+        def recording_rebuild(ftl, *args):
+            rebuild(ftl, *args)
+            mounts.append(
+                (
+                    ftl,
+                    dict(ftl.mount_consolidation),
+                    ftl.full_merges,
+                    ftl.merged_pages,
+                    list(ftl._log_blocks),
+                )
+            )
+
+        monkeypatch.setattr(HybridFtl, "rebuild_from_recovery", recording_rebuild)
+        config = small_config(seed=42)
+        config.controller.ftl = FtlKind.HYBRID
+        config.controller.write_buffer_pages = 16
+        config.crash.strategy = RecoveryStrategy.OOB_SCAN
+        config.sanitize = True
+        config.reliability.fault_plan = FaultPlan().power_loss(
+            at_ns=3_000_000, off_ns=500_000
+        )
+        simulation = Simulation(config)
+        simulation.add_thread(RandomWriterThread("writer", count=600))
+        result = simulation.run()
+        assert result.incomplete is False
+
+        [(ftl, work, merges, merged_pages, log_blocks)] = mounts
+        assert merges >= 2
+        assert work["programs"] == ftl.ppb * merges
+        assert work["reads"] == merged_pages
+        assert work["erases"] >= 1
+        # Blocks the mount erased left the log pool.
+        assert len(log_blocks) <= ftl.max_log_blocks
+        for lun_key, block_id in log_blocks:
+            lun = ftl.controller.array.luns[lun_key]
+            assert block_id not in lun.free_block_ids
+        simulation.controller.check_invariants()

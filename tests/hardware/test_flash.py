@@ -148,8 +148,8 @@ class TestLun:
         block.program_next((0, 1), 0)
         block.program_next((1, 1), 0)
         block.invalidate(0)
-        assert lun.total_live_pages() == 1
-        assert lun.total_dead_pages() == 1
+        assert block.live_count == 1
+        assert block.dead_count == 1
         assert lun.total_free_pages() == 6
         assert lun.erase_counts() == [0, 0]
 

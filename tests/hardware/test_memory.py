@@ -33,13 +33,6 @@ class TestAllocation:
         memory.allocate_ram("other", 800)
         assert memory.ram_available == 100
 
-    def test_free(self):
-        memory = MemoryManager(1000, 0)
-        memory.allocate_ram("map", 1000)
-        memory.free_ram("map")
-        assert memory.ram_available == 1000
-        memory.free_ram("never-allocated")  # no-op
-
     def test_negative_allocation_rejected(self):
         with pytest.raises(ValueError):
             MemoryManager(10, 0).allocate_ram("x", -1)

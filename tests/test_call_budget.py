@@ -45,8 +45,8 @@ _REPRO_ROOT = Path(repro.__file__).resolve().parent
 _NUMPY_ROOT = Path(numpy.__file__).resolve().parent
 
 
-#: CMT entries of the DFTL case: far fewer than the logical pages its
-#: random reads cover, so most reads miss and fetch a translation page.
+#: CMT entries of the DFTL cases: far fewer than the logical pages their
+#: random IOs cover, so most IOs miss and fetch a translation page.
 _DFTL_CMT_ENTRIES = 256
 
 
@@ -107,8 +107,19 @@ CASES = {
         300,
         # 750.2 before the flash-command lifecycle rework, 643.5 before
         # statistics stored one row per IO, 627.9 before merges ran as
-        # one slotted job.
-        519.6,
+        # one slotted job, 519.6 before log appends, merge order and the
+        # merge commit each had one path.
+        514.2,
+    ),
+    "dftl_write": (
+        FtlKind.DFTL,
+        # Dirty CMT evictions write translation pages, and GC relocates
+        # them.
+        lambda: RandomWriterThread("measured", count=2_000, depth=8),
+        2_000,
+        # 434.8 before translation pages took the shared write and
+        # relocation path.
+        431.1,
     ),
 }
 
