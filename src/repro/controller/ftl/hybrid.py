@@ -125,13 +125,11 @@ class HybridFtl(BaseFtl):
         self._mv_data_bits = memoryview(self._data_bits)
         #: lpn -> physical address of its current copy in a log block.
         self.log_map: dict[int, PhysicalAddress] = {}
-        #: Log blocks in allocation (FIFO) order: (lun_key, block_id).
-        self._log_blocks: list[tuple[tuple[int, int], int]] = []
-        #: Log pages handed out per log block (programs may be in flight).
-        self._log_assigned: dict[tuple[tuple[int, int], int], int] = {}
-        #: Log writes fully committed (mapping updated) per log block; a
-        #: block is only merge-eligible once every write committed.
-        self._log_committed: dict[tuple[tuple[int, int], int], int] = {}
+        #: The log pool in allocation (FIFO) order: (lun_key, block_id)
+        #: -> [pages handed out, writes committed].  Programs may be in
+        #: flight between the two; a block is only merge-eligible once
+        #: every write committed (mapping updated).
+        self._log: dict[tuple[tuple[int, int], int], list[int]] = {}
         #: Writes waiting for a merge to free log space, as
         #: :meth:`_append_log` arguments.
         self._pending_writes: deque[
@@ -282,17 +280,16 @@ class HybridFtl(BaseFtl):
     ) -> bool:
         """Program a write into the log's append point, opening a new log
         block when the tail is full; False when the pool has no room."""
-        slot = self._log_blocks[-1] if self._log_blocks else None
-        if slot is None or self._log_assigned[slot] >= self.ppb:
-            if len(self._log_blocks) >= self.max_log_blocks:
+        log = self._log
+        slot = next(reversed(log)) if log else None
+        if slot is None or log[slot][0] >= self.ppb:
+            if len(log) >= self.max_log_blocks:
                 return False
             slot = self._take_free_block(for_merge=False)
             if slot is None:
                 return False
-            self._log_blocks.append(slot)
-            self._log_assigned[slot] = 0
-            self._log_committed[slot] = 0
-        self._log_assigned[slot] += 1
+            log[slot] = [0, 0]
+        log[slot][0] += 1
         cmd = FlashCommand(
             CommandKind.PROGRAM,
             CommandSource.APPLICATION,
@@ -307,9 +304,9 @@ class HybridFtl(BaseFtl):
         return True
 
     def _log_write_done(self, cmd: FlashCommand) -> None:
-        log_key = ((cmd.address.channel, cmd.address.lun), cmd.address.block)
-        if log_key in self._log_committed:
-            self._log_committed[log_key] += 1
+        entry = self._log.get(((cmd.address.channel, cmd.address.lun), cmd.address.block))
+        if entry is not None:
+            entry[1] += 1
         self._write_done(cmd)
         if self._pending_writes and not self._merging:
             self._start_merge()
@@ -330,41 +327,33 @@ class HybridFtl(BaseFtl):
                 self._do_switch_merge(victim, lbn)
                 return
         self._merge_victim = victim
+        block = self._block(victim)
         self._merge_lbns = iter(
-            sorted(
-                {
-                    page.content[0] // self.ppb
-                    for page in self._block(victim).pages
-                    if page.state.name == "LIVE" and page.content is not None
-                }
-            )
+            sorted({block.read(i)[0] // self.ppb for i in block.live_page_indexes()})
         )
         self.full_merges += 1
         self._merge_next()
 
     def _choose_victim(self) -> Optional[tuple[tuple[int, int], int]]:
-        for key in self._log_blocks:
-            if (
-                self._log_assigned[key] >= self.ppb
-                and self._log_committed[key] >= self.ppb
-                and self._block(key).is_full
-            ):
+        # The oldest full log block; every page committed implies every
+        # page handed out and programmed.
+        # simlint: disable=SIM003 -- insertion order == FIFO allocation order
+        for key, (_assigned, committed) in self._log.items():
+            if committed >= self.ppb:
                 return key
         return None
 
     def _switchable_lbn(self, victim) -> Optional[int]:
         """The single lbn this log block holds in perfect order, if any."""
         block = self._block(victim)
-        first = block.pages[0]
-        if first.state.name != "LIVE" or first.content is None:
+        if block.live_count != self.ppb:
             return None
-        lbn, offset = divmod(first.content[0], self.ppb)
+        lbn, offset = divmod(block.read(0)[0], self.ppb)
         if offset != 0 or lbn >= self.num_lbns:
             return None
-        for index, page in enumerate(block.pages):
-            if page.state.name != "LIVE" or page.content is None:
-                return None
-            if page.content[0] != lbn * self.ppb + index:
+        base_lpn = lbn * self.ppb
+        for index in range(1, self.ppb):
+            if block.read(index)[0] != base_lpn + index:
                 return None
         return lbn
 
@@ -377,14 +366,12 @@ class HybridFtl(BaseFtl):
         self._fill_data_bits(lbn)
         for offset in range(self.ppb):
             self.log_map.pop(lbn * self.ppb + offset, None)
-        self._log_blocks.remove(victim)
-        del self._log_assigned[victim]
-        del self._log_committed[victim]
+        del self._log[victim]
         if old_data is not None:
             # Every offset's current version moved: the old data block is
             # fully dead (its remaining live pages were invalidated when
             # the log copies superseded them, before the block filled).
-            self._erase_detached(old_data)
+            self._erase(*old_data)
         self._merge_finished()
 
     def _merge_next(self) -> None:
@@ -392,7 +379,10 @@ class HybridFtl(BaseFtl):
         erase the victim once every lbn is merged."""
         lbn = next(self._merge_lbns, None)
         if lbn is None:
-            self._erase_victim(self._merge_victim)
+            victim = self._merge_victim
+            del self._log[victim]
+            (channel, lun), block_id = victim
+            self._erase(channel, lun, block_id, self._merge_finished)
             return
         new_key = self._take_free_block(for_merge=True)
         if new_key is None:
@@ -411,7 +401,7 @@ class HybridFtl(BaseFtl):
         if offset == self.ppb:
             old_data = self._commit_merge(job.lbn, job.target, job.snapshot)
             if old_data is not None:
-                self._erase_detached(old_data)
+                self._erase(*old_data)
             self._merge_next()
             return
         lpn = job.base_lpn + offset
@@ -502,29 +492,23 @@ class HybridFtl(BaseFtl):
         self._set_data_block(lbn, channel, lun, block_id)
         return old_data
 
-    def _erase_victim(self, victim) -> None:
-        (lun_key, block_id) = victim
-        self._log_blocks.remove(victim)
-        del self._log_assigned[victim]
-        del self._log_committed[victim]
-        cmd = FlashCommand(
-            CommandKind.ERASE,
-            CommandSource.GC,
-            PhysicalAddress(lun_key[0], lun_key[1], block_id, 0),
-            on_complete=lambda c: self._merge_finished(),
-        )
-        self.controller.enqueue_command(cmd)
-
-    def _erase_detached(self, data_block: tuple[int, int, int]) -> None:
-        channel, lun, block = data_block
+    def _erase(
+        self,
+        channel: int,
+        lun: int,
+        block: int,
+        on_complete: Optional[Callable[[FlashCommand], None]] = None,
+    ) -> None:
+        """Erase a merged-away log block or a replaced data block."""
         cmd = FlashCommand(
             CommandKind.ERASE,
             CommandSource.GC,
             PhysicalAddress(channel, lun, block, 0),
+            on_complete=on_complete,
         )
         self.controller.enqueue_command(cmd)
 
-    def _merge_finished(self) -> None:
+    def _merge_finished(self, _cmd: Optional[FlashCommand] = None) -> None:
         self._merging = False
         self._drain_pending()
         if self._pending_writes:
@@ -578,9 +562,6 @@ class HybridFtl(BaseFtl):
         self._data_block[:] = 0
         self._data_bits[:] = 0
         self.log_map = {}
-        self._log_blocks = []
-        self._log_assigned = {}
-        self._log_committed = {}
         self._pending_writes.clear()
         self._merging = False
 
@@ -621,30 +602,26 @@ class HybridFtl(BaseFtl):
                 self._set_data_bit(lbn, lpn % self.ppb)
             for loser_key, _count in ranked[1:]:
                 log_keys.append(loser_key)
-        log_keys.sort()
-        for key in log_keys:
-            for lpn, address in by_block[key]:
-                self.log_map[lpn] = address
-            self._log_blocks.append(key)
-            pointer = self._block(key).write_pointer
-            self._log_assigned[key] = pointer
-            self._log_committed[key] = pointer
-
         # Full blocks first (merge-eligible), then at most one partial
         # block as the append tail; every other partial block plus any
         # pool overflow is consolidated away now.
-        self._log_blocks.sort(
-            key=lambda key: (not self._block(key).is_full, key)
-        )
+        log_keys.sort(key=lambda key: (not self._block(key).is_full, key))
+        self._log = {}
+        for key in log_keys:
+            for lpn, address in by_block[key]:
+                self.log_map[lpn] = address
+            pointer = self._block(key).write_pointer
+            self._log[key] = [pointer, pointer]
         self._consolidate_log_pool()
 
     def _consolidate_log_pool(self) -> None:
         def needs_consolidation() -> bool:
-            if len(self._log_blocks) > self.max_log_blocks:
+            if len(self._log) > self.max_log_blocks:
                 return True
-            partial = [k for k in self._log_blocks if not self._block(k).is_full]
-            return len(partial) > 1 or (
-                bool(partial) and partial[0] != self._log_blocks[-1]
+            # At most one partial block, and only as the append tail.
+            partial = sum(1 for key in self._log if not self._block(key).is_full)
+            return partial > 1 or (
+                partial == 1 and self._block(next(reversed(self._log))).is_full
             )
 
         while needs_consolidation() and self.log_map:
@@ -706,10 +683,7 @@ class HybridFtl(BaseFtl):
                 block.erase(now)
                 array.luns[key[0]].on_block_erased(key[1])
                 self.mount_consolidation["erases"] += 1
-                if key in self._log_assigned:
-                    self._log_blocks.remove(key)
-                    del self._log_assigned[key]
-                    del self._log_committed[key]
+                self._log.pop(key, None)
         return True
 
     # ------------------------------------------------------------------

@@ -5,7 +5,7 @@ bottom box):
 
 * :mod:`repro.hardware.addresses` -- physical addressing and geometry
   iteration (channel / LUN / block / page, per the ONFI LUN abstraction).
-* :mod:`repro.hardware.flash` -- page, block and LUN state machines,
+* :mod:`repro.hardware.flash` -- block and LUN state machines,
   enforcing NAND constraints (sequential programming, erase-before-reuse).
 * :mod:`repro.hardware.commands` -- the flash command vocabulary
   exchanged between controller and array (read / program / erase /
@@ -21,7 +21,7 @@ bottom box):
 from repro.hardware.addresses import PhysicalAddress
 from repro.hardware.array import SsdArray
 from repro.hardware.commands import CommandKind, CommandSource, FlashCommand
-from repro.hardware.flash import Block, Lun, Page, PageState
+from repro.hardware.flash import Block, Lun
 from repro.hardware.memory import MemoryManager
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "FlashCommand",
     "Lun",
     "MemoryManager",
-    "Page",
-    "PageState",
     "PhysicalAddress",
     "SsdArray",
 ]

@@ -340,7 +340,7 @@ class SsdArray:
                 )
             else:
                 if self.reliability is not None:
-                    self.reliability.on_block_erase(cmd.lun_key, cmd.address.block, block)
+                    self.reliability.on_block_erase(lun, cmd.address.block)
                 block.erase(now)
                 endurance = self.timings.endurance_cycles
                 if endurance is not None and block.erase_count >= endurance:

@@ -1,4 +1,4 @@
-"""Flash page, block and LUN state machines.
+"""Flash block and LUN state machines.
 
 The classes here enforce the NAND ground rules the rest of the simulator
 relies on (DESIGN.md invariant 4):
@@ -13,21 +13,19 @@ knows whether a page holds data (``LIVE``) or is erased (``FREE``); the
 *FTL* decides when data becomes stale and calls :meth:`Block.invalidate`
 (``DEAD``).
 
-Since the array-backed refactor the actual state lives in flat numpy
-arrays (:class:`repro.hardware.state.FlashState`): one structure-of-
-arrays per device, shared by every LUN.  :class:`Page`, :class:`Block`
-and :class:`Lun` are flyweight *views* into those arrays -- they keep
-the exact pre-refactor interface (including attribute assignment, which
-the sanitizer tests use to corrupt state on purpose) while bulk
-consumers (GC victim selection, recovery scans, audits) read the arrays
-directly.  Constructing a :class:`Block` or :class:`Lun` without an
-explicit state builds a private single-LUN :class:`FlashState`, so the
-classes remain usable standalone.
+The state itself lives in flat numpy arrays
+(:class:`repro.hardware.state.FlashState`): one structure-of-arrays per
+device, shared by every LUN.  :class:`Block` and :class:`Lun` are
+flyweight *views* into those arrays; single pages are read through
+:meth:`Block.read` and :meth:`Block.live_page_indexes`, or through
+:class:`FlashState` directly, as bulk consumers (GC victim selection,
+recovery scans, audits) do.  Constructing a :class:`Block` or
+:class:`Lun` without an explicit state builds a private single-LUN
+:class:`FlashState`, so the classes remain usable standalone.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Optional
 
 from repro.core.sanitize import SanitizerError
@@ -44,98 +42,8 @@ Translation pages (DFTL) use negative pseudo-LPNs.
 _WORD_MASK = 0xFFFFFFFFFFFFFFFF
 
 
-class PageState(enum.Enum):
-    FREE = "free"  # erased, programmable
-    LIVE = "live"  # programmed, mapped by the FTL
-    DEAD = "dead"  # programmed, superseded -- reclaimable space
-
-
 class FlashStateError(RuntimeError):
     """A NAND constraint was violated (always a simulator bug)."""
-
-
-class Page:
-    """View of one flash page (three packed bits + the content token)."""
-
-    __slots__ = ("_state", "_block_id", "_page")
-
-    def __init__(
-        self,
-        state: Optional[FlashState] = None,
-        block_id: int = 0,
-        page: int = 0,
-    ) -> None:
-        if state is None:
-            state = FlashState(1, 1, 1)
-        self._state = state
-        self._block_id = block_id
-        self._page = page
-
-    @property
-    def state(self) -> PageState:
-        return PageState(self._state.page_state_name(self._block_id, self._page))
-
-    @state.setter
-    def state(self, value: PageState) -> None:
-        s, b, p = self._state, self._block_id, self._page
-        if value is PageState.FREE:
-            s.clear_page_bit(s.mv_programmed, b, p)
-            s.clear_page_bit(s.mv_valid, b, p)
-        elif value is PageState.LIVE:
-            s.set_page_bit(s.mv_programmed, b, p)
-            s.set_page_bit(s.mv_valid, b, p)
-        else:
-            s.set_page_bit(s.mv_programmed, b, p)
-            s.clear_page_bit(s.mv_valid, b, p)
-
-    @property
-    def content(self) -> Optional[PageContent]:
-        return self._state.page_content(self._block_id, self._page)
-
-    @content.setter
-    def content(self, value: Optional[PageContent]) -> None:
-        self._state.set_page_content(self._block_id, self._page, value)
-
-    @property
-    def torn(self) -> bool:
-        """Power was lost while this page was being programmed: the cells
-        hold an indeterminate mixture and any read would fail ECC.
-        Torn pages are dead space until the block is erased."""
-        return bool(self._state.page_bit(self._state.mv_torn, self._block_id, self._page))
-
-    @torn.setter
-    def torn(self, value: bool) -> None:
-        s = self._state
-        if value:
-            s.set_page_bit(s.mv_torn, self._block_id, self._page)
-        else:
-            s.clear_page_bit(s.mv_torn, self._block_id, self._page)
-
-
-class _PageSeq:
-    """Lazy ``block.pages`` sequence: builds :class:`Page` views on demand."""
-
-    __slots__ = ("_state", "_block_id")
-
-    def __init__(self, state: FlashState, block_id: int) -> None:
-        self._state = state
-        self._block_id = block_id
-
-    def __len__(self) -> int:
-        return self._state.pages_per_block
-
-    def __getitem__(self, index: int) -> Page:
-        num_pages = self._state.pages_per_block
-        if index < 0:
-            index += num_pages
-        if not 0 <= index < num_pages:
-            raise IndexError(index)
-        return Page(self._state, self._block_id, index)
-
-    def __iter__(self):
-        state, block_id = self._state, self._block_id
-        for index in range(state.pages_per_block):
-            yield Page(state, block_id, index)
 
 
 class Block:
@@ -254,10 +162,6 @@ class Block:
     @is_bad.setter
     def is_bad(self, value: bool) -> None:
         self._s.mv_bad[self._id] = 1 if value else 0
-
-    @property
-    def pages(self) -> _PageSeq:
-        return _PageSeq(self._s, self._id)
 
     # ------------------------------------------------------------------
     # Derived state

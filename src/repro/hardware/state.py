@@ -17,7 +17,7 @@ objects and per-LPN dicts lives here as flat numpy arrays (DESIGN.md
   DFTL translation-page pseudo-LPNs (``-(tp+1)``) folded into the tail
   of the same array.
 * :class:`FreeBlockSet` -- a per-LUN free-block membership view with
-  O(1) ``len``/``in`` and set-compatible equality.
+  O(1) ``len``/``in``/add/remove.
 
 Scalar hot-path access goes through cached :class:`memoryview` objects
 (~2x faster than numpy scalar indexing and returning plain Python ints);
@@ -178,14 +178,6 @@ class FlashState:
         word, bit = self.bit_location(block_id, page)
         return (bitmap[word] >> bit) & 1
 
-    def set_page_bit(self, bitmap: memoryview, block_id: Pbn, page: int) -> None:
-        word, bit = self.bit_location(block_id, page)
-        bitmap[word] |= 1 << bit
-
-    def clear_page_bit(self, bitmap: memoryview, block_id: Pbn, page: int) -> None:
-        word, bit = self.bit_location(block_id, page)
-        bitmap[word] &= ~(1 << bit) & 0xFFFFFFFFFFFFFFFF
-
     def block_words(self, bitmap: np.ndarray) -> np.ndarray:
         """The bitmap reshaped to ``(num_blocks, words_per_block)``."""
         return bitmap.reshape(self.num_blocks, self.words_per_block)
@@ -213,17 +205,6 @@ class FlashState:
             return None
         ppn = block_id * self.pages_per_block + page
         return (self.mv_page_lpn[ppn], self.mv_page_version[ppn])
-
-    def set_page_content(
-        self, block_id: Pbn, page: int, content: Optional[tuple[Lpn, int]]
-    ) -> None:
-        if content is None:
-            self.clear_page_bit(self.mv_has_content, block_id, page)
-            return
-        ppn = block_id * self.pages_per_block + page
-        self.mv_page_lpn[ppn] = content[0]
-        self.mv_page_version[ppn] = content[1]
-        self.set_page_bit(self.mv_has_content, block_id, page)
 
     # ------------------------------------------------------------------
     # Whole-device aggregates
@@ -403,10 +384,8 @@ class VersionTable:
 class FreeBlockSet:
     """Free-block membership of one LUN, backed by ``FlashState.block_free``.
 
-    Behaves like the ``set[int]`` of *local* block ids it replaced:
-    O(1) ``len``/``in``/add/remove, ascending iteration, and equality
-    against plain sets (the order-free operations are the only ones the
-    simulator ever used).
+    Holds *local* block ids: O(1) ``len``/``in``/add/remove and
+    ascending iteration (``set(lun.free_block_ids)`` for a plain set).
     """
 
     __slots__ = ("_state", "_base", "_span", "_mv", "_count")
@@ -432,13 +411,6 @@ class FreeBlockSet:
     def __iter__(self) -> Iterator[int]:
         free = self._state.block_free[self._base : self._base + self._span]
         return iter(np.nonzero(free)[0].tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (set, frozenset)):
-            return set(self) == other
-        if isinstance(other, FreeBlockSet):
-            return set(self) == set(other)
-        return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FreeBlockSet({sorted(self)!r})"

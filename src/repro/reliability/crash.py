@@ -117,11 +117,14 @@ class DurabilityAuditor:
                     f"acknowledged write lost across power cycle (lpn {lpn})",
                     {"lpn": lpn, "acknowledged": floor, "recovered": durable},
                 )
+        state = array.state
         for lpn in sorted(mapping):
             address, version = mapping[lpn]
-            block = array.luns[(address.channel, address.lun)].block(address.block)
-            page = block.pages[address.page]
-            if page.torn or page.content != (lpn, version):
+            ppn = array.codec.encode(address.channel, address.lun, address.block, address.page)
+            block_id = ppn // state.pages_per_block
+            torn = bool(state.page_bit(state.mv_torn, block_id, address.page))
+            content = state.page_content(block_id, address.page)
+            if torn or content != (lpn, version):
                 raise SanitizerError(
                     "durability-audit",
                     f"recovered mapping references a torn or foreign page (lpn {lpn})",
@@ -129,8 +132,8 @@ class DurabilityAuditor:
                         "lpn": lpn,
                         "address": str(address),
                         "expected": (lpn, version),
-                        "found": None if page.torn else page.content,
-                        "torn": page.torn,
+                        "found": None if torn else content,
+                        "torn": torn,
                     },
                 )
         self.audits_passed += 1

@@ -56,7 +56,7 @@ import numpy as np
 from repro.core.events import IoStatus, IoType
 from repro.hardware.addresses import PhysicalAddress
 from repro.hardware.commands import CommandKind, CommandOutcome, FlashCommand
-from repro.hardware.flash import Block, PageContent
+from repro.hardware.flash import Block, Lun, PageContent
 from repro.reliability.ecc import EccModel, ReadVerdict
 from repro.reliability.errors import BitErrorModel
 
@@ -100,14 +100,16 @@ class ParityTracker:
         entry[0] ^= pack_content(content)
         entry[1] += 1
 
-    def on_erase(self, block: Block, lun_id: int, block_id: int) -> None:
+    def on_erase(self, lun: Lun, block_id: int) -> None:
         """Remove a block's contributions; call *before* the erase wipes
         the page contents."""
-        for page_index in range(block.write_pointer):
-            content = block.pages[page_index].content
+        state = lun.state
+        global_id = state.block_range(lun.lun_index)[0] + block_id
+        for page_index in range(state.mv_write_pointer[global_id]):
+            content = state.page_content(global_id, page_index)
             if content is None:
                 continue
-            key = (lun_id, block_id, page_index)
+            key = (lun.lun_id, block_id, page_index)
             entry = self._stripes[key]
             entry[0] ^= pack_content(content)
             entry[1] -= 1
@@ -120,38 +122,34 @@ class ParityTracker:
         entry = self._stripes.get((lun_id, block_id, page_index))
         return entry[0] if entry else 0
 
-    def resync(self, array: "SsdArray") -> None:
-        """Rebuild the signatures from scratch after a crash mount.
-
-        The incremental state died with the controller RAM; the flash
-        contents (including torn and retired-block pages, which
-        :meth:`on_program` always folded in) are the ground truth.
-        """
-        self._stripes = {}
+    @staticmethod
+    def _recompute(array: "SsdArray") -> dict[tuple[int, int, int], list[int]]:
+        """Every stripe's signature, from scratch over the flash contents
+        (including torn and retired-block pages, which :meth:`on_program`
+        always folded in)."""
+        state = array.state
+        stripes: dict[tuple[int, int, int], list[int]] = {}
         for (_, lun_id), lun in sorted(array.luns.items()):
-            for block_id, block in enumerate(lun.blocks):
-                for page_index in range(block.write_pointer):
-                    content = block.pages[page_index].content
+            start, stop = state.block_range(lun.lun_index)
+            for block_id, global_id in enumerate(range(start, stop)):
+                for page_index in range(state.mv_write_pointer[global_id]):
+                    content = state.page_content(global_id, page_index)
                     if content is None:
                         continue
-                    entry = self._stripes.setdefault(
-                        (lun_id, block_id, page_index), [0, 0]
-                    )
+                    entry = stripes.setdefault((lun_id, block_id, page_index), [0, 0])
                     entry[0] ^= pack_content(content)
                     entry[1] += 1
+        return stripes
+
+    def resync(self, array: "SsdArray") -> None:
+        """Rebuild the signatures from scratch after a crash mount: the
+        incremental state died with the controller RAM, and the flash
+        contents are the ground truth."""
+        self._stripes = self._recompute(array)
 
     def check(self, array: "SsdArray") -> None:
         """Recompute every stripe from the array and compare."""
-        recomputed: dict[tuple[int, int, int], list[int]] = {}
-        for (_, lun_id), lun in array.luns.items():
-            for block_id, block in enumerate(lun.blocks):
-                for page_index in range(block.write_pointer):
-                    content = block.pages[page_index].content
-                    if content is None:
-                        continue
-                    entry = recomputed.setdefault((lun_id, block_id, page_index), [0, 0])
-                    entry[0] ^= pack_content(content)
-                    entry[1] += 1
+        recomputed = self._recompute(array)
         if recomputed != self._stripes:
             extra = set(self._stripes) - set(recomputed)
             missing = set(recomputed) - set(self._stripes)
@@ -296,10 +294,10 @@ class ReliabilityManager:
         if self.parity is not None:
             self.parity.on_program(address, content)
 
-    def on_block_erase(self, lun_key: tuple[int, int], block_id: int, block: Block) -> None:
+    def on_block_erase(self, lun: Lun, block_id: int) -> None:
         """Array hook, called just before a block's contents are wiped."""
         if self.parity is not None:
-            self.parity.on_erase(block, lun_key[1], block_id)
+            self.parity.on_erase(lun, block_id)
 
     def on_runtime_retirement(self, lun_key: tuple[int, int], block_id: int, reason: str) -> None:
         """A block left service at runtime (erase failure, condemnation

@@ -8,7 +8,6 @@ from repro.controller.ftl.dftl import _CmtEntry
 from repro.core.config import FtlKind
 from repro.hardware.addresses import PhysicalAddress
 from repro.hardware.commands import CommandKind, CommandSource, FlashCommand
-from repro.hardware.flash import PageState
 
 from tests.controller.conftest import ControllerHarness, make_harness
 
@@ -183,7 +182,7 @@ class TestTranslationPagePaths:
         """Program the page at ``source`` into a fresh block of its LUN,
         as a GC/WL relocation would; returns (content, new address, block)."""
         lun = harness.controller.array.luns[(source.channel, source.lun)]
-        content = lun.block(source.block).pages[source.page].content
+        content = lun.block(source.block).read(source.page)
         block_id = min(lun.free_block_ids)
         lun.take_free_block(block_id)
         block = lun.block(block_id)
@@ -199,7 +198,7 @@ class TestTranslationPagePaths:
         assert ftl.tp_locations.get(0) == new
         assert ftl.mapped_address(-1) == new
         old_block = harness.controller.array.luns[(old.channel, old.lun)].block(old.block)
-        assert old_block.pages[old.page].state is PageState.DEAD
+        assert old.page not in old_block.live_page_indexes()
 
     def test_relocated_copy_of_a_rewritten_tp_is_orphaned(self):
         harness, ftl = self._written_tp0()
@@ -212,7 +211,7 @@ class TestTranslationPagePaths:
         assert current not in (None, old)
         assert ftl.on_relocation(content, old, new) is False
         assert ftl.tp_locations.get(0) == current
-        assert block.pages[new.page].state is PageState.DEAD
+        assert new.page not in block.live_page_indexes()
 
     def test_tp_program_that_lost_the_version_race_is_invalidated(self):
         harness = dftl_harness()
@@ -237,8 +236,7 @@ class TestTranslationPagePaths:
         ftl._write_done(newer)
         ftl._write_done(older)  # lands last, with the lower version
         assert ftl.tp_locations.get(0) == newer.address
-        assert block.pages[newer.address.page].state is PageState.LIVE
-        assert block.pages[older.address.page].state is PageState.DEAD
+        assert block.live_page_indexes() == [newer.address.page]
 
 
 class TestBatchedFlush:

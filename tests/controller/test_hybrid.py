@@ -5,7 +5,6 @@ import pytest
 from repro import FaultPlan, RecoveryStrategy, Simulation, small_config
 from repro.controller.ftl.hybrid import HybridFtl
 from repro.core.config import FtlKind
-from repro.hardware.flash import PageState
 from repro.workloads import RandomWriterThread
 
 from tests.controller.conftest import ControllerHarness, make_harness
@@ -201,9 +200,10 @@ class TestConcurrencyRaces:
         new_block = harness.controller.array.lun(target.channel, target.lun).block(
             target.block
         )
-        assert new_block.pages[ppb - 1].state is PageState.DEAD
-        assert new_block.pages[ppb - 2].state is PageState.DEAD
-        assert new_block.pages[0].state is PageState.LIVE
+        assert new_block.is_full
+        live = new_block.live_page_indexes()
+        assert ppb - 1 not in live and ppb - 2 not in live
+        assert 0 in live
         harness.controller.check_invariants()
         assert harness.read_sync(trimmed).data is None
         assert harness.read_sync(overwritten).data == (overwritten, 2)
@@ -293,7 +293,7 @@ class TestMountConsolidation:
                     dict(ftl.mount_consolidation),
                     ftl.full_merges,
                     ftl.merged_pages,
-                    list(ftl._log_blocks),
+                    list(ftl._log),
                 )
             )
 

@@ -17,7 +17,8 @@ import pytest
 from repro import Simulation, SanitizerError, small_config
 from repro.core.engine import Simulator
 from repro.core.rng import RandomSource, SanitizedRandomStream
-from repro.hardware.flash import Block, FlashStateError, PageState
+from repro.hardware.flash import Block, FlashStateError
+from repro.hardware.state import FlashState
 from repro.workloads import MixedWorkloadThread, RandomWriterThread
 
 
@@ -72,13 +73,22 @@ class TestMonotonicity:
 # erase-before-program page state machine
 # ---------------------------------------------------------------------------
 
+def sanitized_block(label: str) -> tuple[Block, FlashState]:
+    """A sanitized four-page block and the arrays behind it, which the
+    tests below corrupt directly."""
+    state = FlashState(1, 1, 4, sanitize=True)
+    return Block(4, sanitize=True, label=label, state=state, block_id=0), state
+
+
 class TestFlashSanitizer:
     def test_program_on_unerased_page_raises(self):
-        block = Block(4, sanitize=True, label="(c0,l0,b0)")
+        block, state = sanitized_block("(c0,l0,b0)")
         block.program_next((1, 0), now_ns=0)
         # Corrupt the state machine the way a buggy GC might: a page
-        # beyond the write pointer already holds data.
-        block.pages[1].state = PageState.LIVE
+        # beyond the write pointer already holds data (LIVE).
+        word, bit = state.bit_location(0, 1)
+        state.mv_programmed[word] |= 1 << bit
+        state.mv_valid[word] |= 1 << bit
         block.live_count += 1
         block.write_pointer += 1
         with pytest.raises(SanitizerError, match="erase-before-program") as excinfo:
@@ -96,12 +106,15 @@ class TestFlashSanitizer:
             block.program_next((2, 0), now_ns=10)
 
     def test_erase_full_scan_detects_ghost_page(self):
-        block = Block(4, sanitize=True, label="(c0,l0,b2)")
+        block, state = sanitized_block("(c0,l0,b2)")
         block.program_next((1, 0), now_ns=0)
         block.invalidate(0)
-        # A page beyond the write pointer was silently programmed.
-        block.pages[2].state = PageState.DEAD
-        block.pages[2].content = (9, 0)
+        # A page beyond the write pointer was silently programmed (DEAD,
+        # holding a token).
+        word, bit = state.bit_location(0, 2)
+        state.mv_programmed[word] |= 1 << bit
+        state.mv_has_content[word] |= 1 << bit
+        state.mv_page_lpn[2] = 9
         with pytest.raises(SanitizerError, match="flash-page-state"):
             block.erase(now_ns=10)
 

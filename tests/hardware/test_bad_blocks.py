@@ -17,7 +17,7 @@ from tests.hardware.test_array import make_array, program_page, submit
 class TestLunBadBlockMasking:
     def test_factory_bad_blocks_excluded_from_free_pool(self):
         lun = Lun(0, 0, 8, 4, bad_block_ids={2, 5})
-        assert lun.free_block_ids == {0, 1, 3, 4, 6, 7}
+        assert set(lun.free_block_ids) == {0, 1, 3, 4, 6, 7}
         assert lun.block(2).is_bad and lun.block(5).is_bad
         assert lun.usable_blocks == 6
 

@@ -1,4 +1,4 @@
-"""Tests for the page/block/LUN state machines (NAND constraints)."""
+"""Tests for the block/LUN state machines (NAND constraints)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro import FaultPlan, FtlKind, Simulation, small_config
 from repro.hardware.addresses import PhysicalAddress
-from repro.hardware.flash import Block, FlashStateError, Lun, PageState
+from repro.hardware.flash import Block, FlashStateError, Lun
 from repro.hardware.state import FlashState
 from repro.reliability.crash import PowerCycleCoordinator
 from repro.workloads import RandomWriterThread
@@ -33,8 +33,8 @@ class TestBlockProgramming:
         assert block.live_count == 1
         assert block.free_pages == 3
         assert block.last_write_ns == 123
-        assert block.pages[0].state is PageState.LIVE
-        assert block.pages[0].content == (7, 1)
+        assert block.live_page_indexes() == [0]
+        assert block.read(0) == (7, 1)
 
 
 class TestInvalidation:
@@ -42,7 +42,8 @@ class TestInvalidation:
         block = Block(4)
         block.program_next((1, 1), 0)
         block.invalidate(0)
-        assert block.pages[0].state is PageState.DEAD
+        assert block.live_page_indexes() == []
+        assert block.read(0) == (1, 1)  # programmed, no longer mapped
         assert block.live_count == 0
         assert block.dead_count == 1
 
@@ -85,7 +86,9 @@ class TestErase:
         assert block.is_empty
         assert block.erase_count == 1
         assert block.last_erase_ns == 999
-        assert all(page.state is PageState.FREE for page in block.pages)
+        for index in range(block.num_pages):
+            with pytest.raises(FlashStateError):
+                block.read(index)
         assert block.free_pages == block.num_pages
 
     def test_erase_with_live_pages_rejected(self):
@@ -128,7 +131,7 @@ class TestLun:
     def test_initial_state_all_free(self):
         lun = Lun(0, 1, blocks_per_lun=8, pages_per_block=4)
         assert lun.key == (0, 1)
-        assert lun.free_block_ids == set(range(8))
+        assert set(lun.free_block_ids) == set(range(8))
         assert not lun.is_busy
         assert lun.total_free_pages() == 32
 

@@ -23,8 +23,12 @@ from repro import (
     Simulation,
     small_config,
 )
-from repro.reliability.crash import PowerCycleCoordinator
+from repro.core.sanitize import SanitizerError
+from repro.reliability import ParityTracker
+from repro.reliability.crash import DurabilityAuditor, PowerCycleCoordinator
 from repro.workloads import MixedWorkloadThread, RandomWriterThread
+
+from tests.hardware.test_array import make_array, program_page
 
 FTLS = ["page", "dftl", "hybrid"]
 STRATEGIES = [RecoveryStrategy.OOB_SCAN, RecoveryStrategy.CHECKPOINT_JOURNAL]
@@ -194,6 +198,77 @@ class TestRecoveryEconomics:
         durable = run_crash(battery=True)
         volatile = run_crash(battery=False)
         assert durable.crash_stats.lost_writes < volatile.crash_stats.lost_writes
+
+
+class TestDurabilityAudit:
+    """Every recovered mapping entry must name an intact page holding
+    exactly its token."""
+
+    @staticmethod
+    def _two_pages():
+        """An array holding tokens (5, 1) and (6, 1), and their addresses."""
+        sim, array = make_array()
+        first = program_page(sim, array, token=(5, 1))
+        second = program_page(sim, array, token=(6, 1))
+        return array, first, second
+
+    def test_intact_pages_pass(self):
+        array, first, second = self._two_pages()
+        auditor = DurabilityAuditor()
+        auditor.audit({5: (first, 1), 6: (second, 1)}, [], array)
+        assert auditor.audits_passed == 1
+
+    def test_mapping_onto_a_torn_page_raises(self):
+        array, first, _ = self._two_pages()
+        array.luns[(first.channel, first.lun)].block(first.block).mark_torn(first.page)
+        with pytest.raises(SanitizerError, match="durability-audit") as excinfo:
+            DurabilityAuditor().audit({5: (first, 1)}, [], array)
+        assert excinfo.value.context["torn"] is True
+        assert excinfo.value.context["found"] is None
+
+    def test_mapping_onto_a_foreign_page_raises(self):
+        array, _, second = self._two_pages()
+        with pytest.raises(SanitizerError, match="durability-audit") as excinfo:
+            DurabilityAuditor().audit({5: (second, 1)}, [], array)
+        assert excinfo.value.context["torn"] is False
+        assert excinfo.value.context["found"] == (6, 1)
+
+
+class TestParityAcrossRemount:
+    @pytest.mark.parametrize("ftl", FTLS)
+    def test_resync_equals_a_fresh_recompute(self, ftl, monkeypatch):
+        """The mount rebuilds the parity signatures from the flash
+        contents: they must equal what programming every surviving page
+        into an empty tracker gives."""
+        mounts = []
+        power_cycle = PowerCycleCoordinator.power_cycle
+
+        def recording_power_cycle(coordinator, loss):
+            report = power_cycle(coordinator, loss)
+            controller = coordinator.simulation.controller
+            array, state = controller.array, controller.array.state
+            fresh = ParityTracker()
+            for block_id in range(state.num_blocks):
+                for page in range(state.mv_write_pointer[block_id]):
+                    content = state.page_content(block_id, page)
+                    if content is not None:
+                        ppn = block_id * state.pages_per_block + page
+                        fresh.on_program(array.codec.decode(ppn), content)
+            resynced = controller.reliability.parity._stripes
+            mounts.append(({key: list(entry) for key, entry in resynced.items()}, fresh._stripes))
+            return report
+
+        monkeypatch.setattr(PowerCycleCoordinator, "power_cycle", recording_power_cycle)
+        config = crash_config(ftl=ftl)
+        config.reliability.enabled = True
+        config.reliability.parity = True
+        simulation = Simulation(config)
+        simulation.add_thread(RandomWriterThread("writer", count=600))
+        result = simulation.run()
+        assert result.crash_stats.power_losses == 1
+        [(resynced, fresh)] = mounts
+        assert resynced and resynced == fresh
+        simulation.controller.check_invariants()
 
 
 class TestPayForWhatYouUse:

@@ -47,6 +47,20 @@ class TestParityTrackerUnit:
         assert tracker.signature(1, 2, 3) == expected
         assert tracker.signature(0, 0, 0) == 0
 
+    def test_check_catches_a_token_changed_behind_its_back(self):
+        h = make_harness(lambda c: reliability_on(c, parity=True))
+        for lpn in range(8):
+            h.write(lpn)
+        h.run()
+        array = h.controller.array
+        parity = h.controller.reliability.parity
+        parity.check(array)
+        address = h.controller.ftl.mapped_address(3)
+        ppn = array.codec.encode(address.channel, address.lun, address.block, address.page)
+        array.state.mv_page_lpn[ppn] = 99
+        with pytest.raises(AssertionError, match="parity tracker inconsistent"):
+            parity.check(array)
+
 
 class TestDataLoss:
     def test_forced_corruption_without_recovery_loses_data(self):

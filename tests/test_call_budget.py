@@ -108,8 +108,9 @@ CASES = {
         # 750.2 before the flash-command lifecycle rework, 643.5 before
         # statistics stored one row per IO, 627.9 before merges ran as
         # one slotted job, 519.6 before log appends, merge order and the
-        # merge commit each had one path.
-        514.2,
+        # merge commit each had one path, 514.2 before merges read the
+        # victim block without building a page view per page.
+        499.1,
     ),
     "dftl_write": (
         FtlKind.DFTL,
