@@ -65,7 +65,6 @@ from repro.core.parallel import (
 )
 from repro.core.sanitize import SanitizerError
 from repro.core.simulation import Simulation, SimulationResult
-from repro.host.interface import QueueFullError
 from repro.reliability import FaultPlan
 from repro.service import (
     CachedResult,
@@ -102,7 +101,6 @@ __all__ = [
     "Parameter",
     "PowerLossEvent",
     "PowerRestoreEvent",
-    "QueueFullError",
     "RecoveryStrategy",
     "ReliabilityConfig",
     "ResultCache",

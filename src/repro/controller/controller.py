@@ -318,18 +318,6 @@ class SsdController:
     def _queue_depth(self, lun_key: tuple[int, int]) -> int:
         return self.scheduler.queue_depth(lun_key)
 
-    @property
-    def busy(self) -> bool:
-        """True while internal work (queued commands, GC, WL, buffered
-        flushes) is still pending."""
-        if self.scheduler.total_pending() > 0:
-            return True
-        if self.gc.evacuating:
-            return True
-        if any(lun.is_busy for lun in self.array.luns.values()):
-            return True
-        return False
-
     # ------------------------------------------------------------------
     # Invariant checking (used heavily by the test suite)
     # ------------------------------------------------------------------

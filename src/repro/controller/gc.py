@@ -365,13 +365,6 @@ class GarbageCollector:
         self._condemn_queue.setdefault(lun_key, []).append(job)
         self._pump_condemn(lun_key)
 
-    def debt(self) -> int:
-        """Blocks the collector owes a relocation job, each counted once:
-        the running job of every LUN plus the queued condemnations."""
-        return len(self.active_jobs) + sum(
-            len(queue) for queue in self._condemn_queue.values()
-        )
-
     def _pump_condemn(self, lun_key: tuple[int, int]) -> None:
         if lun_key in self.active_jobs:
             return  # runs when the current job's erase/retire completes

@@ -15,12 +15,10 @@ Three responsibilities:
   completes immediately with ``BUSY`` after only the command handshake
   cost, exactly like a full NVMe submission queue.
 * **Degraded mode**: crossing the queue-depth watermark
-  (``degraded_enter_pending``) or the GC-debt watermark
-  (``gc_debt_watermark`` blocks, counted by
-  :meth:`~repro.controller.gc.GarbageCollector.debt`) enters a
-  degraded state that sheds low-priority IOs and rate-limits admission
-  until the backlog drains to the exit watermark.  Time spent degraded and every
-  entry are counted.
+  (``degraded_enter_pending``) enters a degraded state that sheds
+  low-priority IOs and rate-limits admission until the backlog drains
+  to half that watermark.  Time spent degraded and every entry are
+  counted.
 * **Command timeouts** (:meth:`arm_timeout`): an application command
   still queued ``command_timeout_ns`` after enqueue is aborted -- it is
   deleted from its LUN queue, its in-flight-read accounting is
@@ -136,16 +134,11 @@ class OverloadGovernor:
     # Degraded mode
     # ------------------------------------------------------------------
     def _update_degraded(self, pending: int) -> None:
-        cfg = self.config
-        over = (
-            cfg.degraded_enter_pending is not None
-            and pending >= cfg.degraded_enter_pending
-        ) or (
-            cfg.gc_debt_watermark is not None
-            and self.controller.gc.debt() >= cfg.gc_debt_watermark
-        )
+        enter = self.config.degraded_enter_pending
+        if enter is None:
+            return
         if not self.degraded:
-            if over:
+            if pending >= enter:
                 self.degraded = True
                 self.degraded_entries += 1
                 self._degraded_since = self.sim.now
@@ -153,15 +146,7 @@ class OverloadGovernor:
                     self.sim.now, "overload", "degraded-enter", f"pending={pending}"
                 )
             return
-        recovered = (
-            not over
-            and pending <= cfg.exit_pending()
-            and (
-                cfg.gc_debt_watermark is None
-                or self.controller.gc.debt() < cfg.gc_debt_watermark
-            )
-        )
-        if recovered:
+        if pending <= enter // 2:
             self.degraded = False
             self.time_degraded_ns += self.sim.now - self._degraded_since
             self.controller.tracer.record(

@@ -14,8 +14,8 @@ intervals.  The module only decides: it hands each such block to
 :meth:`repro.controller.gc.GarbageCollector.migrate`, whose evacuation
 job -- the one every GC kind runs on -- moves the live (hence cold) data
 to an *old* block, reports the pages to the temperature module as cold,
-and erases the young block, making it available to hot writes.  At most
-``max_concurrent_migrations`` such jobs run at once.
+and erases the young block, making it available to hot writes.  One
+such job runs at a time, which bounds its interference with host IO.
 
 Dynamic WL -- handing young free blocks to hot streams and old free
 blocks to cold streams -- lives in the allocator's free-block selection
@@ -43,8 +43,8 @@ class WearLeveler:
         self.controller = controller
         self.config = controller.config.controller.wear_leveling
         self._erases_since_check = 0
-        #: Rotates the scan's starting LUN so the concurrency cap does
-        #: not starve later LUNs of migrations.
+        #: Rotates the scan's starting LUN so the one-migration limit
+        #: does not starve later LUNs of migrations.
         self._scan_rotation = 0
         self.total_erases = 0
         self.migrations_started = 0
@@ -87,13 +87,11 @@ class WearLeveler:
         start = self._scan_rotation % len(lun_keys)
         self._scan_rotation += 1
         gc = self.controller.gc
-        cap = self.config.max_concurrent_migrations
-        migrating = sum(
+        if any(
             job.source is CommandSource.WEAR_LEVELING for job in gc.evacuating.values()
-        )
+        ):
+            return
         for offset in range(len(lun_keys)):
-            if migrating >= cap:
-                return
             lun_key = lun_keys[(start + offset) % len(lun_keys)]
             lun = array.luns[lun_key]
             state = lun.state
@@ -117,9 +115,7 @@ class WearLeveler:
                     continue
                 self.migrations_started += 1
                 gc.migrate(lun_key, block_id)
-                migrating += 1
-                if migrating >= cap:
-                    return
+                return
 
     # ------------------------------------------------------------------
     # Reporting

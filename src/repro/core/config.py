@@ -280,9 +280,6 @@ class SchedulerConfig:
     #: Honour open-interface priority hints carried on application IOs.
     use_priority_hints: bool = False
 
-    def copy(self) -> "SchedulerConfig":
-        return copy.deepcopy(self)
-
 
 @dataclass
 class WearLevelingConfig:
@@ -296,8 +293,6 @@ class WearLevelingConfig:
     #: ``idle_factor`` times the average erase interval.
     erase_count_threshold: int = 8
     idle_factor: float = 4.0
-    #: Cap concurrent static-WL migrations to bound interference.
-    max_concurrent_migrations: int = 1
     #: Dynamic WL: hand young free blocks to hot streams and old free
     #: blocks to cold streams when the allocator asks for an open block.
     dynamic: bool = True
@@ -533,30 +528,10 @@ class CrashConfig:
     strategy: RecoveryStrategy = RecoveryStrategy.OOB_SCAN
     #: CHECKPOINT_JOURNAL: virtual time between mapping-table checkpoints.
     checkpoint_interval_ns: int = units.milliseconds(50)
-    #: CHECKPOINT_JOURNAL: battery-backed journal capacity in records;
-    #: filling it forces an immediate checkpoint.
-    journal_capacity_records: int = 4096
-    #: Bytes per journal record (battery RAM accounting).
-    journal_record_bytes: int = 16
-    #: CHECKPOINT_JOURNAL: mount cost per replayed journal record.
-    replay_ns_per_record: int = 50
-    #: OOB_SCAN: out-of-band bytes read per scanned page.
-    oob_bytes: int = 16
-    #: Fixed mount overhead (controller boot, device identification).
-    mount_base_ns: int = units.microseconds(100)
 
     def validate(self) -> None:
-        for name in (
-            "checkpoint_interval_ns",
-            "journal_capacity_records",
-            "journal_record_bytes",
-            "oob_bytes",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"CrashConfig.{name} must be positive")
-        for name in ("replay_ns_per_record", "mount_base_ns"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"CrashConfig.{name} must be >= 0")
+        if self.checkpoint_interval_ns <= 0:
+            raise ValueError("CrashConfig.checkpoint_interval_ns must be positive")
 
 
 @dataclass
@@ -576,18 +551,15 @@ class OverloadConfig:
 
     * **Host admission** -- ``host_queue_bound`` caps the OS pending
       pool (an NVMe-style bounded submission queue).  A full pool
-      rejects new IOs with :class:`~repro.core.events.IoStatus.BUSY`
-      completions, or raises
-      :class:`~repro.host.interface.QueueFullError` synchronously to
-      the issuing thread when ``strict_admission`` is set.
+      completes new IOs with :class:`~repro.core.events.IoStatus.BUSY`,
+      a status the issuing thread reads back from its completion.
     * **Device admission & degraded mode** -- ``device_queue_bound``
       caps total pending flash commands; past it the controller busies
-      new IOs.  Crossing ``degraded_enter_pending`` queued commands or
-      ``gc_debt_watermark`` blocks of GC debt enters *degraded mode*,
-      which sheds IOs whose priority hint exceeds
-      ``shed_priority_threshold`` and enforces a minimum virtual-time
-      gap of ``degraded_admission_gap_ns`` between admissions until the
-      backlog falls to ``degraded_exit_pending``.
+      new IOs.  Crossing ``degraded_enter_pending`` queued commands
+      enters *degraded mode*, which sheds IOs whose priority hint
+      exceeds ``shed_priority_threshold`` and enforces a minimum
+      virtual-time gap of ``degraded_admission_gap_ns`` between
+      admissions until the backlog falls to half the enter watermark.
     * **Command timeouts** -- an *application* command still queued
       (not yet started) ``command_timeout_ns`` after enqueue is aborted
       and its IO completes with ``TIMEOUT``.  Only commands that
@@ -596,21 +568,17 @@ class OverloadConfig:
       pre-reserve log slots and are exempt.
     * **Host retries** -- the OS retries ``BUSY``/``TIMEOUT``
       completions up to ``max_retries`` times with deterministic
-      exponential backoff (``retry_backoff_ns`` *
-      ``retry_backoff_multiplier`` ** attempt), as long as the next
-      attempt still fits the per-IO budget ``io_deadline_ns`` measured
-      from first issue.  An IO therefore succeeds within its budget or
-      fails definitively, with the attempt count recorded on
-      ``IoRequest.attempts``.
+      exponential backoff (``retry_backoff_ns * 2 ** attempt``), as
+      long as the next attempt still fits the per-IO budget
+      ``io_deadline_ns`` measured from first issue.  An IO therefore
+      succeeds within its budget or fails definitively, with the
+      attempt count recorded on ``IoRequest.attempts``.
     """
 
     #: Master switch; off keeps every code path untouched.
     enabled: bool = False
     #: Max IOs in the OS pending pool; ``None`` leaves the pool unbounded.
     host_queue_bound: Optional[int] = None
-    #: Raise ``QueueFullError`` to the issuing thread instead of
-    #: completing rejected IOs with ``BUSY`` status.
-    strict_admission: bool = False
     #: Max total pending flash commands before the device busies new IOs;
     #: ``None`` leaves the device queues unbounded.
     device_queue_bound: Optional[int] = None
@@ -619,25 +587,16 @@ class OverloadConfig:
     command_timeout_ns: Optional[int] = None
     #: Host-side retry attempts for BUSY/TIMEOUT completions (0 = none).
     max_retries: int = 0
-    #: Backoff before the first retry; doubles (by the multiplier) after
-    #: each further attempt.  Deterministic -- no RNG jitter by design.
+    #: Backoff before the first retry; doubles after each further
+    #: attempt.  Deterministic -- no RNG jitter by design.
     retry_backoff_ns: int = units.microseconds(100)
-    retry_backoff_multiplier: float = 2.0
     #: Per-IO deadline budget measured from first issue; a retry that
     #: cannot complete its backoff within the budget is not attempted.
     #: ``None`` bounds retries by ``max_retries`` alone.
     io_deadline_ns: Optional[int] = None
     #: Pending flash commands at which the controller enters degraded
-    #: mode; ``None`` disables the queue-depth trigger.
+    #: mode (it exits at half this); ``None`` disables degraded mode.
     degraded_enter_pending: Optional[int] = None
-    #: Pending flash commands at which degraded mode exits; ``None``
-    #: derives half of ``degraded_enter_pending``.
-    degraded_exit_pending: Optional[int] = None
-    #: GC debt at which the controller enters degraded mode: blocks with
-    #: a running collection, rebalancing or condemnation job plus queued
-    #: condemnations, each block counted once; ``None`` disables the GC
-    #: trigger.
-    gc_debt_watermark: Optional[int] = None
     #: Degraded mode: minimum virtual-time gap between admitted IOs
     #: (rate limiting); 0 disables the throttle.
     degraded_admission_gap_ns: int = 0
@@ -660,31 +619,12 @@ class OverloadConfig:
             raise ValueError("max_retries must be >= 0")
         if self.retry_backoff_ns <= 0:
             raise ValueError("retry_backoff_ns must be positive")
-        if self.retry_backoff_multiplier < 1.0:
-            raise ValueError("retry_backoff_multiplier must be >= 1.0")
         if self.degraded_enter_pending is not None and self.degraded_enter_pending < 1:
             raise ValueError("degraded_enter_pending must be >= 1")
-        if self.degraded_exit_pending is not None:
-            if self.degraded_enter_pending is None:
-                raise ValueError(
-                    "degraded_exit_pending needs degraded_enter_pending"
-                )
-            if not 0 <= self.degraded_exit_pending <= self.degraded_enter_pending:
-                raise ValueError(
-                    "degraded_exit_pending must be in [0, degraded_enter_pending]"
-                )
-        if self.gc_debt_watermark is not None and self.gc_debt_watermark < 1:
-            raise ValueError("gc_debt_watermark must be >= 1")
         if self.degraded_admission_gap_ns < 0:
             raise ValueError("degraded_admission_gap_ns must be >= 0")
         if self.shed_priority_threshold is not None and self.shed_priority_threshold < 0:
             raise ValueError("shed_priority_threshold must be >= 0")
-
-    def exit_pending(self) -> int:
-        """The effective degraded-mode exit watermark."""
-        if self.degraded_exit_pending is not None:
-            return self.degraded_exit_pending
-        return (self.degraded_enter_pending or 0) // 2
 
 
 @dataclass

@@ -35,18 +35,6 @@ class InterfaceClosedError(RuntimeError):
     """A message was sent while the interface is the plain block device."""
 
 
-class QueueFullError(RuntimeError):
-    """Strict admission control rejected an IO: the host submission pool
-    is at its configured bound (``overload.host_queue_bound`` with
-    ``overload.strict_admission``).
-
-    Raised synchronously out of ``ThreadContext.read/write/trim`` so the
-    issuing thread observes backpressure directly; the IO was never
-    queued.  With ``strict_admission`` off, the same condition instead
-    completes the IO with :class:`~repro.core.events.IoStatus.BUSY`.
-    """
-
-
 @dataclass(frozen=True)
 class Message:
     """One OS->SSD (or SSD->OS) message on the open interface."""

@@ -25,11 +25,7 @@ from repro.core.events import IoRequest, IoStatus, IoType, WriteHints
 from repro.core.rng import RandomSource, RandomStream
 from repro.core.statistics import StatisticsGatherer
 from repro.core.tracing import TraceRecorder
-from repro.host.interface import (
-    OpenInterface,
-    QueueFullError,
-    install_standard_handlers,
-)
+from repro.host.interface import OpenInterface, install_standard_handlers
 from repro.host.schedulers import build_os_scheduler
 
 
@@ -264,13 +260,11 @@ class OperatingSystem:
 
         With ``overload.host_queue_bound`` set, a full pool *rejects*
         the IO instead of queueing it -- an NVMe-style bounded
-        submission queue.  Default: the rejected IO completes with
-        ``BUSY`` (the thread observes backpressure through its normal
-        completion callback); with ``strict_admission`` a
-        :class:`QueueFullError` is raised synchronously instead.  Host
-        rejections are final -- the retry ladder serves *device*
-        pushback; a saturated host pool means the application itself
-        must slow down.
+        submission queue: the rejected IO completes with ``BUSY`` and
+        the thread observes backpressure through its normal completion
+        callback.  Host rejections are final -- the retry ladder serves
+        *device* pushback; a saturated host pool means the application
+        itself must slow down.
         """
         io.issue_time = self.sim.now
         record.issued += 1
@@ -288,11 +282,6 @@ class OperatingSystem:
             self.tracer.record(
                 self.sim.now, "os", "reject", f"pool-full lpn={io.lpn} #{io.id}"
             )
-            if overload.strict_admission:
-                raise QueueFullError(
-                    f"host submission pool at its bound "
-                    f"({overload.host_queue_bound} pending IOs)"
-                )
             io.status = IoStatus.BUSY
             self.sim.post(0, self._deliver_rejected, io)
             return
@@ -376,10 +365,7 @@ class OperatingSystem:
             if overload.max_retries > 0:
                 self.retries_exhausted += 1
             return False
-        delay = int(
-            overload.retry_backoff_ns
-            * overload.retry_backoff_multiplier ** io.attempts
-        )
+        delay = overload.retry_backoff_ns * 2**io.attempts
         if overload.io_deadline_ns is not None and io.issue_time is not None:
             if self.sim.now + delay - io.issue_time > overload.io_deadline_ns:
                 self.retries_exhausted += 1

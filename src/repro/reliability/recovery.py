@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.core import units
 from repro.core.events import IoStatus, IoType
 from repro.hardware.addresses import PhysicalAddress
 from repro.hardware.commands import CommandKind, CommandOutcome, FlashCommand
@@ -65,6 +66,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.array import SsdArray
 
 _MASK64 = (1 << 64) - 1
+
+#: CHECKPOINT_JOURNAL: battery-backed journal capacity in records;
+#: filling it forces an immediate checkpoint.
+JOURNAL_CAPACITY_RECORDS = 4096
+#: Bytes per journal record (battery RAM accounting).
+JOURNAL_RECORD_BYTES = 16
+#: CHECKPOINT_JOURNAL: mount cost per replayed journal record.
+REPLAY_NS_PER_RECORD = 50
+#: OOB_SCAN: out-of-band bytes read per scanned page.
+OOB_BYTES = 16
+#: Fixed mount overhead (controller boot, device identification).
+MOUNT_BASE_NS = units.microseconds(100)
 
 
 def pack_content(content: PageContent) -> int:
@@ -565,10 +578,9 @@ class MappingJournal:
 
     def __init__(self, controller: "SsdController"):
         self.controller = controller
-        crash = controller.config.crash
-        self.capacity = crash.journal_capacity_records
+        self.capacity = JOURNAL_CAPACITY_RECORDS
         controller.memory.allocate_battery_ram(
-            "mapping journal", self.capacity * crash.journal_record_bytes
+            "mapping journal", self.capacity * JOURNAL_RECORD_BYTES
         )
         #: (seq, kind, lpn, version, address); seq is monotonic across
         #: clears so replay order is global.
@@ -710,13 +722,10 @@ class OobScanRecovery:
     def recover(self, controller: "SsdController") -> RecoveredState:
         config = controller.config
         timings = config.timings
-        crash = config.crash
         array = controller.array
         state = array.state
         per_page_ns = (
-            timings.t_cmd_ns
-            + timings.t_read_ns
-            + crash.oob_bytes * timings.bus_ns_per_byte
+            timings.t_cmd_ns + timings.t_read_ns + OOB_BYTES * timings.bus_ns_per_byte
         )
         # Scan cost: every programmed page of every block (retired blocks
         # included -- a real scan cannot know a block is bad until it has
@@ -761,7 +770,7 @@ class OobScanRecovery:
             decode = array.codec.decode
             for i in winners.tolist():
                 mapping[int(lpns[i])] = (decode(int(ppns[i])), int(versions[i]))
-        mount_ns = crash.mount_base_ns + slowest_lun_ns
+        mount_ns = MOUNT_BASE_NS + slowest_lun_ns
         return RecoveredState(mapping, mount_ns, scanned, 0)
 
 
@@ -779,7 +788,6 @@ class CheckpointJournalRecovery:
     def recover(self, controller: "SsdController") -> RecoveredState:
         config = controller.config
         timings = config.timings
-        crash = config.crash
         checkpointer = controller.checkpointer
         journal = controller.journal
         if checkpointer is None or journal is None:
@@ -803,8 +811,8 @@ class CheckpointJournalRecovery:
             + timings.transfer_ns(config.geometry.page_size_bytes)
         )
         mount_ns = (
-            crash.mount_base_ns
+            MOUNT_BASE_NS
             + checkpoint_pages * page_ns
-            + len(records) * crash.replay_ns_per_record
+            + len(records) * REPLAY_NS_PER_RECORD
         )
         return RecoveredState(mapping, mount_ns, checkpoint_pages, len(records))

@@ -24,9 +24,7 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
-from repro.core import units
 from repro.core.events import IoRequest, IoType, WriteHints
-from repro.host.interface import QueueFullError
 from repro.host.operating_system import ThreadContext
 
 #: An operation produced by a generator workload.
@@ -57,39 +55,22 @@ class GeneratorThread(Thread):
     then not purely IO-bound (paper: "How should we submit synchronous
     and asynchronous IOs?" has a third axis: how fast can we submit).
 
-    Backpressure: when strict host admission control is armed
-    (``overload.strict_admission``), a full submission pool raises
-    :class:`~repro.host.interface.QueueFullError` out of the issue call.
-    The generator then holds the rejected operation, backs off for
-    ``backpressure_retry_ns`` of virtual time, and re-issues it -- no
-    operation is ever lost, and ``backpressure_events`` counts how often
-    the workload was pushed back.
+    Backpressure: when a bounded host pool (``overload.host_queue_bound``)
+    is full, the issued IO completes with ``BUSY`` through
+    :meth:`on_io_completed` like any other completion, and the freed
+    slot is refilled with the next operation.
     """
 
-    def __init__(
-        self,
-        name: str,
-        depth: int = 4,
-        think_time_ns: int = 0,
-        backpressure_retry_ns: int = units.microseconds(100),
-    ):
+    def __init__(self, name: str, depth: int = 4, think_time_ns: int = 0):
         super().__init__(name)
         if depth < 1:
             raise ValueError("depth must be >= 1")
         if think_time_ns < 0:
             raise ValueError("think_time_ns must be >= 0")
-        if backpressure_retry_ns <= 0:
-            raise ValueError("backpressure_retry_ns must be positive")
         self.depth = depth
         self.think_time_ns = think_time_ns
-        self.backpressure_retry_ns = backpressure_retry_ns
         self.in_flight = 0
-        #: Times an issue was rejected by strict host admission control.
-        self.backpressure_events = 0
         self._exhausted = False
-        #: Operation rejected at admission, held for re-issue.
-        self._deferred: Optional[Op] = None
-        self._retry_armed = False
 
     @abc.abstractmethod
     def next_io(self, ctx: ThreadContext) -> Optional[Op]:
@@ -111,41 +92,19 @@ class GeneratorThread(Thread):
     def _pump(self, ctx: ThreadContext) -> bool:
         """Issue one more IO if available; finish when drained."""
         if not self._exhausted:
-            if self._deferred is not None:
-                op: Optional[Op] = self._deferred
-                self._deferred = None
-            else:
-                op = self.next_io(ctx)
+            op = self.next_io(ctx)
             if op is None:
                 self._exhausted = True
             else:
                 io_type, lpn, hints = op
-                try:
-                    if io_type is IoType.READ:
-                        ctx.read(lpn, hints)
-                    elif io_type is IoType.WRITE:
-                        ctx.write(lpn, hints)
-                    else:
-                        ctx.trim(lpn, hints)
-                except QueueFullError:
-                    self.backpressure_events += 1
-                    self._deferred = op
-                    if not self._retry_armed:
-                        self._retry_armed = True
-                        ctx.schedule(
-                            self.backpressure_retry_ns, self._retry_deferred, ctx
-                        )
-                    return False
+                if io_type is IoType.READ:
+                    ctx.read(lpn, hints)
+                elif io_type is IoType.WRITE:
+                    ctx.write(lpn, hints)
+                else:
+                    ctx.trim(lpn, hints)
                 self.in_flight += 1
                 return True
         if self._exhausted and self.in_flight == 0:
             ctx.finish()
         return False
-
-    def _retry_deferred(self, ctx: ThreadContext) -> None:
-        """Backoff timer: re-issue the operation held at admission.  A
-        completion-driven pump may have consumed it already; then this
-        is a no-op (the window was refilled through the normal path)."""
-        self._retry_armed = False
-        if self._deferred is not None:
-            self._pump(ctx)

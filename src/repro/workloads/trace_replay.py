@@ -22,7 +22,6 @@ from types import MappingProxyType
 from typing import Iterable, Optional
 
 from repro.core.events import IoType
-from repro.host.interface import QueueFullError
 from repro.host.operating_system import ThreadContext
 from repro.workloads.threads import GeneratorThread, Op
 
@@ -107,10 +106,6 @@ class TraceReplayThread(GeneratorThread):
         self._cursor = 0
         self._start_ns: Optional[int] = None
         self._outstanding_open_loop = 0
-        #: Open-loop records dropped at strict host admission control: an
-        #: open-loop client cannot wait, so a rejected arrival is shed
-        #: (and counted) rather than retried -- predictable load shedding.
-        self.dropped_ios = 0
 
     # ------------------------------------------------------------------
     # Closed-loop: standard GeneratorThread behaviour
@@ -146,23 +141,15 @@ class TraceReplayThread(GeneratorThread):
     def _fire(self, ctx: ThreadContext) -> None:
         record = self.trace[self._cursor]
         self._cursor += 1
-        try:
-            if record.io_type is IoType.READ:
-                ctx.read(record.lpn)
-            elif record.io_type is IoType.WRITE:
-                ctx.write(record.lpn)
-            else:
-                ctx.trim(record.lpn)
-        except QueueFullError:
-            self.dropped_ios += 1
+        if record.io_type is IoType.READ:
+            ctx.read(record.lpn)
+        elif record.io_type is IoType.WRITE:
+            ctx.write(record.lpn)
         else:
-            self._outstanding_open_loop += 1
+            ctx.trim(record.lpn)
+        self._outstanding_open_loop += 1
         if self._cursor < len(self.trace):
             self._arm_next(ctx)
-        elif self._outstanding_open_loop == 0:
-            # The final arrival was shed with nothing in flight: no
-            # completion will ever come, so finish here.
-            ctx.finish()
 
     def on_io_completed(self, ctx: ThreadContext, io) -> None:
         if not self.timed:

@@ -107,12 +107,6 @@ class TestCommandFunnel:
 
 
 class TestBusyAndInvariants:
-    def test_busy_while_work_pending(self, harness):
-        harness.write(0)
-        assert harness.controller.busy
-        harness.run()
-        assert not harness.controller.busy
-
     def test_check_invariants_passes_after_heavy_workload(self, harness):
         for round_ in range(3):
             for lpn in range(0, harness.config.logical_pages, 2):

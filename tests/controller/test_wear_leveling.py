@@ -1,6 +1,6 @@
 """Tests for static wear leveling."""
 
-
+from repro.hardware.commands import CommandSource
 
 from tests.controller.conftest import ControllerHarness, make_harness
 
@@ -44,6 +44,40 @@ class TestStaticWl:
         hot_cold_workload(harness)
         assert harness.controller.wear_leveler.migrations_started > 0
         assert harness.controller.wear_leveler.migrated_pages > 0
+        harness.controller.check_invariants()
+
+    def test_one_migration_runs_at_a_time(self):
+        harness = wl_harness()
+        gc = harness.controller.gc
+        original = gc.migrate
+        running_at_start = []
+
+        def migrate(lun_key, block_id):
+            running_at_start.append(
+                sum(
+                    job.source is CommandSource.WEAR_LEVELING
+                    for job in gc.evacuating.values()
+                )
+            )
+            original(lun_key, block_id)
+
+        gc.migrate = migrate
+        hot_cold_workload(harness)
+        assert running_at_start, "the skewed workload never migrated"
+        assert set(running_at_start) == {0}
+
+    def test_scan_starts_nothing_while_a_migration_runs(self):
+        harness = wl_harness(enabled=False)
+        hot_cold_workload(harness)
+        leveler = harness.controller.wear_leveler
+        leveler._scan()
+        assert leveler.migrations_started == 1
+        leveler._scan()
+        assert leveler.migrations_started == 1
+        harness.run()
+        leveler._scan()
+        assert leveler.migrations_started == 2
+        harness.run()
         harness.controller.check_invariants()
 
     def test_disabled_wl_never_migrates(self):

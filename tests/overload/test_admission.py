@@ -1,10 +1,9 @@
 """Admission control: host pool bound and device queue bound.
 
 Host rejections are *final* (the application must slow down; only device
-pushback goes through the retry ladder).  Default posture completes the
-rejected IO with ``BUSY``; ``strict_admission`` raises
-:class:`QueueFullError` synchronously and the generator workloads hold
-the operation and back off -- no IO is ever lost.
+pushback goes through the retry ladder).  A full host pool completes the
+rejected IO with ``BUSY``, a status the issuing thread reads back from
+its completion callback like any other.
 """
 
 from __future__ import annotations
@@ -12,7 +11,8 @@ from __future__ import annotations
 from repro import IoStatus, small_config
 from repro.core import units
 from repro.workloads import RandomWriterThread, TraceReplayThread
-from repro.workloads.trace_replay import generate_poisson_trace
+from repro.core.events import IoType
+from repro.workloads.trace_replay import TraceRecordOp, generate_poisson_trace
 
 from tests.conftest import run_workload
 
@@ -69,31 +69,37 @@ class TestHostAdmission:
         assert summary["host_rejections"] == 0
         assert summary["os_queue_high_watermark"] > 8
 
-    def test_strict_admission_backpressures_the_generator(self):
-        config = overloaded_config(host_queue_bound=2, strict_admission=True)
+    def test_full_pool_completes_busy_to_the_generator(self):
+        config = overloaded_config(host_queue_bound=2)
         config.host.max_outstanding = 2
         writer = RandomWriterThread("writer", count=300, depth=16)
         result = run_workload(config, [writer])
         summary = result.summary()
-        assert writer.backpressure_events > 0
         assert summary["host_rejections"] > 0
-        # Strict mode completes nothing with BUSY; the thread held the
-        # operation and re-issued it, so every write eventually landed.
-        assert summary["busy_ios"] == 0
-        ok = [
-            io
-            for io in result.simulation.os.completed_ios
-            if io.status is IoStatus.OK
-        ]
-        assert len(ok) == 300
+        # Every rejection reached the generator as a BUSY completion,
+        # which refilled the window: all 300 writes completed, OK or
+        # BUSY, and the generator finished.
+        assert summary["busy_ios"] == summary["host_rejections"]
+        statuses = [io.status for io in result.simulation.os.completed_ios]
+        assert len(statuses) == 300
+        assert statuses.count(IoStatus.OK) == 300 - summary["host_rejections"]
 
-    def test_strict_admission_sheds_open_loop_arrivals(self):
-        config = overloaded_config(host_queue_bound=4, strict_admission=True)
+    def test_full_pool_completes_every_open_loop_arrival(self):
+        # Twelve arrivals at one instant: two reach the device, two wait
+        # in the pool, and the other eight -- the final arrival among
+        # them -- are rejected.  Each completes BUSY, and the final one's
+        # completion is what lets the thread finish.
+        config = overloaded_config(host_queue_bound=2)
         config.host.max_outstanding = 2
-        thread = open_loop_thread(config)
+        trace = [TraceRecordOp(0, IoType.WRITE, lpn) for lpn in range(12)]
+        thread = TraceReplayThread("burst", trace, timed=True)
         result = run_workload(config, [thread])
-        assert thread.dropped_ios > 0
-        assert result.summary()["host_rejections"] == thread.dropped_ios
+        summary = result.summary()
+        completed = {io.lpn: io.status for io in result.simulation.os.completed_ios}
+        assert len(completed) == len(trace)
+        assert completed[trace[-1].lpn] is IoStatus.BUSY
+        assert summary["busy_ios"] == summary["host_rejections"] == 8
+        assert thread._outstanding_open_loop == 0
 
 
 class TestDeviceAdmission:

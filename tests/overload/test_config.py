@@ -50,7 +50,6 @@ class TestValidation:
             ("command_timeout_ns", -1),
             ("max_retries", -1),
             ("retry_backoff_ns", 0),
-            ("retry_backoff_multiplier", 0.5),
             ("io_deadline_ns", 0),
             ("degraded_enter_pending", 0),
             ("degraded_admission_gap_ns", -1),
@@ -60,20 +59,6 @@ class TestValidation:
     def test_bad_values_raise(self, field, value):
         with pytest.raises(ValueError):
             enabled(**{field: value}).validate()
-
-    def test_exit_needs_enter(self):
-        with pytest.raises(ValueError):
-            enabled(degraded_exit_pending=4).validate()
-
-    def test_exit_must_not_exceed_enter(self):
-        with pytest.raises(ValueError):
-            enabled(degraded_enter_pending=4, degraded_exit_pending=5).validate()
-
-    def test_exit_defaults_to_half_the_enter_watermark(self):
-        assert enabled(degraded_enter_pending=9).exit_pending() == 4
-        assert enabled(
-            degraded_enter_pending=9, degraded_exit_pending=2
-        ).exit_pending() == 2
 
     def test_disabled_config_skips_field_validation(self):
         # Knobs on a disabled config are inert and never checked -- a

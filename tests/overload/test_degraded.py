@@ -1,9 +1,9 @@
 """Degraded mode: watermarks, shedding, throttling, accounting.
 
-Crossing the queue-depth watermark (or the GC-debt watermark) enters a
-degraded state that sheds low-priority IOs and rate-limits admission
-until the backlog drains to the exit watermark.  Entries and virtual
-time spent degraded are counted and surfaced through the summary.
+Crossing the queue-depth watermark enters a degraded state that sheds
+low-priority IOs and rate-limits admission until the backlog drains to
+half that watermark.  Entries and virtual time spent degraded are
+counted and surfaced through the summary.
 """
 
 from __future__ import annotations
@@ -71,40 +71,17 @@ class TestWatermarks:
         assert summary["degraded_entries"] == 0
         assert summary["time_degraded_ms"] == 0
 
-    def test_gc_debt_watermark_triggers_independently(self):
-        config = degraded_config(
-            degraded_enter_pending=None, gc_debt_watermark=1
-        )
-        result = run_workload(
-            config,
-            [storm_thread(config, duration_ns=units.milliseconds(3))],
-            precondition=True,
-        )
-        assert result.summary()["degraded_entries"] > 0
-
-
-    def test_draining_condemned_block_is_one_unit_of_gc_debt(self):
-        config = degraded_config(degraded_enter_pending=None, gc_debt_watermark=2)
-        harness = ControllerHarness(config)
-        for lpn in range(64):
-            harness.write(lpn)
-        harness.run()
-        controller = harness.controller
-        lun_key, lun = next(iter(controller.array.luns.items()))
-        open_ids = controller.allocator.open_block_ids(lun_key)
-        block_id = next(
-            block_id
-            for block_id, block in enumerate(lun.blocks)
-            if block.live_count > 0 and block_id not in open_ids
-        )
-        controller.gc.condemn(lun_key, block_id)
-        # One condemnation draining in the LUN's job slot: one job, one
-        # block, below a watermark of two.
-        harness.write(0)
-        assert controller.overload.degraded is False
-        assert controller.gc.debt() == 1
-        harness.run()
-        controller.check_invariants()
+    def test_exits_at_half_the_enter_watermark(self):
+        config = degraded_config(degraded_enter_pending=9)
+        governor = ControllerHarness(config).controller.overload
+        governor._update_degraded(8)
+        assert governor.degraded is False
+        governor._update_degraded(9)
+        assert governor.degraded is True
+        governor._update_degraded(5)
+        assert governor.degraded is True
+        governor._update_degraded(4)
+        assert governor.degraded is False
 
 
 class TestShedding:

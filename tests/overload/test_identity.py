@@ -62,7 +62,6 @@ def test_unreachable_bounds_are_bit_identical_too(ftl: str):
     armed.overload.device_queue_bound = 10**6
     armed.overload.max_retries = 5
     armed.overload.degraded_enter_pending = 10**6
-    armed.overload.gc_debt_watermark = 10**6
     armed.overload.degraded_admission_gap_ns = 10**6
     armed.overload.shed_priority_threshold = 10**6
     assert _run(armed) == disabled

@@ -11,6 +11,8 @@ path must leave flash state exactly as if the command was never issued.
 
 from __future__ import annotations
 
+import re
+
 from repro import IoStatus, small_config
 from repro.core import units
 from repro.workloads import TraceReplayThread
@@ -113,6 +115,20 @@ class TestRetryLadder:
         summary = result.summary()
         assert summary["io_retries"] == 0
         assert summary["io_retries_exhausted"] > 0
+
+    def test_backoff_doubles_per_attempt(self):
+        backoff = units.microseconds(40)
+        config = timeout_config(max_retries=4, retry_backoff_ns=backoff)
+        config.trace_enabled = True
+        result = run_workload(config, [storm_thread(config)])
+        delays = {}
+        for record in result.simulation.tracer.filter(layer="os", event="retry"):
+            attempt, delay = re.search(r"try=(\d+) in (\d+)ns", record.detail).groups()
+            delays.setdefault(int(attempt), set()).add(int(delay))
+        assert len(delays) >= 2, "the storm must retry some IO more than once"
+        assert delays == {
+            attempt: {backoff * 2 ** (attempt - 1)} for attempt in delays
+        }
 
     def test_backoff_is_deterministic(self):
         def run():

@@ -26,6 +26,7 @@ from repro import (
 from repro.core.sanitize import SanitizerError
 from repro.reliability import ParityTracker
 from repro.reliability.crash import DurabilityAuditor, PowerCycleCoordinator
+from repro.reliability.recovery import JOURNAL_CAPACITY_RECORDS, JOURNAL_RECORD_BYTES
 from repro.workloads import MixedWorkloadThread, RandomWriterThread
 
 from tests.hardware.test_array import make_array, program_page
@@ -191,6 +192,36 @@ class TestRecoveryEconomics:
             ckpt.summary()["checkpoint_pages_written"]
             > oob.summary()["checkpoint_pages_written"]
         )
+
+    def test_journal_reserves_its_capacity_in_battery_ram(self):
+        config = crash_config(strategy=RecoveryStrategy.CHECKPOINT_JOURNAL)
+        battery_ram = Simulation(config).controller.memory.battery_ram
+        assert (
+            battery_ram.allocations["mapping journal"]
+            == JOURNAL_CAPACITY_RECORDS * JOURNAL_RECORD_BYTES
+            == 64 * 1024
+        )
+
+    def test_full_journal_forces_a_checkpoint(self):
+        """With the periodic timer out of reach, filling the journal is
+        what takes the checkpoint, so a mount never replays more than
+        one journal's worth of records."""
+        config = crash_config(
+            strategy=RecoveryStrategy.CHECKPOINT_JOURNAL, at_ns=10**10
+        )
+        config.crash.checkpoint_interval_ns = 10**12
+        config.trace_enabled = True
+        simulation = Simulation(config)
+        simulation.add_thread(
+            RandomWriterThread("writer", count=JOURNAL_CAPACITY_RECORDS + 500)
+        )
+        result = simulation.run()
+        reasons = [
+            record.detail.split(":")[0]
+            for record in simulation.tracer.filter(layer="crash", event="checkpoint")
+        ]
+        assert reasons == ["journal-full"]
+        assert 0 < result.crash_stats.replayed_records <= JOURNAL_CAPACITY_RECORDS
 
     def test_battery_backed_buffer_loses_fewer_writes(self):
         """E14's durability axis meets E19: volatile buffered writes die

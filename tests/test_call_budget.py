@@ -34,10 +34,13 @@ import pytest
 
 import repro
 from repro import FtlKind, Simulation, small_config
+from repro.core import units
 from repro.workloads import (
     RandomReaderThread,
     RandomWriterThread,
     Thread,
+    TraceReplayThread,
+    generate_poisson_trace,
     precondition_sequential,
 )
 
@@ -70,6 +73,17 @@ class _Marker(Thread):
     def on_init(self, ctx) -> None:
         self.action()
         ctx.finish()
+
+
+#: Open-loop arrivals of the ``page_open_loop`` case: a 70% read mix at
+#: 6k IOPS, each record issued by ``TraceReplayThread._fire`` on time.
+_OPEN_LOOP_TRACE = generate_poisson_trace(
+    rate_iops=6_000.0,
+    duration_ns=units.milliseconds(300),
+    logical_pages=small_config(seed=3).logical_pages,
+    read_fraction=0.7,
+    seed=3,
+)
 
 
 #: name -> (FTL, measured-thread factory, measured IOs, calls-per-IO budget).
@@ -121,6 +135,14 @@ CASES = {
         # 434.8 before translation pages took the shared write and
         # relocation path.
         431.1,
+    ),
+    "page_open_loop": (
+        FtlKind.PAGE,
+        lambda: TraceReplayThread("measured", _OPEN_LOOP_TRACE, timed=True),
+        len(_OPEN_LOOP_TRACE),
+        # 131.1 before the host lost its strict-admission path, which
+        # made no simulator call per arrival.
+        131.1,
     ),
 }
 

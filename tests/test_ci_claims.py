@@ -1,9 +1,12 @@
-"""The CI ``claims`` job runs every paper-claim experiment exactly once.
+"""CI runs every test file in exactly one job.
 
+The ``claims`` job runs every paper-claim experiment exactly once:
 ``.github/workflows/ci.yml`` lists the ``benchmarks/test_e*.py`` files
 explicitly, spread over three shards.  A new experiment file that no
 shard names, a file named by two shards, or one that another job runs
-as well fails here.
+as well fails here.  The unit and integration suite under ``tests/``
+runs in the ``tests`` job only; a smoke job that re-runs part of it
+fails here too.
 """
 
 import re
@@ -25,6 +28,19 @@ def _jobs() -> dict[str, str]:
     return {head.group(1): jobs_text[head.start(): end] for head, end in zip(heads, ends)}
 
 
+def _pytest_steps(job: str) -> list[str]:
+    """The text of every step of ``job`` that runs pytest, without its
+    comment lines."""
+    steps = []
+    for step in re.split(r"\n      - ", job):
+        code = "\n".join(
+            line for line in step.splitlines() if not line.lstrip().startswith("#")
+        )
+        if "pytest" in code:
+            steps.append(code)
+    return steps
+
+
 def test_every_claims_file_runs_in_exactly_one_shard():
     job = _jobs()["claims"]
     listed = Counter(re.findall(CLAIMS_FILE, job))
@@ -43,5 +59,18 @@ def test_no_other_job_runs_a_claims_file():
         name: re.findall(CLAIMS_FILE, text)
         for name, text in _jobs().items()
         if name != "claims"
+    }
+    assert not any(elsewhere.values()), elsewhere
+
+
+def test_only_the_tests_job_runs_the_test_suite():
+    elsewhere = {
+        name: [
+            path
+            for step in _pytest_steps(text)
+            for path in re.findall(r"(?<![\w./])tests/\S*", step)
+        ]
+        for name, text in _jobs().items()
+        if name != "tests"
     }
     assert not any(elsewhere.values()), elsewhere
