@@ -22,7 +22,9 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/bench_overload.py --smoke
 
 Writes ``BENCH_overload.json`` at the repo root (override with
-``--output``).
+``--output``); a ``--smoke`` run without ``--output`` writes a temporary
+file instead, so it never replaces the committed full-run report, and
+prints its path.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -181,9 +184,16 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="short CI ramp (two rates, 60 ms each)")
-    parser.add_argument("--output", default=str(_REPO_ROOT / "BENCH_overload.json"),
-                        help="where to write the JSON report")
+    parser.add_argument("--output", default=None,
+                        help="where to write the JSON report (default: "
+                             "BENCH_overload.json at the repo root, or a "
+                             "temporary file for --smoke)")
     args = parser.parse_args()
+    if args.output is None and args.smoke:
+        handle, args.output = tempfile.mkstemp(prefix="bench-overload-smoke-", suffix=".json")
+        os.close(handle)
+    elif args.output is None:
+        args.output = str(_REPO_ROOT / "BENCH_overload.json")
 
     rates = SMOKE_RATES_IOPS if args.smoke else RATES_IOPS
     duration_ns = SMOKE_DURATION_NS if args.smoke else DURATION_NS

@@ -162,7 +162,7 @@ class WriteAllocator:
             # Explicitly block-bound program (hybrid FTL): bindable while
             # the designated block has room.
             lun = self.array.lun_grid[address.channel][address.lun]
-            return not lun.block(address.block).is_full
+            return not lun.is_full(address.block)
         lun_key = (address.channel, address.lun)
         if cmd.kind is CommandKind.COPYBACK:
             # The exact gc stream is only known once the source page is
@@ -176,7 +176,7 @@ class WriteAllocator:
     def has_capacity(self, lun_key: tuple[int, int], stream: str) -> bool:
         lun = self.array.luns[lun_key]
         block_id = self.open_blocks.get((lun_key, stream))
-        if block_id is not None and not lun.block(block_id).is_full:
+        if block_id is not None and not lun.is_full(block_id):
             return True
         return self._free_blocks_available(lun, stream) > 0
 
@@ -199,7 +199,7 @@ class WriteAllocator:
         # order is deterministic and favours the longest-open gc stream.
         for (key, stream), block_id in self.open_blocks.items():
             if key == lun_key and _is_gc_stream(stream):
-                if not lun.block(block_id).is_full:
+                if not lun.is_full(block_id):
                     return block_id
         return None
 
@@ -207,28 +207,26 @@ class WriteAllocator:
         """Array callback: pick the physical page for a starting PROGRAM
         or COPYBACK command."""
         address = cmd.address
+        lun = self.array.lun_grid[address.channel][address.lun]
         if cmd.kind is CommandKind.PROGRAM and address.block >= 0:
             # Explicitly block-bound program: next sequential page of the
             # designated block.
-            block = self.array.lun_grid[address.channel][address.lun].block(address.block)
-            return PhysicalAddress(
-                address.channel, address.lun, address.block, block.write_pointer
-            )
-        lun_key = (address.channel, address.lun)
-        stream = self._stream_of(cmd)
-        lun = self.array.luns[lun_key]
-        block_id = self.open_blocks.get((lun_key, stream))
-        if block_id is None or lun.block(block_id).is_full:
-            try:
-                block_id = self._open_new_block(lun, lun_key, stream)
-            except AllocationError:
-                if not _is_gc_stream(stream):
-                    raise
-                block_id = self._gc_fallback_block(lun, lun_key)
-                if block_id is None:
-                    raise
-        block = lun.block(block_id)
-        return PhysicalAddress(lun_key[0], lun_key[1], block_id, block.write_pointer)
+            block_id = address.block
+        else:
+            lun_key = (address.channel, address.lun)
+            stream = self._stream_of(cmd)
+            block_id = self.open_blocks.get((lun_key, stream))
+            if block_id is None or lun.is_full(block_id):
+                try:
+                    block_id = self._open_new_block(lun, lun_key, stream)
+                except AllocationError:
+                    if not _is_gc_stream(stream):
+                        raise
+                    block_id = self._gc_fallback_block(lun, lun_key)
+                    if block_id is None:
+                        raise
+        write_pointer = lun.state.mv_write_pointer[lun.lun_index * lun.blocks_per_lun + block_id]
+        return PhysicalAddress(address.channel, address.lun, block_id, write_pointer)
 
     def _open_new_block(self, lun: Lun, lun_key: tuple[int, int], stream: str) -> int:
         if self._free_blocks_available(lun, stream) <= 0:
@@ -297,7 +295,7 @@ class WriteAllocator:
         return {
             block_id
             for (key, _), block_id in self.open_blocks.items()
-            if key == lun_key and not lun.block(block_id).is_full
+            if key == lun_key and not lun.is_full(block_id)
         }
 
     def note_erased(self, lun_key: tuple[int, int], block_id: int) -> None:

@@ -47,7 +47,6 @@ from repro.reliability.recovery import (
 #: kind that counts them.  The array and the OS survive a power cycle,
 #: so their counters are read directly and need no row.
 RUN_COUNTERS: tuple[tuple[str, str, Optional[str]], ...] = (
-    ("scheduler", "enqueued_commands", None),
     ("gc", "collected_blocks", "gc_collected_blocks"),
     ("gc", "relocated_pages", "gc_relocated_pages"),
     ("gc", "copyback_relocations", None),
@@ -86,7 +85,6 @@ RUN_COUNTERS: tuple[tuple[str, str, Optional[str]], ...] = (
     ("overload", "command_timeouts", "command_timeouts"),
     ("overload", "degraded_entries", "degraded_entries"),
     ("overload", "time_degraded_ns", None),
-    ("journal", "total_records", None),
     ("checkpointer", "checkpoints_taken", None),
     ("checkpointer", "checkpoint_pages_written", None),
 )
@@ -182,7 +180,6 @@ class SsdController:
         #: Completion interrupt handler, installed by the OS layer.
         self.on_io_complete: Callable[[IoRequest], None] = lambda io: None
         self._open_interface = config.host.open_interface
-        self.submitted_ios = 0
 
     def _draw_bad_blocks(self, config: SimulationConfig):
         """Factory bad-block map: each block bad with the configured
@@ -207,7 +204,6 @@ class SsdController:
     # ------------------------------------------------------------------
     def submit_io(self, io: IoRequest) -> None:
         """Accept a logical IO dispatched by the OS."""
-        self.submitted_ios += 1
         hints = self.hints_of(io)
         if self.tracer.enabled:
             self.tracer.record(
@@ -257,7 +253,7 @@ class SsdController:
         kind = cmd.kind
         address = cmd.address
         if kind is CommandKind.READ or kind is CommandKind.COPYBACK:
-            self.array.lun_grid[address.channel][address.lun].block(address.block).hold_read()
+            self.array.lun_grid[address.channel][address.lun].hold_read(address.block)
         self.scheduler.enqueue(cmd)
         if self.overload is not None:
             self.overload.arm_timeout(cmd)

@@ -253,7 +253,7 @@ class BaseFtl(abc.ABC):
 
     def _invalidate(self, address: PhysicalAddress) -> None:
         lun = self.controller.array.lun_grid[address.channel][address.lun]
-        lun.block(address.block).invalidate(address.page)
+        lun.invalidate(address.block, address.page)
         # A LUN stalled at its free-block watermark may have been waiting
         # for its first reclaimable page: re-check the GC trigger.
         self.controller.gc.maybe_trigger((address.channel, address.lun))

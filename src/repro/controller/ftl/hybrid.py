@@ -213,7 +213,7 @@ class HybridFtl(BaseFtl):
         # No GC trigger: merges are this FTL's reclamation, and the
         # generic collector stands down (``manages_physical_space``).
         lun = self.controller.array.lun_grid[address.channel][address.lun]
-        lun.block(address.block).invalidate(address.page)
+        lun.invalidate(address.block, address.page)
 
     # ------------------------------------------------------------------
     # Physical block pool
@@ -242,9 +242,13 @@ class HybridFtl(BaseFtl):
                 return (key, block_id)
         return None
 
-    def _block(self, key: tuple[tuple[int, int], int]):
-        (lun_key, block_id) = key
-        return self.controller.array.luns[lun_key].block(block_id)
+    def _write_pointer(self, key: tuple[tuple[int, int], int]) -> int:
+        """The write pointer of the ``(lun_key, block_id)`` block."""
+        (channel, lun), block_id = key
+        lun_index = channel * self._luns_per_channel + lun
+        return self.controller.array.state.mv_write_pointer[
+            lun_index * self._blocks_per_lun + block_id
+        ]
 
     @staticmethod
     def _explicit_address(key: tuple[tuple[int, int], int]) -> PhysicalAddress:
@@ -327,9 +331,12 @@ class HybridFtl(BaseFtl):
                 self._do_switch_merge(victim, lbn)
                 return
         self._merge_victim = victim
-        block = self._block(victim)
+        lun_key, block_id = victim
+        lun = self.controller.array.luns[lun_key]
         self._merge_lbns = iter(
-            sorted({block.read(i)[0] // self.ppb for i in block.live_page_indexes()})
+            sorted(
+                {lun.read(block_id, i)[0] // self.ppb for i in lun.live_page_indexes(block_id)}
+            )
         )
         self.full_merges += 1
         self._merge_next()
@@ -345,15 +352,16 @@ class HybridFtl(BaseFtl):
 
     def _switchable_lbn(self, victim) -> Optional[int]:
         """The single lbn this log block holds in perfect order, if any."""
-        block = self._block(victim)
-        if block.live_count != self.ppb:
+        lun_key, block_id = victim
+        lun = self.controller.array.luns[lun_key]
+        if lun.state.mv_live_count[lun.lun_index * lun.blocks_per_lun + block_id] != self.ppb:
             return None
-        lbn, offset = divmod(block.read(0)[0], self.ppb)
+        lbn, offset = divmod(lun.read(block_id, 0)[0], self.ppb)
         if offset != 0 or lbn >= self.num_lbns:
             return None
         base_lpn = lbn * self.ppb
         for index in range(1, self.ppb):
-            if block.read(index)[0] != base_lpn + index:
+            if lun.read(block_id, index)[0] != base_lpn + index:
                 return None
         return lbn
 
@@ -467,7 +475,7 @@ class HybridFtl(BaseFtl):
         """
         old_data = self._data_block_of(lbn)
         channel, lun, block_id = target.channel, target.lun, target.block
-        new_block = self.controller.array.lun_grid[channel][lun].block(block_id)
+        new_lun = self.controller.array.lun_grid[channel][lun]
         journal = self.controller.journal
         mapped = self.mapped_address
         base_lpn = lbn * self.ppb
@@ -488,7 +496,7 @@ class HybridFtl(BaseFtl):
             else:
                 # Overwritten or trimmed mid-merge: the merged copy is
                 # stale on arrival.
-                new_block.invalidate(offset)
+                new_lun.invalidate(block_id, offset)
         self._set_data_block(lbn, channel, lun, block_id)
         return old_data
 
@@ -593,7 +601,7 @@ class HybridFtl(BaseFtl):
         for lbn in sorted(candidates):
             ranked = sorted(
                 candidates[lbn],
-                key=lambda item: (-item[1], -self._block(item[0]).write_pointer, item[0]),
+                key=lambda item: (-item[1], -self._write_pointer(item[0]), item[0]),
             )
             winner_key, _count = ranked[0]
             (channel, lun), block_id = winner_key
@@ -605,12 +613,12 @@ class HybridFtl(BaseFtl):
         # Full blocks first (merge-eligible), then at most one partial
         # block as the append tail; every other partial block plus any
         # pool overflow is consolidated away now.
-        log_keys.sort(key=lambda key: (not self._block(key).is_full, key))
+        log_keys.sort(key=lambda key: (self._write_pointer(key) != self.ppb, key))
         self._log = {}
         for key in log_keys:
             for lpn, address in by_block[key]:
                 self.log_map[lpn] = address
-            pointer = self._block(key).write_pointer
+            pointer = self._write_pointer(key)
             self._log[key] = [pointer, pointer]
         self._consolidate_log_pool()
 
@@ -619,9 +627,9 @@ class HybridFtl(BaseFtl):
             if len(self._log) > self.max_log_blocks:
                 return True
             # At most one partial block, and only as the append tail.
-            partial = sum(1 for key in self._log if not self._block(key).is_full)
+            partial = sum(1 for key in self._log if self._write_pointer(key) != self.ppb)
             return partial > 1 or (
-                partial == 1 and self._block(next(reversed(self._log))).is_full
+                partial == 1 and self._write_pointer(next(reversed(self._log))) == self.ppb
             )
 
         while needs_consolidation() and self.log_map:
@@ -644,11 +652,11 @@ class HybridFtl(BaseFtl):
         array = self.controller.array
         new_key = None
         for lun_key in sorted(array.luns):
-            lun = array.luns[lun_key]
-            if lun.free_block_ids:
-                block_id = min(lun.free_block_ids)
-                lun.take_free_block(block_id)
-                new_key = (lun_key, block_id)
+            new_lun = array.luns[lun_key]
+            if new_lun.free_block_ids:
+                new_id = min(new_lun.free_block_ids)
+                new_lun.take_free_block(new_id)
+                new_key = (lun_key, new_id)
                 break
         if new_key is None:
             return False
@@ -656,19 +664,17 @@ class HybridFtl(BaseFtl):
         sources = [
             self.mapped_address(lbn * self.ppb + offset) for offset in range(self.ppb)
         ]
-        new_block = self._block(new_key)
         touched: set[tuple[tuple[int, int], int]] = set()
         for offset, source in enumerate(sources):
             lpn = lbn * self.ppb + offset
             if source is None:
-                index = new_block.program_next((lpn, 0), now)
-                new_block.invalidate(index)
+                index = new_lun.program_next(new_id, (lpn, 0), now)
+                new_lun.invalidate(new_id, index)
                 self.filler_pages += 1
             else:
-                content = self._block(
-                    ((source.channel, source.lun), source.block)
-                ).read(source.page)
-                new_block.program_next(content, now)
+                source_lun = array.lun_grid[source.channel][source.lun]
+                content = source_lun.read(source.block, source.page)
+                new_lun.program_next(new_id, content, now)
                 touched.add(((source.channel, source.lun), source.block))
                 self.mount_consolidation["reads"] += 1
             self.mount_consolidation["programs"] += 1
@@ -678,10 +684,12 @@ class HybridFtl(BaseFtl):
         if old_data is not None:
             touched.add(((old_data[0], old_data[1]), old_data[2]))
         for key in sorted(touched):
-            block = self._block(key)
-            if block.erasable and not block.is_bad:
-                block.erase(now)
-                array.luns[key[0]].on_block_erased(key[1])
+            lun_key, block_id = key
+            lun = array.luns[lun_key]
+            bad = array.state.mv_bad[lun.lun_index * lun.blocks_per_lun + block_id]
+            if lun.erasable(block_id) and not bad:
+                lun.erase(block_id, now)
+                lun.on_block_erased(block_id)
                 self.mount_consolidation["erases"] += 1
                 self._log.pop(key, None)
         return True

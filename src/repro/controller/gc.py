@@ -357,8 +357,8 @@ class GarbageCollector:
         key = (lun_key, block_id)
         if key in self.evacuating:
             return
-        block = self.controller.array.luns[lun_key].block(block_id)
-        if block.is_bad:
+        lun = self.controller.array.luns[lun_key]
+        if lun.state.mv_bad[lun.lun_index * lun.blocks_per_lun + block_id]:
             return  # already retired (e.g. a second failure raced in)
         job = _Evacuation(lun_key, block_id, stream=self._gc_stream, retire=True)
         self.evacuating[key] = job
@@ -373,8 +373,7 @@ class GarbageCollector:
             return
         job = queue.pop(0)
         self.active_jobs[lun_key] = job
-        block = self.controller.array.luns[lun_key].block(job.block_id)
-        live_pages = block.live_page_indexes()
+        live_pages = self.controller.array.luns[lun_key].live_page_indexes(job.block_id)
         tracer = self.controller.tracer
         if tracer.enabled:
             tracer.record(
@@ -427,16 +426,17 @@ class GarbageCollector:
             on_page=self._page_migrated,
         )
         self.evacuating[(lun_key, block_id)] = job
-        block = self.controller.array.luns[lun_key].block(block_id)
-        live_pages = block.live_page_indexes()
+        lun = self.controller.array.luns[lun_key]
+        live_pages = lun.live_page_indexes(block_id)
         tracer = self.controller.tracer
         if tracer.enabled:
+            erases = lun.state.mv_erase_count[lun.lun_index * lun.blocks_per_lun + block_id]
             tracer.record(
                 self.controller.sim.now,
                 "controller",
                 "wl-start",
                 f"young block (c{lun_key[0]},l{lun_key[1]},b{block_id}) "
-                f"erases={block.erase_count} live={len(live_pages)}",
+                f"erases={erases} live={len(live_pages)}",
             )
         self._evacuate(job, live_pages)
 
@@ -473,7 +473,7 @@ class GarbageCollector:
                 copyback=self.use_copyback,
             )
         self.active_jobs[lun_key] = self.evacuating[(lun_key, victim_id)] = job
-        live_pages = lun.block(victim_id).live_page_indexes()
+        live_pages = lun.live_page_indexes(victim_id)
         tracer = self.controller.tracer
         if tracer.enabled:
             tracer.record(

@@ -203,7 +203,7 @@ class OverloadGovernor:
         self.controller.scheduler.abort(cmd)
         if cmd.kind is CommandKind.READ:
             lun = self.controller.array.luns[cmd.lun_key]
-            lun.block(cmd.address.block).release_read()
+            lun.release_read(cmd.address.block)
         self.command_timeouts += 1
         self.controller.tracer.record(
             self.sim.now, "overload", "timeout", f"{cmd.kind} lpn={cmd.lpn} #{cmd.id}"

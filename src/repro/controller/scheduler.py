@@ -76,15 +76,10 @@ class SsdScheduler:
         self.queues: dict[tuple[int, int], LunQueue] = {
             key: OrderedDict() for key in array.luns
         }
-        luns_per_channel = array.geometry.luns_per_channel
         #: Per channel, the ``(lun, queue, lun_key)`` of every LUN,
         #: indexed by LUN id: the dispatch scan walks these directly.
         self._slots: list[list[tuple[Lun, LunQueue, tuple[int, int]]]] = [
-            [
-                (array.lun(channel, lun_id), self.queues[(channel, lun_id)], (channel, lun_id))
-                for lun_id in range(luns_per_channel)
-            ]
-            for channel in range(len(array.channels))
+            [(lun, self.queues[lun.key], lun.key) for lun in luns] for luns in array.lun_grid
         ]
         #: Queued commands in total, kept in step with the queues by
         #: enqueue, dispatch and abort.
@@ -101,7 +96,6 @@ class SsdScheduler:
         #: Per-LUN rotation pointer over sources, for the FAIR policy.
         self._fair_rotation: dict[tuple[int, int], int] = {key: 0 for key in array.luns}
         self._pumping = False
-        self.enqueued_commands = 0
 
     # ------------------------------------------------------------------
     # Queue interface
@@ -121,7 +115,6 @@ class SsdScheduler:
         if len(queue) > self._queue_high_watermark:
             self._queue_high_watermark = len(queue)
         self._pending += 1
-        self.enqueued_commands += 1
         self.pump()
 
     def queue_depth(self, lun_key: tuple[int, int]) -> int:
@@ -298,7 +291,7 @@ class SsdScheduler:
         if cmd.kind is CommandKind.ERASE:
             address = cmd.address
             lun = self.array.lun_grid[address.channel][address.lun]
-            return lun.block(address.block).erasable
+            return lun.erasable(address.block)
         if cmd.kind in (CommandKind.PROGRAM, CommandKind.COPYBACK):
             return self.can_bind(cmd)
         return True

@@ -5,7 +5,7 @@ bottom box):
 
 * :mod:`repro.hardware.addresses` -- physical addressing and geometry
   iteration (channel / LUN / block / page, per the ONFI LUN abstraction).
-* :mod:`repro.hardware.flash` -- block and LUN state machines,
+* :mod:`repro.hardware.flash` -- the LUN and its blocks' state machine,
   enforcing NAND constraints (sequential programming, erase-before-reuse).
 * :mod:`repro.hardware.commands` -- the flash command vocabulary
   exchanged between controller and array (read / program / erase /
@@ -21,11 +21,10 @@ bottom box):
 from repro.hardware.addresses import PhysicalAddress
 from repro.hardware.array import SsdArray
 from repro.hardware.commands import CommandKind, CommandSource, FlashCommand
-from repro.hardware.flash import Block, Lun
+from repro.hardware.flash import Lun
 from repro.hardware.memory import MemoryManager
 
 __all__ = [
-    "Block",
     "CommandKind",
     "CommandSource",
     "FlashCommand",

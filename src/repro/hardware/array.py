@@ -100,7 +100,7 @@ class SsdArray:
                 l,
                 geometry.blocks_per_lun,
                 geometry.pages_per_block,
-                bad_block_ids=bad_blocks.get((c, l)),
+                bad_blocks=bad_blocks.get((c, l)),
                 sanitize=sanitize,
                 state=self.state,
                 lun_index=c * geometry.luns_per_channel + l,
@@ -130,13 +130,6 @@ class SsdArray:
         #: (:class:`repro.reliability.recovery.ReliabilityManager`); None
         #: keeps every error path and RNG stream untouched.
         self.reliability = None
-        self.completed_commands = 0
-
-    # ------------------------------------------------------------------
-    # Topology accessors
-    # ------------------------------------------------------------------
-    def lun(self, channel_id: int, lun_id: int) -> Lun:
-        return self.lun_grid[channel_id][lun_id]
 
     # ------------------------------------------------------------------
     # Dispatch interface (called by the SSD scheduler)
@@ -278,8 +271,7 @@ class SsdArray:
         elif cmd.kind is CommandKind.COPYBACK:
             if self.bind_program is None:
                 raise FlashStateError("no program binder installed")
-            source_block = lun.block(cmd.address.block)
-            cmd.content = source_block.read(cmd.address.page)
+            cmd.content = lun.read(cmd.address.block, cmd.address.page)
             target = self.bind_program(cmd)
             validate_address(target, self.geometry)
             if not target.same_lun(cmd.address):
@@ -288,8 +280,7 @@ class SsdArray:
                 )
             cmd.target_address = target
         target_address = cmd.target_address or cmd.address
-        block = lun.block(target_address.block)
-        page_index = block.program_next(cmd.content, now)
+        page_index = lun.program_next(target_address.block, cmd.content, now)
         if page_index != target_address.page:
             raise FlashStateError(
                 f"binder returned page {target_address.page}, block wrote {page_index}"
@@ -303,64 +294,59 @@ class SsdArray:
         if self.reliability is not None and cmd.kind is CommandKind.READ:
             decode_ns = self.reliability.read_decode_ns
         if cmd.kind is CommandKind.READ:
-            block = lun.block(cmd.address.block)
-            cmd.content = block.read(cmd.address.page)
+            block_id = cmd.address.block
+            cmd.content = lun.read(block_id, cmd.address.page)
             # With deferred delivery the read keeps its in-flight hold
             # until the decode finishes, so an erase of the block cannot
             # slip in between completion and a retry the delivery might
             # enqueue.
-            if decode_ns == 0 and block.release_read() < 0:
+            if decode_ns == 0 and lun.release_read(block_id) < 0:
                 raise FlashStateError(f"inflight_reads underflow on {cmd!r}")
             if self.reliability is not None:
-                self.reliability.read_outcome(cmd, block, now)
+                self.reliability.read_outcome(cmd, lun, now)
         elif cmd.kind is CommandKind.PROGRAM:
-            if self.reliability is not None:
-                block = lun.block(cmd.address.block)
-                if self.reliability.program_fails(cmd, block):
-                    cmd.outcome = CommandOutcome.PROGRAM_FAIL
+            if self.reliability is not None and self.reliability.program_fails(cmd):
+                cmd.outcome = CommandOutcome.PROGRAM_FAIL
         elif cmd.kind is CommandKind.COPYBACK:
-            if lun.block(cmd.address.block).release_read() < 0:
+            if lun.release_read(cmd.address.block) < 0:
                 raise FlashStateError(f"inflight_reads underflow on {cmd!r}")
         elif cmd.kind is CommandKind.ERASE:
-            block = lun.block(cmd.address.block)
-            if self.reliability is not None and self.reliability.erase_fails(cmd, block):
+            block_id = cmd.address.block
+            if self.reliability is not None and self.reliability.erase_fails(cmd):
                 # Failed erase: the block keeps its (dead) contents --
                 # parity stays consistent and stale reads still work --
                 # and leaves service on the spot.
                 cmd.outcome = CommandOutcome.ERASE_FAIL
-                lun.retire_block(cmd.address.block)
+                lun.retire_block(block_id)
                 self.retired_blocks += 1
                 self.tracer.record(
                     now, "hardware", "retire",
                     f"block (c{cmd.address.channel},l{cmd.address.lun},"
-                    f"b{cmd.address.block}) erase failure",
+                    f"b{block_id}) erase failure",
                 )
-                self.reliability.on_runtime_retirement(
-                    cmd.lun_key, cmd.address.block, "erase failure"
-                )
+                self.reliability.on_runtime_retirement(cmd.lun_key, block_id, "erase failure")
             else:
                 if self.reliability is not None:
-                    self.reliability.on_block_erase(lun, cmd.address.block)
-                block.erase(now)
+                    self.reliability.on_block_erase(lun, block_id)
+                erase_count = lun.erase(block_id, now)
                 endurance = self.timings.endurance_cycles
-                if endurance is not None and block.erase_count >= endurance:
+                if endurance is not None and erase_count >= endurance:
                     # Worn out: mask the block instead of freeing it.
-                    lun.retire_block(cmd.address.block)
+                    lun.retire_block(block_id)
                     self.retired_blocks += 1
                     self.tracer.record(
                         now, "hardware", "retire",
                         f"block (c{cmd.address.channel},l{cmd.address.lun},"
-                        f"b{cmd.address.block}) reached endurance",
+                        f"b{block_id}) reached endurance",
                     )
                     if self.reliability is not None:
                         self.reliability.on_runtime_retirement(
-                            cmd.lun_key, cmd.address.block, "endurance"
+                            cmd.lun_key, block_id, "endurance"
                         )
                 else:
-                    lun.on_block_erased(cmd.address.block)
+                    lun.on_block_erased(block_id)
         cmd.complete_time = now
         self._release_lun(cmd, lun)
-        self.completed_commands += 1
         if self.tracer.enabled:
             self.tracer.record(now, "hardware", "complete", self._describe(cmd))
         if decode_ns > 0:
@@ -374,9 +360,8 @@ class SsdArray:
     def _deliver_decoded(self, cmd: FlashCommand, lun: Lun) -> None:
         """Deliver a read after its ECC decode delay, releasing the
         in-flight hold that kept the block safe from erases meanwhile."""
-        block = lun.block(cmd.address.block)
         self.on_command_complete(cmd)
-        if block.release_read() < 0:
+        if lun.release_read(cmd.address.block) < 0:
             raise FlashStateError(f"inflight_reads underflow on {cmd!r}")
         self.on_resource_free()
 
@@ -408,7 +393,7 @@ class SsdArray:
                 CommandKind.COPYBACK,
             ):
                 address = cmd.target_address or cmd.address
-                lun.block(address.block).mark_torn(address.page)
+                lun.mark_torn(address.block, address.page)
                 torn.append(address)
             lun.current_command = None
             lun.busy_until = 0

@@ -127,8 +127,9 @@ class FlashState:
         #: Per LUN, the global ids of blocks holding programmed pages but
         #: no live page: erase-only reclaim walks these instead of
         #: scanning the LUN.  Derived state (outside :meth:`memory_bytes`)
-        #: kept by :class:`~repro.hardware.flash.Block`: added when a
-        #: block's last live page dies, discarded at erase.  It always
+        #: kept by the block operations of :class:`~repro.hardware.flash.Lun`:
+        #: added by ``invalidate``/``mark_torn`` when a block's last live
+        #: page dies, discarded by ``erase``.  It always
         #: holds every good block with ``write_pointer > 0`` and
         #: ``live_count == 0``; entries reprogrammed since they died, or
         #: retired, are pruned lazily by their reader.

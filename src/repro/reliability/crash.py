@@ -371,20 +371,23 @@ class PowerCycleCoordinator:
         t_erase_ns = config.timings.t_erase_ns
         total = 0
         slowest_ns = 0
+        state = array.state
         for lun_key in sorted(array.luns):
             lun = array.luns[lun_key]
             lun_erases = 0
-            for block_id, block in enumerate(lun.blocks):
-                if block.is_bad:
+            start, _ = state.block_range(lun.lun_index)
+            for block_id in range(lun.blocks_per_lun):
+                global_id = start + block_id
+                if state.mv_bad[global_id]:
                     continue
-                if block.is_empty:
+                if state.mv_write_pointer[global_id] == 0:
                     if block_id not in lun.free_block_ids:
                         # An open block the old allocator took but never
                         # programmed: already erased, just re-pool it.
                         lun.on_block_erased(block_id)
                     continue
-                if block.live_count == 0:
-                    block.erase(now)
+                if state.mv_live_count[global_id] == 0:
+                    lun.erase(block_id, now)
                     lun.on_block_erased(block_id)
                     lun_erases += 1
             total += lun_erases
@@ -416,7 +419,6 @@ class PowerCycleCoordinator:
         new FTL's merge counters); the high-watermarks carry their max."""
         from repro.controller.controller import RUN_COUNTERS
 
-        new.submitted_ios += old.submitted_ios
         if old.overload is not None:
             # Close a degraded interval still open at the loss.
             old.overload.time_degraded_ns = old.overload.time_degraded_total(

@@ -57,7 +57,7 @@ from repro.core import units
 from repro.core.events import IoStatus, IoType
 from repro.hardware.addresses import PhysicalAddress
 from repro.hardware.commands import CommandKind, CommandOutcome, FlashCommand
-from repro.hardware.flash import Block, Lun, PageContent
+from repro.hardware.flash import Lun, PageContent
 from repro.reliability.ecc import EccModel, ReadVerdict
 from repro.reliability.errors import BitErrorModel
 
@@ -262,7 +262,7 @@ class ReliabilityManager:
     # ------------------------------------------------------------------
     # Array hooks: outcome draws and flash-state notifications
     # ------------------------------------------------------------------
-    def read_outcome(self, cmd: FlashCommand, block: Block, now: int) -> None:
+    def read_outcome(self, cmd: FlashCommand, lun: Lun, now: int) -> None:
         """Draw the ECC verdict for a completed read (array hook).
 
         Peer reads of an ongoing rebuild are raw reads and keep SUCCESS.
@@ -272,7 +272,11 @@ class ReliabilityManager:
         if cmd.lpn is not None and self._forced_reads.get(cmd.lpn, 0) > 0:
             cmd.outcome = CommandOutcome.UNCORRECTABLE
             return
-        rber = self.errors.rber(block.erase_count, max(0, now - block.last_write_ns))
+        state = lun.state
+        global_id = lun.lun_index * lun.blocks_per_lun + cmd.address.block
+        rber = self.errors.rber(
+            state.mv_erase_count[global_id], max(0, now - state.mv_last_write_ns[global_id])
+        )
         if rber <= 0.0:
             return
         verdict = self.ecc.classify(rber, cmd.retry_index, self._read_stream)
@@ -281,7 +285,7 @@ class ReliabilityManager:
         elif verdict is ReadVerdict.UNCORRECTABLE:
             cmd.outcome = CommandOutcome.UNCORRECTABLE
 
-    def program_fails(self, cmd: FlashCommand, block: Block) -> bool:
+    def program_fails(self, cmd: FlashCommand) -> bool:
         """Draw a program-failure status for a completed program."""
         if self._planned_failure(self._planned_program_fails, self._program_attempts, cmd.address):
             self.program_fail_count += 1
@@ -292,7 +296,7 @@ class ReliabilityManager:
             return True
         return False
 
-    def erase_fails(self, cmd: FlashCommand, block: Block) -> bool:
+    def erase_fails(self, cmd: FlashCommand) -> bool:
         """Draw an erase-failure status for a completing erase."""
         if self._planned_failure(self._planned_erase_fails, self._erase_attempts, cmd.address):
             self.erase_fail_count += 1
@@ -447,8 +451,8 @@ class ReliabilityManager:
             if channel == address.channel:
                 continue
             lun = array.luns[(channel, address.lun)]
-            block = lun.block(address.block)
-            if address.page >= block.write_pointer:
+            global_id = lun.lun_index * lun.blocks_per_lun + address.block
+            if address.page >= array.state.mv_write_pointer[global_id]:
                 continue  # stripe position not programmed on this channel
             current = lun.current_command
             if (
@@ -512,7 +516,7 @@ class ReliabilityManager:
         address = cmd.address
         lun_key = cmd.lun_key
         lun = self.controller.array.luns[lun_key]
-        lun.block(address.block).invalidate(address.page)
+        lun.invalidate(address.block, address.page)
         self._note(
             "program-fail",
             f"{address} lpn={cmd.lpn}; condemning block b{address.block}",
@@ -586,7 +590,6 @@ class MappingJournal:
         #: clears so replay order is global.
         self.records: list[tuple[int, str, int, int, Optional[PhysicalAddress]]] = []
         self._seq = 0
-        self.total_records = 0
 
     def record_write(self, lpn: int, version: int, address: PhysicalAddress) -> None:
         self._append("write", lpn, version, address)
@@ -599,7 +602,6 @@ class MappingJournal:
     ) -> None:
         self._seq += 1
         self.records.append((self._seq, kind, lpn, version, address))
-        self.total_records += 1
         checkpointer = self.controller.checkpointer
         if checkpointer is not None:
             checkpointer.ensure_timer()

@@ -11,6 +11,12 @@ from repro.core.simulation import SimulationResult
 from repro.workloads import precondition_sequential
 
 
+def pbn(lun, block_id: int) -> int:
+    """The global block id of ``lun``'s block ``block_id``: the index of
+    its per-block metadata in ``lun.state`` (``live_count``, ...)."""
+    return lun.lun_index * lun.blocks_per_lun + block_id
+
+
 @pytest.fixture
 def config() -> SimulationConfig:
     """A fresh small configuration (mutate freely)."""

@@ -82,7 +82,7 @@ class TestBinding:
     def test_bind_assigns_sequential_pages(self, harness):
         allocator = harness.controller.allocator
         first = allocator.bind_program(_program((0, 0)))
-        harness.controller.array.luns[(0, 0)].block(first.block).program_next((0, 1), 0)
+        harness.controller.array.luns[(0, 0)].program_next(first.block, (0, 1), 0)
         second = allocator.bind_program(_program((0, 0)))
         assert second.block == first.block
         assert second.page == first.page + 1
@@ -100,7 +100,7 @@ class TestBinding:
         addresses = []
         for i in range(pages + 1):
             address = allocator.bind_program(_program((0, 0)))
-            lun.block(address.block).program_next((i, 1), 0)
+            lun.program_next(address.block, (i, 1), 0)
             addresses.append(address)
         assert addresses[-1].block != addresses[0].block
         assert addresses[-1].page == 0
@@ -140,11 +140,11 @@ class TestDynamicWearLeveling:
     def test_hot_stream_gets_young_block_cold_gets_old(self, harness):
         allocator = harness.controller.allocator
         lun = harness.controller.array.luns[(0, 0)]
-        lun.block(3).erase_count = 10
-        lun.block(4).erase_count = 0
+        lun.state.erase_count[3] = 10
+        lun.state.erase_count[4] = 0
         hot = allocator.bind_program(_program((0, 0), stream="app_hot"))
         cold = allocator.bind_program(_program((0, 0), stream="app_cold"))
-        assert lun.block(hot.block).erase_count == 0
+        assert lun.state.erase_count[hot.block] == 0
         assert cold.block == 3
 
     def test_dynamic_wl_disabled_uses_lowest_id(self):
@@ -153,7 +153,7 @@ class TestDynamicWearLeveling:
         )
         allocator = harness.controller.allocator
         lun = harness.controller.array.luns[(0, 0)]
-        lun.block(0).erase_count = 99  # would repel a hot stream under dynamic WL
+        lun.state.erase_count[0] = 99  # would repel a hot stream under dynamic WL
         hot = allocator.bind_program(_program((0, 0), stream="app_hot"))
         assert hot.block == 0  # lowest id wins regardless of age
 
@@ -163,10 +163,9 @@ class TestOpenBlockIntrospection:
         allocator = harness.controller.allocator
         lun = harness.controller.array.luns[(0, 0)]
         address = allocator.bind_program(_program((0, 0)))
-        block = lun.block(address.block)
         assert address.block in allocator.open_block_ids((0, 0))
         for i in range(harness.config.geometry.pages_per_block):
-            block.program_next((i, 1), 0)
+            lun.program_next(address.block, (i, 1), 0)
         assert address.block not in allocator.open_block_ids((0, 0))
 
 
@@ -205,16 +204,15 @@ class TestExplicitBlockBinding:
         assert allocator.can_bind(cmd)
         address = allocator.bind_program(cmd)
         assert (address.block, address.page) == (3, 0)
-        lun.block(3).program_next((0, 1), 0)
+        lun.program_next(3, (0, 1), 0)
         assert allocator.bind_program(self._explicit((0, 0), 3)).page == 1
 
     def test_full_designated_block_not_bindable(self, harness):
         allocator = harness.controller.allocator
         lun = harness.controller.array.luns[(0, 0)]
         lun.take_free_block(3)
-        block = lun.block(3)
         for i in range(harness.config.geometry.pages_per_block):
-            block.program_next((i, 1), 0)
+            lun.program_next(3, (i, 1), 0)
         assert not allocator.can_bind(self._explicit((0, 0), 3))
 
 
@@ -234,7 +232,7 @@ class TestGcStreamFallback:
             stream="gc",
         )
         first = allocator.bind_program(gc_cmd)  # opens the gc block
-        lun.block(first.block).program_next((0, 1), 0)
+        lun.program_next(first.block, (0, 1), 0)
         while lun.free_block_ids:
             lun.take_free_block(min(lun.free_block_ids))
         # gc_cold cannot open a new block but must spill into gc's.

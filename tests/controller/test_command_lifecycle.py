@@ -14,7 +14,7 @@ import pytest
 
 from repro import FaultPlan, IoStatus
 from repro.hardware.commands import CommandKind
-from repro.hardware.flash import Block, FlashStateError
+from repro.hardware.flash import FlashStateError, Lun
 
 from tests.controller.conftest import make_harness
 from tests.hardware.test_array import make_array, program_page, submit
@@ -29,10 +29,10 @@ class _DecodingReliability:
     def on_page_programmed(self, address, content) -> None:
         pass
 
-    def program_fails(self, cmd, block) -> bool:
+    def program_fails(self, cmd) -> bool:
         return False
 
-    def read_outcome(self, cmd, block, now) -> None:
+    def read_outcome(self, cmd, lun, now) -> None:
         pass
 
 
@@ -62,7 +62,7 @@ class TestBareArray:
         )
         sim.run()
         assert delivered == [(read, read.complete_time + _DecodingReliability.read_decode_ns)]
-        assert array.lun(0, 0).block(0).inflight_reads == 0
+        assert array.state.inflight_reads[0] == 0
 
     @pytest.mark.parametrize("decode", [False, True])
     def test_read_without_a_hold_underflows(self, decode):
@@ -70,26 +70,24 @@ class TestBareArray:
         address = program_page(sim, array)
         if decode:
             array.reliability = _DecodingReliability()
-        block = array.lun(0, 0).block(0)
         submit(sim, array, CommandKind.READ, address=address)
-        block.inflight_reads = 0  # drop the hold ``submit`` took
+        array.state.inflight_reads[0] = 0  # drop the hold ``submit`` took
         with pytest.raises(FlashStateError, match="inflight_reads underflow"):
             sim.run()
 
 
 class TestReadHolds:
     def test_hold_and_release_count(self):
-        block = Block(4)
-        block.hold_read()
-        block.hold_read()
-        assert block.inflight_reads == 2
-        assert block.release_read() == 1
-        assert block.release_read() == 0
-        assert block.inflight_reads == 0
+        lun = Lun(0, 0, 2, 4)
+        lun.hold_read(1)
+        lun.hold_read(1)
+        assert lun.state.inflight_reads.tolist() == [0, 2]
+        assert lun.release_read(1) == 1
+        assert lun.release_read(1) == 0
+        assert lun.state.inflight_reads.tolist() == [0, 0]
 
     def test_release_below_zero_reports_the_underflow(self):
-        block = Block(4)
-        assert block.release_read() == -1
+        assert Lun(0, 0, 1, 4).release_read(0) == -1
 
 
 class TestControllerFunnel:

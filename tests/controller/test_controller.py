@@ -7,15 +7,11 @@ from repro.core.events import IoRequest, IoType
 from repro.hardware.addresses import PhysicalAddress
 from repro.hardware.commands import CommandKind, CommandSource, FlashCommand
 
+from tests.conftest import pbn
 from tests.controller.conftest import make_harness
 
 
 class TestIoRouting:
-    def test_counts_submitted_ios(self, harness):
-        harness.write_sync(0)
-        harness.read_sync(0)
-        assert harness.controller.submitted_ios == 2
-
     def test_unknown_io_type_rejected(self, harness):
         io = IoRequest(IoType.READ, 0)
         io.io_type = "bogus"
@@ -65,13 +61,11 @@ class TestCommandFunnel:
     def test_read_increments_inflight_counter(self, harness):
         harness.write_sync(0)
         address = harness.controller.ftl.mapped_address(0)
-        block = harness.controller.array.luns[
-            (address.channel, address.lun)
-        ].block(address.block)
+        lun = harness.controller.array.luns[(address.channel, address.lun)]
         harness.read(0)
-        assert block.inflight_reads == 1
+        assert lun.state.inflight_reads[pbn(lun, address.block)] == 1
         harness.run()
-        assert block.inflight_reads == 0
+        assert lun.state.inflight_reads[pbn(lun, address.block)] == 0
 
     def test_stats_recorded_per_source_and_kind(self, harness):
         harness.write_sync(0)
@@ -118,7 +112,7 @@ class TestBusyAndInvariants:
         harness.write_sync(0)
         address = harness.controller.ftl.mapped_address(0)
         lun = harness.controller.array.luns[(address.channel, address.lun)]
-        lun.block(address.block).inflight_reads = 1  # corrupt on purpose
+        lun.hold_read(address.block)  # corrupt on purpose
         with pytest.raises(AssertionError, match="in-flight"):
             harness.controller.check_invariants()
 
@@ -126,6 +120,6 @@ class TestBusyAndInvariants:
         harness.write_sync(0)
         address = harness.controller.ftl.mapped_address(0)
         lun = harness.controller.array.luns[(address.channel, address.lun)]
-        lun.block(address.block).invalidate(address.page)  # corrupt on purpose
+        lun.invalidate(address.block, address.page)  # corrupt on purpose
         with pytest.raises(AssertionError, match="live-page"):
             harness.controller.check_invariants()

@@ -180,14 +180,13 @@ class TestTranslationPagePaths:
     @staticmethod
     def _copy_to_spare_block(harness, source):
         """Program the page at ``source`` into a fresh block of its LUN,
-        as a GC/WL relocation would; returns (content, new address, block)."""
+        as a GC/WL relocation would; returns (content, new address, LUN)."""
         lun = harness.controller.array.luns[(source.channel, source.lun)]
-        content = lun.block(source.block).read(source.page)
+        content = lun.read(source.block, source.page)
         block_id = min(lun.free_block_ids)
         lun.take_free_block(block_id)
-        block = lun.block(block_id)
-        page = block.program_next(content, 0)
-        return content, PhysicalAddress(source.channel, source.lun, block_id, page), block
+        page = lun.program_next(block_id, content, 0)
+        return content, PhysicalAddress(source.channel, source.lun, block_id, page), lun
 
     def test_relocation_moves_the_gtd_entry(self):
         harness, ftl = self._written_tp0()
@@ -197,13 +196,13 @@ class TestTranslationPagePaths:
         assert ftl.on_relocation(content, old, new) is True
         assert ftl.tp_locations.get(0) == new
         assert ftl.mapped_address(-1) == new
-        old_block = harness.controller.array.luns[(old.channel, old.lun)].block(old.block)
-        assert old.page not in old_block.live_page_indexes()
+        old_lun = harness.controller.array.luns[(old.channel, old.lun)]
+        assert old.page not in old_lun.live_page_indexes(old.block)
 
     def test_relocated_copy_of_a_rewritten_tp_is_orphaned(self):
         harness, ftl = self._written_tp0()
         old = ftl.tp_locations.get(0)
-        content, new, block = self._copy_to_spare_block(harness, old)
+        content, new, lun = self._copy_to_spare_block(harness, old)
         # The translation page is rewritten while the relocation is in flight.
         ftl._write_tp(0)
         harness.run()
@@ -211,7 +210,7 @@ class TestTranslationPagePaths:
         assert current not in (None, old)
         assert ftl.on_relocation(content, old, new) is False
         assert ftl.tp_locations.get(0) == current
-        assert new.page not in block.live_page_indexes()
+        assert new.page not in lun.live_page_indexes(new.block)
 
     def test_tp_program_that_lost_the_version_race_is_invalidated(self):
         harness = dftl_harness()
@@ -219,11 +218,10 @@ class TestTranslationPagePaths:
         lun = harness.controller.array.luns[(0, 0)]
         block_id = min(lun.free_block_ids)
         lun.take_free_block(block_id)
-        block = lun.block(block_id)
 
         def tp0_program():
             version = ftl.next_version(-1)
-            page = block.program_next((-1, version), 0)
+            page = lun.program_next(block_id, (-1, version), 0)
             return FlashCommand(
                 CommandKind.PROGRAM,
                 CommandSource.MAPPING,
@@ -236,7 +234,7 @@ class TestTranslationPagePaths:
         ftl._write_done(newer)
         ftl._write_done(older)  # lands last, with the lower version
         assert ftl.tp_locations.get(0) == newer.address
-        assert block.live_page_indexes() == [newer.address.page]
+        assert lun.live_page_indexes(block_id) == [newer.address.page]
 
 
 class TestBatchedFlush:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro import FaultPlan, FtlKind
 from repro.core.config import GcVictimPolicy
 
+from tests.conftest import pbn
 from tests.controller.conftest import ControllerHarness, make_harness
 
 
@@ -57,9 +58,9 @@ class TestTriggering:
             # Below the watermark is acceptable only when nothing is
             # reclaimable: every dead page sits in an open block.
             open_blocks = harness.controller.allocator.open_block_ids(lun_key)
-            for block_id, block in enumerate(lun.blocks):
+            for block_id in range(lun.blocks_per_lun):
                 if block_id not in open_blocks:
-                    assert block.dead_count == 0, (lun_key, block_id)
+                    assert lun.state.dead_count[pbn(lun, block_id)] == 0, (lun_key, block_id)
 
     def test_higher_greediness_costs_write_amplification(self):
         """The paper's GC trade-off: collecting early (high greediness)
@@ -343,20 +344,20 @@ class TestFullyDeadReclaim:
         lun_key = (0, 0)
         lun = controller.array.luns[lun_key]
         block_id = allocator.open_blocks[(lun_key, "app")]
-        block = lun.block(block_id)
-        for page in block.live_page_indexes():
-            harness.trim(block.read(page)[0])
+        for page in lun.live_page_indexes(block_id):
+            harness.trim(lun.read(block_id, page)[0])
         harness.run()
-        global_id = lun.lun_index * lun.blocks_per_lun + block_id
-        assert block.write_pointer > 0 and block.live_count == 0
-        assert global_id in lun.state.fully_dead[lun.lun_index]
+        global_id = pbn(lun, block_id)
+        state = lun.state
+        assert state.write_pointer[global_id] > 0 and state.live_count[global_id] == 0
+        assert global_id in state.fully_dead[lun.lun_index]
         gc.maybe_trigger(lun_key)
         assert (lun_key, block_id) not in gc.evacuating  # open: skipped
         allocator.release_open_block(lun_key, block_id)
         gc.maybe_trigger(lun_key)
         assert (lun_key, block_id) in gc.evacuating
         harness.run()
-        assert block.is_empty and block.erase_count == 1
+        assert state.write_pointer[global_id] == 0 and state.erase_count[global_id] == 1
         assert gc.erase_only_reclaims == 1
         assert global_id not in lun.state.fully_dead[lun.lun_index]
         controller.check_invariants()
@@ -379,9 +380,9 @@ class TestFullyDeadReclaim:
             harness.write(lpn)
         harness.run()
         lun = controller.array.luns[(0, 0)]
-        block = lun.block(0)
+        global_id = pbn(lun, 0)
         assert controller.reliability.program_fail_count == 1
-        assert block.is_bad and block.erase_count == 0
+        assert lun.state.bad[global_id] and lun.state.erase_count[global_id] == 0
         assert controller.gc.erase_only_reclaims == 0
         assert lun.lun_index * lun.blocks_per_lun not in lun.state.fully_dead[lun.lun_index]
         controller.check_invariants()

@@ -197,11 +197,9 @@ class TestConcurrencyRaces:
         harness.run()
         target = job.target
         assert ftl._data_block_of(job.lbn) == (target.channel, target.lun, target.block)
-        new_block = harness.controller.array.lun(target.channel, target.lun).block(
-            target.block
-        )
-        assert new_block.is_full
-        live = new_block.live_page_indexes()
+        new_lun = harness.controller.array.lun_grid[target.channel][target.lun]
+        assert new_lun.is_full(target.block)
+        live = new_lun.live_page_indexes(target.block)
         assert ppb - 1 not in live and ppb - 2 not in live
         assert 0 in live
         harness.controller.check_invariants()

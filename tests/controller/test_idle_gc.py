@@ -41,9 +41,12 @@ class TestIdleCollection:
         harness = idle_harness(target=6)
         dirty_then_idle(harness, idle_ns=units.milliseconds(60))
         for lun in harness.controller.array.luns.values():
-            reclaimable = any(
-                block.dead_count > 0 and block.live_count < block.num_pages
-                for block in lun.blocks
+            start, stop = lun.state.block_range(lun.lun_index)
+            reclaimable = bool(
+                (
+                    (lun.state.dead_count[start:stop] > 0)
+                    & (lun.state.live_count[start:stop] < lun.state.pages_per_block)
+                ).any()
             )
             # Either the target was met or nothing more was reclaimable.
             assert len(lun.free_block_ids) >= 6 or reclaimable is False or (

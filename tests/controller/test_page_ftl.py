@@ -4,6 +4,7 @@ import pytest
 
 from repro.hardware.memory import OutOfMemoryError
 
+from tests.conftest import pbn
 from tests.controller.conftest import make_harness
 
 
@@ -26,7 +27,7 @@ class TestReadWrite:
         new_address = ftl.mapped_address(3)
         assert new_address != old_address
         lun = harness.controller.array.luns[(old_address.channel, old_address.lun)]
-        assert lun.block(old_address.block).dead_count >= 1
+        assert lun.state.dead_count[pbn(lun, old_address.block)] >= 1
 
     def test_unmapped_read_returns_none_quickly(self, harness):
         io = harness.read_sync(100)
@@ -56,7 +57,7 @@ class TestTrim:
         harness.run()
         assert harness.controller.ftl.mapped_address(4) is None
         lun = harness.controller.array.luns[(address.channel, address.lun)]
-        assert lun.block(address.block).dead_count >= 1
+        assert lun.state.dead_count[pbn(lun, address.block)] >= 1
 
     def test_read_after_trim_is_unmapped(self, harness):
         harness.write_sync(4)
@@ -100,8 +101,7 @@ class TestRelocation:
         new_lun = (old.channel, old.lun)
         # Simulate a GC relocation result landing at a different address.
         harness.controller.array.luns[new_lun].take_free_block(5)
-        block = harness.controller.array.luns[new_lun].block(5)
-        block.program_next((1, 1), 0)
+        harness.controller.array.luns[new_lun].program_next(5, (1, 1), 0)
         from repro.hardware.addresses import PhysicalAddress
 
         new = PhysicalAddress(old.channel, old.lun, 5, 0)
@@ -116,12 +116,12 @@ class TestRelocation:
         from repro.hardware.addresses import PhysicalAddress
 
         lun.take_free_block(7)
-        lun.block(7).program_next((1, 1), 0)
+        lun.program_next(7, (1, 1), 0)
         orphan_from = PhysicalAddress(current.channel, current.lun, 9, 0)
         new = PhysicalAddress(current.channel, current.lun, 7, 0)
         assert ftl.on_relocation((1, 1), orphan_from, new) is False
         assert ftl.mapped_address(1) == current
-        assert lun.block(7).dead_count == 1
+        assert lun.state.dead_count[pbn(lun, 7)] == 1
 
 
 class TestRamAccounting:

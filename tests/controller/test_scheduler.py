@@ -29,9 +29,13 @@ def _cmd(kind, source, lun=(0, 0), deadline=None, io=None):
 class TestQueueing:
     def test_enqueue_stamps_time_and_counts(self):
         harness = scheduler_harness(SsdSchedulerPolicy.FIFO)
-        scheduler = harness.controller.scheduler
         harness.write(1)
-        assert scheduler.enqueued_commands >= 1
+        started = [
+            lun.current_command
+            for lun in harness.controller.array.luns.values()
+            if lun.current_command is not None
+        ]
+        assert [cmd.enqueue_time for cmd in started] == [harness.sim.now]
 
     def test_queue_depth_counts_waiting_commands(self):
         harness = scheduler_harness(SsdSchedulerPolicy.FIFO)
@@ -161,13 +165,12 @@ class TestEligibility:
         harness.write_sync(0)
         address = harness.controller.ftl.mapped_address(0)
         lun = harness.controller.array.luns[(address.channel, address.lun)]
-        block = lun.block(address.block)
-        block.invalidate(address.page)
-        block.inflight_reads += 1
+        lun.invalidate(address.block, address.page)
+        lun.hold_read(address.block)
         erase = _cmd(CommandKind.ERASE, CommandSource.GC, lun=(address.channel, address.lun))
         erase.address = PhysicalAddress(address.channel, address.lun, address.block, 0)
         assert not harness.controller.scheduler._eligible(erase)
-        block.inflight_reads -= 1
+        lun.release_read(address.block)
         assert harness.controller.scheduler._eligible(erase)
 
     def test_reads_always_eligible(self):

@@ -17,7 +17,7 @@ import pytest
 from repro import Simulation, SanitizerError, small_config
 from repro.core.engine import Simulator
 from repro.core.rng import RandomSource, SanitizedRandomStream
-from repro.hardware.flash import Block, FlashStateError
+from repro.hardware.flash import FlashStateError, Lun
 from repro.hardware.state import FlashState
 from repro.workloads import MixedWorkloadThread, RandomWriterThread
 
@@ -73,57 +73,60 @@ class TestMonotonicity:
 # erase-before-program page state machine
 # ---------------------------------------------------------------------------
 
-def sanitized_block(label: str) -> tuple[Block, FlashState]:
-    """A sanitized four-page block and the arrays behind it, which the
-    tests below corrupt directly."""
-    state = FlashState(1, 1, 4, sanitize=True)
-    return Block(4, sanitize=True, label=label, state=state, block_id=0), state
+def sanitized_lun() -> tuple[Lun, FlashState]:
+    """A sanitized LUN (c0,l0) of four four-page blocks and the arrays
+    behind it, which the tests below corrupt directly.  Its local block
+    ids are the global ids."""
+    lun = Lun(0, 0, 4, 4, sanitize=True)
+    return lun, lun.state
 
 
 class TestFlashSanitizer:
     def test_program_on_unerased_page_raises(self):
-        block, state = sanitized_block("(c0,l0,b0)")
-        block.program_next((1, 0), now_ns=0)
+        lun, state = sanitized_lun()
+        lun.program_next(0, (1, 0), now_ns=0)
         # Corrupt the state machine the way a buggy GC might: a page
         # beyond the write pointer already holds data (LIVE).
         word, bit = state.bit_location(0, 1)
         state.mv_programmed[word] |= 1 << bit
         state.mv_valid[word] |= 1 << bit
-        block.live_count += 1
-        block.write_pointer += 1
+        state.live_count[0] += 1
+        state.write_pointer[0] += 1
         with pytest.raises(SanitizerError, match="erase-before-program") as excinfo:
             # Rewind the pointer onto the occupied page.
-            block.write_pointer = 1
-            block.live_count -= 1
-            block.program_next((2, 0), now_ns=10)
+            state.write_pointer[0] = 1
+            state.live_count[0] -= 1
+            lun.program_next(0, (2, 0), now_ns=10)
         assert "(c0,l0,b0)" in str(excinfo.value)
 
     def test_counter_identity_checked_on_program(self):
-        block = Block(4, sanitize=True, label="(c0,l0,b1)")
-        block.program_next((1, 0), now_ns=0)
-        block.live_count += 1  # diverge live+dead from write_pointer
-        with pytest.raises(SanitizerError, match="flash-page-state"):
-            block.program_next((2, 0), now_ns=10)
+        lun, state = sanitized_lun()
+        lun.program_next(1, (1, 0), now_ns=0)
+        state.live_count[1] += 1  # diverge live+dead from write_pointer
+        with pytest.raises(SanitizerError, match="flash-page-state") as excinfo:
+            lun.program_next(1, (2, 0), now_ns=10)
+        assert "(c0,l0,b1)" in str(excinfo.value)
 
     def test_erase_full_scan_detects_ghost_page(self):
-        block, state = sanitized_block("(c0,l0,b2)")
-        block.program_next((1, 0), now_ns=0)
-        block.invalidate(0)
+        lun, state = sanitized_lun()
+        lun.program_next(2, (1, 0), now_ns=0)
+        lun.invalidate(2, 0)
         # A page beyond the write pointer was silently programmed (DEAD,
         # holding a token).
-        word, bit = state.bit_location(0, 2)
+        word, bit = state.bit_location(2, 2)
         state.mv_programmed[word] |= 1 << bit
         state.mv_has_content[word] |= 1 << bit
-        state.mv_page_lpn[2] = 9
-        with pytest.raises(SanitizerError, match="flash-page-state"):
-            block.erase(now_ns=10)
+        state.mv_page_lpn[2 * 4 + 2] = 9
+        with pytest.raises(SanitizerError, match="flash-page-state") as excinfo:
+            lun.erase(2, now_ns=10)
+        assert "(c0,l0,b2)" in str(excinfo.value)
 
     def test_plain_block_still_raises_flash_state_error(self):
-        block = Block(4)
-        block.program_next((1, 0), now_ns=0)
-        block.write_pointer = 0
+        lun = Lun(0, 0, 1, 4)
+        lun.program_next(0, (1, 0), now_ns=0)
+        lun.state.write_pointer[0] = 0
         with pytest.raises(FlashStateError):
-            block.program_next((2, 0), now_ns=10)
+            lun.program_next(0, (2, 0), now_ns=10)
 
 
 # ---------------------------------------------------------------------------

@@ -63,12 +63,16 @@ class _SequentialBinder:
 
     def __call__(self, cmd):
         lun = self.array.luns[cmd.lun_key]
-        for block_id, block in enumerate(lun.blocks):
-            if not block.is_full:
+        start, _ = lun.state.block_range(lun.lun_index)
+        for block_id in range(lun.blocks_per_lun):
+            if not lun.is_full(block_id):
                 if block_id in lun.free_block_ids:
                     lun.take_free_block(block_id)
                 return PhysicalAddress(
-                    cmd.lun_key[0], cmd.lun_key[1], block_id, block.write_pointer
+                    cmd.lun_key[0],
+                    cmd.lun_key[1],
+                    block_id,
+                    int(lun.state.write_pointer[start + block_id]),
                 )
         raise AssertionError("binder out of space")
 
@@ -88,7 +92,7 @@ def submit(sim, array, kind, lun_key=(0, 0), address=None, content=None, done=No
     cmd = FlashCommand(kind, CommandSource.APPLICATION, address, content=content, on_complete=done)
     cmd.enqueue_time = sim.now
     if kind in (CommandKind.READ, CommandKind.COPYBACK):
-        array.luns[cmd.lun_key].block(address.block).inflight_reads += 1
+        array.luns[cmd.lun_key].hold_read(address.block)
     array.start(cmd)
     return cmd
 
@@ -106,7 +110,7 @@ class TestCommandDurations:
         sim.run()
         assert cmd.complete_time == PROGRAM_NS
         assert cmd.address == PhysicalAddress(0, 0, 0, 0)
-        assert array.lun(0, 0).block(0).read(0) == (7, 1)
+        assert array.lun_grid[0][0].read(0, 0) == (7, 1)
 
     def test_read_duration_and_content(self):
         sim, array = make_array()
@@ -116,12 +120,12 @@ class TestCommandDurations:
         sim.run()
         assert cmd.complete_time - start == READ_NS
         assert cmd.content == (9, 3)
-        assert array.lun(0, 0).block(0).inflight_reads == 0
+        assert array.state.inflight_reads[0] == 0
 
     def test_erase_duration(self):
         sim, array = make_array()
         address = program_page(sim, array)
-        array.lun(0, 0).block(0).invalidate(address.page)
+        array.lun_grid[0][0].invalidate(0, address.page)
         start = sim.now
         cmd = submit(
             sim, array, CommandKind.ERASE,
@@ -129,8 +133,8 @@ class TestCommandDurations:
         )
         sim.run()
         assert cmd.complete_time - start == ERASE_NS
-        assert address.block in array.lun(0, 0).free_block_ids
-        assert array.lun(0, 0).block(0).erase_count == 1
+        assert address.block in array.lun_grid[0][0].free_block_ids
+        assert array.state.erase_count[0] == 1
 
     def test_copyback_duration_and_move(self):
         sim, array = make_array()
@@ -140,13 +144,15 @@ class TestCommandDurations:
         sim.run()
         assert cmd.complete_time - start == COPYBACK_NS
         assert cmd.target_address is not None
-        target_block = array.lun(0, 0).block(cmd.target_address.block)
-        assert target_block.read(cmd.target_address.page) == (4, 2)
+        target = cmd.target_address
+        assert array.lun_grid[0][0].read(target.block, target.page) == (4, 2)
 
     def test_completion_counter(self):
         sim, array = make_array()
-        program_page(sim, array)
-        assert array.completed_commands == 1
+        done = []
+        submit(sim, array, CommandKind.PROGRAM, content=(1, 1), done=done.append)
+        sim.run()
+        assert len(done) == 1
 
 
 class TestParallelism:
@@ -174,7 +180,7 @@ class TestParallelism:
         # The channel is reserved for the whole first command, so a
         # command on the channel's other LUN cannot start until it ends.
         channel = array.channels[0]
-        assert not array.lun(0, 1).is_busy
+        assert not array.lun_grid[0][1].is_busy
         assert channel.busy_until == PROGRAM_NS
         sim.run()
         assert channel.is_free(sim.now)
@@ -198,10 +204,10 @@ class TestParallelism:
     def test_lun_busy_while_command_runs(self):
         sim, array = make_array()
         cmd = submit(sim, array, CommandKind.PROGRAM, content=(1, 1))
-        assert array.lun(0, 0).is_busy
-        assert array.lun(0, 0).current_command is cmd
+        assert array.lun_grid[0][0].is_busy
+        assert array.lun_grid[0][0].current_command is cmd
         sim.run()
-        assert not array.lun(0, 0).is_busy
+        assert not array.lun_grid[0][0].is_busy
 
 
 class TestPhasePlans:
@@ -221,7 +227,7 @@ class TestPhasePlans:
     def _event_times(sim, array, cmd):
         """Step ``cmd`` to completion; per event, the time and the LUN's
         and channel's state after it."""
-        lun = array.lun(cmd.address.channel, cmd.address.lun)
+        lun = array.lun_grid[cmd.address.channel][cmd.address.lun]
         channel = array.channels[cmd.address.channel]
         steps = []
         while sim.run(max_events=1):
@@ -275,7 +281,7 @@ class TestPipelining:
         # Run until the read's array phase is over (start+110) and check
         # the LUN frees before the data-out completes.
         sim.run(until=start + 111)
-        assert not array.lun(0, 0).is_busy
+        assert not array.lun_grid[0][0].is_busy
         sim.run()
         assert read.complete_time - start == READ_NS
 
@@ -285,7 +291,7 @@ class TestPipelining:
         start = sim.now
         submit(sim, array, CommandKind.READ, address=address)
         sim.run(until=start + 111)
-        assert array.lun(0, 0).is_busy
+        assert array.lun_grid[0][0].is_busy
 
     def test_pipelining_requires_chip_support(self):
         sim = Simulator()
@@ -299,10 +305,10 @@ class TestStartEffects:
     def test_block_with_live_page_not_erasable(self):
         sim, array = make_array()
         address = program_page(sim, array)
-        block = array.lun(0, 0).block(address.block)
-        assert not block.erasable
-        block.invalidate(address.page)
-        assert block.erasable
+        lun = array.lun_grid[0][0]
+        assert not lun.erasable(address.block)
+        lun.invalidate(address.block, address.page)
+        assert lun.erasable(address.block)
 
     def test_start_on_busy_lun_raises(self):
         sim, array = make_array()

@@ -4,6 +4,7 @@ Paper Section 1: "the FTL relies on wear leveling (WL) to distribute the
 erase count across flash blocks and mask bad blocks."
 """
 
+import numpy as np
 import pytest
 
 from repro.hardware.addresses import PhysicalAddress
@@ -16,16 +17,16 @@ from tests.hardware.test_array import make_array, program_page, submit
 
 class TestLunBadBlockMasking:
     def test_factory_bad_blocks_excluded_from_free_pool(self):
-        lun = Lun(0, 0, 8, 4, bad_block_ids={2, 5})
+        lun = Lun(0, 0, 8, 4, bad_blocks={2, 5})
         assert set(lun.free_block_ids) == {0, 1, 3, 4, 6, 7}
-        assert lun.block(2).is_bad and lun.block(5).is_bad
+        assert lun.state.bad.tolist() == [0, 0, 1, 0, 0, 1, 0, 0]
         assert lun.usable_blocks == 6
 
     def test_retire_block_removes_from_free_pool(self):
         lun = Lun(0, 0, 4, 4)
         lun.retire_block(1)
         assert 1 not in lun.free_block_ids
-        assert lun.block(1).is_bad
+        assert lun.state.bad.tolist() == [0, 1, 0, 0]
         assert lun.usable_blocks == 3
 
 
@@ -38,28 +39,28 @@ class TestEnduranceRetirement:
     def test_block_retired_at_endurance(self):
         sim, array = self._worn_array(endurance=1)
         address = program_page(sim, array)
-        lun = array.lun(0, 0)
-        lun.block(address.block).invalidate(address.page)
+        lun = array.lun_grid[0][0]
+        lun.invalidate(address.block, address.page)
         submit(
             sim, array, CommandKind.ERASE,
             address=PhysicalAddress(0, 0, address.block, 0),
         )
         sim.run()
-        assert lun.block(address.block).is_bad
+        assert array.state.bad[address.block]
         assert address.block not in lun.free_block_ids
         assert array.retired_blocks == 1
 
     def test_block_survives_below_endurance(self):
         sim, array = self._worn_array(endurance=5)
         address = program_page(sim, array)
-        lun = array.lun(0, 0)
-        lun.block(address.block).invalidate(address.page)
+        lun = array.lun_grid[0][0]
+        lun.invalidate(address.block, address.page)
         submit(
             sim, array, CommandKind.ERASE,
             address=PhysicalAddress(0, 0, address.block, 0),
         )
         sim.run()
-        assert not lun.block(address.block).is_bad
+        assert not array.state.bad[address.block]
         assert address.block in lun.free_block_ids
 
 
@@ -70,11 +71,8 @@ class TestSystemWithBadBlocks:
             config.controller.overprovisioning = 0.25
 
         harness = make_harness(mutate)
-        bad_total = sum(
-            len(lun.bad_block_ids)
-            for lun in harness.controller.array.luns.values()
-        )
-        assert bad_total > 0
+        state = harness.controller.array.state
+        assert state.bad.sum() > 0
         versions = {}
         for round_ in range(2):
             for lpn in range(harness.config.logical_pages):
@@ -83,9 +81,7 @@ class TestSystemWithBadBlocks:
             harness.run()
         harness.controller.check_invariants()
         # Bad blocks never receive data.
-        for lun in harness.controller.array.luns.values():
-            for block_id in lun.bad_block_ids:
-                assert lun.block(block_id).write_pointer == 0
+        assert not state.write_pointer[state.bad != 0].any()
         assert harness.read_sync(0).data == (0, versions[0])
 
     def test_bad_block_map_is_deterministic(self):
@@ -96,13 +92,8 @@ class TestSystemWithBadBlocks:
         maps = []
         for _ in range(2):
             harness = make_harness(mutate)
-            maps.append(
-                {
-                    key: frozenset(lun.bad_block_ids)
-                    for key, lun in harness.controller.array.luns.items()
-                }
-            )
-        assert maps[0] == maps[1]
+            maps.append(np.nonzero(harness.controller.array.state.bad)[0].tolist())
+        assert maps[0] and maps[0] == maps[1]
 
     def test_wear_leveling_extends_lifetime(self):
         """With finite endurance and a hotspot, WL defers block deaths:

@@ -1,4 +1,4 @@
-"""Tests for the block/LUN state machines (NAND constraints)."""
+"""Tests for the LUN's block state machine (NAND constraints)."""
 
 import numpy as np
 import pytest
@@ -6,125 +6,136 @@ from hypothesis import given, strategies as st
 
 from repro import FaultPlan, FtlKind, Simulation, small_config
 from repro.hardware.addresses import PhysicalAddress
-from repro.hardware.flash import Block, FlashStateError, Lun
+from repro.hardware.flash import FlashStateError, Lun
 from repro.hardware.state import FlashState
 from repro.reliability.crash import PowerCycleCoordinator
 from repro.workloads import RandomWriterThread
 
 
+def one_block(pages: int) -> Lun:
+    """A standalone LUN of one block: block 0, global id 0, is the block
+    under test, and its metadata is ``lun.state.<column>[0]``."""
+    return Lun(0, 0, 1, pages)
+
+
 class TestBlockProgramming:
     def test_programs_are_sequential(self):
-        block = Block(4)
+        lun = one_block(4)
         for expected in range(4):
-            index = block.program_next((expected, 1), now_ns=10)
+            index = lun.program_next(0, (expected, 1), now_ns=10)
             assert index == expected
-        assert block.is_full
+        assert lun.is_full(0)
 
     def test_program_on_full_block_rejected(self):
-        block = Block(2)
-        block.program_next((0, 1), 0)
-        block.program_next((1, 1), 0)
+        lun = one_block(2)
+        lun.program_next(0, (0, 1), 0)
+        lun.program_next(0, (1, 1), 0)
         with pytest.raises(FlashStateError):
-            block.program_next((2, 1), 0)
+            lun.program_next(0, (2, 1), 0)
 
     def test_program_updates_counts_and_timestamps(self):
-        block = Block(4)
-        block.program_next((7, 1), now_ns=123)
-        assert block.live_count == 1
-        assert block.free_pages == 3
-        assert block.last_write_ns == 123
-        assert block.live_page_indexes() == [0]
-        assert block.read(0) == (7, 1)
+        lun = one_block(4)
+        lun.program_next(0, (7, 1), now_ns=123)
+        state = lun.state
+        assert state.live_count[0] == 1
+        assert state.write_pointer[0] == 1
+        assert lun.total_free_pages() == 3
+        assert state.last_write_ns[0] == 123
+        assert lun.live_page_indexes(0) == [0]
+        assert lun.read(0, 0) == (7, 1)
 
 
 class TestInvalidation:
     def test_invalidate_marks_dead(self):
-        block = Block(4)
-        block.program_next((1, 1), 0)
-        block.invalidate(0)
-        assert block.live_page_indexes() == []
-        assert block.read(0) == (1, 1)  # programmed, no longer mapped
-        assert block.live_count == 0
-        assert block.dead_count == 1
+        lun = one_block(4)
+        lun.program_next(0, (1, 1), 0)
+        lun.invalidate(0, 0)
+        assert lun.live_page_indexes(0) == []
+        assert lun.read(0, 0) == (1, 1)  # programmed, no longer mapped
+        assert lun.state.live_count[0] == 0
+        assert lun.state.dead_count[0] == 1
 
     def test_invalidate_free_page_rejected(self):
         with pytest.raises(FlashStateError):
-            Block(4).invalidate(0)
+            one_block(4).invalidate(0, 0)
 
     def test_double_invalidate_rejected(self):
-        block = Block(4)
-        block.program_next((1, 1), 0)
-        block.invalidate(0)
+        lun = one_block(4)
+        lun.program_next(0, (1, 1), 0)
+        lun.invalidate(0, 0)
         with pytest.raises(FlashStateError):
-            block.invalidate(0)
+            lun.invalidate(0, 0)
 
 
 class TestRead:
     def test_read_live_and_dead_pages(self):
-        block = Block(4)
-        block.program_next((5, 1), 0)
-        assert block.read(0) == (5, 1)
-        block.invalidate(0)
-        assert block.read(0) == (5, 1)  # stale-but-referenced data survives
+        lun = one_block(4)
+        lun.program_next(0, (5, 1), 0)
+        assert lun.read(0, 0) == (5, 1)
+        lun.invalidate(0, 0)
+        assert lun.read(0, 0) == (5, 1)  # stale-but-referenced data survives
 
     def test_read_free_page_rejected(self):
         with pytest.raises(FlashStateError):
-            Block(4).read(0)
+            one_block(4).read(0, 0)
 
 
 class TestErase:
     def _dead_block(self, pages=4):
-        block = Block(pages)
+        lun = one_block(pages)
         for i in range(pages):
-            block.program_next((i, 1), 0)
-            block.invalidate(i)
-        return block
+            lun.program_next(0, (i, 1), 0)
+            lun.invalidate(0, i)
+        return lun
 
     def test_erase_resets_everything(self):
-        block = self._dead_block()
-        block.erase(now_ns=999)
-        assert block.is_empty
-        assert block.erase_count == 1
-        assert block.last_erase_ns == 999
-        for index in range(block.num_pages):
+        lun = self._dead_block()
+        assert lun.erase(0, now_ns=999) == 1
+        state = lun.state
+        assert state.write_pointer[0] == 0
+        assert state.erase_count[0] == 1
+        assert state.last_erase_ns[0] == 999
+        for index in range(4):
             with pytest.raises(FlashStateError):
-                block.read(index)
-        assert block.free_pages == block.num_pages
+                lun.read(0, index)
+        assert lun.total_free_pages() == 4
 
     def test_erase_with_live_pages_rejected(self):
-        block = Block(4)
-        block.program_next((1, 1), 0)
+        lun = one_block(4)
+        lun.program_next(0, (1, 1), 0)
         with pytest.raises(FlashStateError):
-            block.erase(0)
+            lun.erase(0, 0)
 
     def test_erase_with_inflight_reads_rejected(self):
-        block = self._dead_block()
-        block.inflight_reads = 1
+        lun = self._dead_block()
+        lun.hold_read(0)
         with pytest.raises(FlashStateError):
-            block.erase(0)
+            lun.erase(0, 0)
 
     def test_erasable_predicate(self):
-        block = Block(2)
-        assert not block.erasable  # empty: nothing to erase
-        block.program_next((0, 1), 0)
-        assert not block.erasable  # live data
-        block.invalidate(0)
-        assert block.erasable
-        block.inflight_reads = 1
-        assert not block.erasable
+        lun = one_block(2)
+        assert not lun.erasable(0)  # empty: nothing to erase
+        lun.program_next(0, (0, 1), 0)
+        assert not lun.erasable(0)  # live data
+        lun.invalidate(0, 0)
+        assert lun.erasable(0)
+        lun.hold_read(0)
+        assert not lun.erasable(0)
+        assert lun.release_read(0) == 0
+        assert lun.erasable(0)
 
     def test_block_reusable_after_erase(self):
-        block = self._dead_block(2)
-        block.erase(0)
-        assert block.program_next((9, 2), 0) == 0
+        lun = self._dead_block(2)
+        lun.erase(0, 0)
+        assert lun.program_next(0, (9, 2), 0) == 0
 
     def test_live_page_indexes(self):
-        block = Block(4)
-        block.program_next((0, 1), 0)
-        block.program_next((1, 1), 0)
-        block.program_next((2, 1), 0)
-        block.invalidate(1)
-        assert block.live_page_indexes() == [0, 2]
+        lun = one_block(4)
+        lun.program_next(0, (0, 1), 0)
+        lun.program_next(0, (1, 1), 0)
+        lun.program_next(0, (2, 1), 0)
+        lun.invalidate(0, 1)
+        assert lun.live_page_indexes(0) == [0, 2]
 
 
 class TestLun:
@@ -146,15 +157,24 @@ class TestLun:
 
     def test_aggregate_counts(self):
         lun = Lun(0, 0, 2, 4)
-        block = lun.block(0)
         lun.take_free_block(0)
-        block.program_next((0, 1), 0)
-        block.program_next((1, 1), 0)
-        block.invalidate(0)
-        assert block.live_count == 1
-        assert block.dead_count == 1
+        lun.program_next(0, (0, 1), 0)
+        lun.program_next(0, (1, 1), 0)
+        lun.invalidate(0, 0)
+        assert lun.state.live_count[0] == 1
+        assert lun.state.dead_count[0] == 1
         assert lun.total_free_pages() == 6
         assert lun.erase_counts() == [0, 0]
+
+    def test_block_ids_are_lun_local(self):
+        """A LUN's block operations act on its own span of the shared
+        state: block 1 of LUN index 2 is global block 2 * 4 + 1."""
+        state = FlashState(3, 4, 4)
+        lun = Lun(1, 0, 4, 4, state=state, lun_index=2)
+        lun.program_next(1, (7, 1), 0)
+        assert state.write_pointer.tolist() == [0] * 9 + [1] + [0] * 2
+        assert lun.read(1, 0) == (7, 1)
+        assert state.page_content(9, 0) == (7, 1)
 
 
 class TestFullyDeadIndex:
@@ -167,39 +187,35 @@ class TestFullyDeadIndex:
 
     def test_invalidating_last_live_page_adds_block(self):
         lun, state = self._lun()
-        block = lun.block(2)
-        block.program_next((0, 1), 0)
-        block.program_next((1, 1), 0)
-        block.invalidate(0)
+        lun.program_next(2, (0, 1), 0)
+        lun.program_next(2, (1, 1), 0)
+        lun.invalidate(2, 0)
         assert state.fully_dead == [set(), set()]
-        block.invalidate(1)
+        lun.invalidate(2, 1)
         assert state.fully_dead == [set(), {4 + 2}]
 
     def test_tearing_last_live_page_adds_block(self):
         lun, state = self._lun()
-        block = lun.block(3)
-        block.program_next((0, 1), 0)
-        block.program_next((1, 1), 0)
-        block.invalidate(0)
-        block.mark_torn(1)
+        lun.program_next(3, (0, 1), 0)
+        lun.program_next(3, (1, 1), 0)
+        lun.invalidate(3, 0)
+        lun.mark_torn(3, 1)
         assert state.fully_dead[1] == {4 + 3}
 
     def test_tearing_a_dead_page_changes_nothing(self):
         lun, state = self._lun()
-        block = lun.block(0)
-        block.program_next((0, 1), 0)
-        block.program_next((1, 1), 0)
-        block.invalidate(0)
-        block.mark_torn(0)
+        lun.program_next(0, (0, 1), 0)
+        lun.program_next(0, (1, 1), 0)
+        lun.invalidate(0, 0)
+        lun.mark_torn(0, 0)
         assert state.fully_dead[1] == set()
 
     def test_erase_removes_block(self):
         lun, state = self._lun()
-        block = lun.block(1)
-        block.program_next((0, 1), 0)
-        block.invalidate(0)
+        lun.program_next(1, (0, 1), 0)
+        lun.invalidate(1, 0)
         assert state.fully_dead[1] == {4 + 1}
-        block.erase(0)
+        lun.erase(1, 0)
         assert state.fully_dead[1] == set()
 
     def test_reseed_rebuilds_from_arrays(self):
@@ -218,13 +234,12 @@ class TestFullyDeadIndex:
         simulation = Simulation(small_config())
         array = simulation.controller.array
         lun = array.luns[(0, 0)]
-        kept, orphaned = lun.block(0), lun.block(1)
-        kept.program_next((0, 1), 0)
-        kept.program_next((1, 1), 0)
-        orphaned.program_next((2, 1), 0)
+        lun.program_next(0, (0, 1), 0)
+        lun.program_next(0, (1, 1), 0)
+        lun.program_next(1, (2, 1), 0)
         mapping = {0: (PhysicalAddress(0, 0, 0, 0), 1)}
         PowerCycleCoordinator(simulation)._rebuild_validity(array, mapping)
-        assert (kept.live_count, orphaned.live_count) == (1, 0)
+        assert array.state.live_count[:2].tolist() == [1, 0]
         assert array.state.fully_dead[lun.lun_index] == {lun.lun_index * lun.blocks_per_lun + 1}
 
     def test_crash_remount_keeps_the_sets_exact(self, monkeypatch):
@@ -256,23 +271,20 @@ class TestFullyDeadIndex:
 
 @given(st.lists(st.sampled_from(["program", "invalidate", "erase"]), max_size=60))
 def test_property_block_counts_stay_consistent(ops):
-    """Under any legal op sequence, live+dead+free == num_pages and the
-    write pointer equals live+dead."""
-    block = Block(8)
+    """Under any legal op sequence, live+dead+free == pages per block
+    and the write pointer equals live+dead."""
+    lun = one_block(8)
+    state = lun.state
     live_indexes = []
     for op in ops:
-        if op == "program" and not block.is_full:
-            index = block.program_next((index_token(block), 1), 0)
+        if op == "program" and not lun.is_full(0):
+            index = lun.program_next(0, (int(state.write_pointer[0]), 1), 0)
             live_indexes.append(index)
         elif op == "invalidate" and live_indexes:
-            block.invalidate(live_indexes.pop(0))
-        elif op == "erase" and block.erasable and not live_indexes:
-            block.erase(0)
+            lun.invalidate(0, live_indexes.pop(0))
+        elif op == "erase" and lun.erasable(0) and not live_indexes:
+            lun.erase(0, 0)
         # Invariants hold after every step:
-        assert block.live_count + block.dead_count == block.write_pointer
-        assert block.free_pages == block.num_pages - block.write_pointer
-        assert block.live_count == len(live_indexes)
-
-
-def index_token(block):
-    return block.write_pointer
+        assert state.live_count[0] + state.dead_count[0] == state.write_pointer[0]
+        assert lun.total_free_pages() == 8 - state.write_pointer[0]
+        assert state.live_count[0] == len(live_indexes)

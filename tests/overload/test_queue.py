@@ -42,7 +42,7 @@ def _held_scheduler():
     harness = make_harness()
     array = harness.controller.array
     for lun_key in LUNS:
-        array.lun(*lun_key).current_command = _command(lun_key)
+        array.luns[lun_key].current_command = _command(lun_key)
     return harness.sim, harness.controller.scheduler
 
 
@@ -159,7 +159,7 @@ def test_deep_queue_dispatch_is_not_quadratic():
     sim.run()
     assert scheduler.queue_depth(LUN) == depth
 
-    lun = scheduler.array.lun(*LUN)
+    lun = scheduler.array.luns[LUN]
     queue = scheduler.queues[LUN]
     drained = []
     start = time.perf_counter()

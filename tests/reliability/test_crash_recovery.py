@@ -251,7 +251,7 @@ class TestDurabilityAudit:
 
     def test_mapping_onto_a_torn_page_raises(self):
         array, first, _ = self._two_pages()
-        array.luns[(first.channel, first.lun)].block(first.block).mark_torn(first.page)
+        array.luns[(first.channel, first.lun)].mark_torn(first.block, first.page)
         with pytest.raises(SanitizerError, match="durability-audit") as excinfo:
             DurabilityAuditor().audit({5: (first, 1)}, [], array)
         assert excinfo.value.context["torn"] is True

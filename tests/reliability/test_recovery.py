@@ -7,12 +7,14 @@ LPN's write lands on (or which block gets erased first), and a second
 run installs a :class:`FaultPlan` targeting exactly that block.
 """
 
+import numpy as np
 import pytest
 
 from repro import FaultPlan, IoStatus
 from repro.hardware.addresses import PhysicalAddress
 from repro.reliability import ParityTracker, pack_content
 
+from tests.conftest import pbn
 from tests.controller.conftest import make_harness
 
 
@@ -216,9 +218,9 @@ class TestProgramFailure:
             addr.block,
         )
         # The condemned block drained its live pages and retired.
-        block = h.controller.array.luns[(addr.channel, addr.lun)].block(addr.block)
-        assert block.is_bad
-        assert block.live_count == 0
+        lun = h.controller.array.luns[(addr.channel, addr.lun)]
+        assert lun.state.bad[pbn(lun, addr.block)]
+        assert lun.state.live_count[pbn(lun, addr.block)] == 0
         # Every LPN -- including those relocated off the bad block -- reads back.
         for i in range(self.WRITES):
             assert h.read_sync(i).status is IoStatus.OK
@@ -261,15 +263,11 @@ class TestEraseFailure:
         # Discovery: find a block that GC erased during the workload.
         h = make_harness(lambda c: reliability_on(c, spare_blocks_per_lun=2))
         self._workload(h)
-        target = None
-        for lun_key, lun in h.controller.array.luns.items():
-            for block_id, block in enumerate(lun.blocks):
-                if block.erase_count >= 1:
-                    target = (lun_key[0], lun_key[1], block_id)
-                    break
-            if target:
-                break
-        assert target is not None, "workload never triggered an erase"
+        array = h.controller.array
+        erased = np.nonzero(array.state.erase_count)[0]
+        assert erased.size, "workload never triggered an erase"
+        address = array.codec.decode(int(erased[0]) * array.state.pages_per_block)
+        target = (address.channel, address.lun, address.block)
 
         plan = FaultPlan().fail_erase(*target, attempt=1)
         h = make_harness(
@@ -279,10 +277,10 @@ class TestEraseFailure:
         manager = h.controller.reliability
         assert manager.erase_fail_count == 1
         assert manager.runtime_retired_blocks >= 1
-        block = h.controller.array.luns[(target[0], target[1])].block(target[2])
-        assert block.is_bad
+        lun = h.controller.array.luns[(target[0], target[1])]
+        assert lun.state.bad[pbn(lun, target[2])]
         # The failed erase never completed: the cycle count stayed put.
-        assert block.erase_count == 0
+        assert lun.state.erase_count[pbn(lun, target[2])] == 0
         # The device soldiered on: every LPN still reads back fine.
         for i in range(self.LPNS):
             assert h.read_sync(i).status is IoStatus.OK

@@ -94,8 +94,9 @@ CASES = {
         3_000,
         # 92.5 before the flash-command lifecycle rework, 77.8 before
         # statistics stored one row per IO, 67.8 before the leaner
-        # phase path and block-bound programs.
-        63.2,
+        # phase path and block-bound programs, 63.2 before block
+        # operations became ``Lun`` methods taking a block id.
+        61.2,
     ),
     "page_gc_write": (
         FtlKind.PAGE,
@@ -103,8 +104,9 @@ CASES = {
         2_000,
         # 321.4 before statistics stored one row per IO, 309.1 before
         # the leaner phase path and block-bound programs, 282.8 before
-        # GC kept an index of fully-dead blocks.
-        271.3,
+        # GC kept an index of fully-dead blocks, 271.3 before block
+        # operations became ``Lun`` methods.
+        242.8,
     ),
     "dftl_read": (
         FtlKind.DFTL,
@@ -112,8 +114,9 @@ CASES = {
         3_000,
         # 105.7 before the FTLs shared one logical-IO path, 105.6 before
         # statistics stored one row per IO, 95.6 before the leaner phase
-        # path and block-bound programs.
-        88.3,
+        # path and block-bound programs, 88.3 before block operations
+        # became ``Lun`` methods.
+        85.2,
     ),
     "hybrid_write": (
         FtlKind.HYBRID,
@@ -123,8 +126,9 @@ CASES = {
         # statistics stored one row per IO, 627.9 before merges ran as
         # one slotted job, 519.6 before log appends, merge order and the
         # merge commit each had one path, 514.2 before merges read the
-        # victim block without building a page view per page.
-        499.1,
+        # victim block without building a page view per page, 499.1
+        # before block operations became ``Lun`` methods.
+        453.0,
     ),
     "dftl_write": (
         FtlKind.DFTL,
@@ -133,16 +137,18 @@ CASES = {
         lambda: RandomWriterThread("measured", count=2_000, depth=8),
         2_000,
         # 434.8 before translation pages took the shared write and
-        # relocation path.
-        431.1,
+        # relocation path, 431.1 before block operations became ``Lun``
+        # methods.
+        385.9,
     ),
     "page_open_loop": (
         FtlKind.PAGE,
         lambda: TraceReplayThread("measured", _OPEN_LOOP_TRACE, timed=True),
         len(_OPEN_LOOP_TRACE),
         # 131.1 before the host lost its strict-admission path, which
-        # made no simulator call per arrival.
-        131.1,
+        # made no simulator call per arrival, and before block
+        # operations became ``Lun`` methods.
+        120.2,
     ),
 }
 

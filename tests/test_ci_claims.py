@@ -6,7 +6,8 @@ explicitly, spread over three shards.  A new experiment file that no
 shard names, a file named by two shards, or one that another job runs
 as well fails here.  The unit and integration suite under ``tests/``
 runs in the ``tests`` job only; a smoke job that re-runs part of it
-fails here too.
+fails here too.  A perf smoke step names the file it writes, so it
+never replaces a committed full-run ``BENCH_*.json`` report.
 """
 
 import re
@@ -28,15 +29,15 @@ def _jobs() -> dict[str, str]:
     return {head.group(1): jobs_text[head.start(): end] for head, end in zip(heads, ends)}
 
 
-def _pytest_steps(job: str) -> list[str]:
-    """The text of every step of ``job`` that runs pytest, without its
-    comment lines."""
+def _steps(job: str, command: str) -> list[str]:
+    """The text of every step of ``job`` whose code mentions
+    ``command``, without its comment lines."""
     steps = []
     for step in re.split(r"\n      - ", job):
         code = "\n".join(
             line for line in step.splitlines() if not line.lstrip().startswith("#")
         )
-        if "pytest" in code:
+        if command in code:
             steps.append(code)
     return steps
 
@@ -67,10 +68,21 @@ def test_only_the_tests_job_runs_the_test_suite():
     elsewhere = {
         name: [
             path
-            for step in _pytest_steps(text)
+            for step in _steps(text, "pytest")
             for path in re.findall(r"(?<![\w./])tests/\S*", step)
         ]
         for name, text in _jobs().items()
         if name != "tests"
     }
     assert not any(elsewhere.values()), elsewhere
+
+
+def test_every_perf_script_run_names_its_output():
+    runs = [
+        step
+        for text in _jobs().values()
+        for step in _steps(text, "benchmarks/perf/bench_")
+    ]
+    assert len(runs) == 3
+    missing = [step for step in runs if not re.search(r"--output \S+\.json", step)]
+    assert not missing, missing
