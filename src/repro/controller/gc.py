@@ -317,7 +317,7 @@ class GarbageCollector:
             return  # only blocks already being erased
         open_ids = self.controller.allocator.open_block_ids(lun_key)
         for block_id in [b for b in candidates if b not in open_ids]:
-            # Checked per block: each enqueue pumps the scheduler, whose
+            # Checked per block: each enqueue may start commands, whose
             # program bindings may re-enter ``maybe_trigger``.
             if (lun_key, block_id) in evacuating:
                 continue

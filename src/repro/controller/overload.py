@@ -179,7 +179,7 @@ class OverloadGovernor:
         if self.config.command_timeout_ns is None or not can_abort(cmd):
             return
         if cmd.start_time is not None:
-            return  # the enqueue pump already dispatched it
+            return  # the enqueue already started it
         self.sim.post(self.config.command_timeout_ns, self._check_timeout, cmd)
 
     def _check_timeout(self, cmd: FlashCommand) -> None:

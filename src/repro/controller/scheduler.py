@@ -8,7 +8,10 @@ IO should be executed next and where?"
 The *where* for writes is delegated to the allocator (late page binding);
 this module answers the *which* and *when*.  It maintains one pending
 queue per LUN and, every time a channel or LUN frees, dispatches the
-best eligible command according to the configured policy:
+best eligible command according to the configured policy.  A command
+enqueued while no other LUN is idle with queued work starts at once if
+it is eligible and its LUN and channel are free: a dispatch scan would
+find only it.
 
 * ``FIFO``     -- oldest first.
 * ``PRIORITY`` -- static (source, type) priorities with optional
@@ -93,6 +96,8 @@ class SsdScheduler:
         self._ready_total = 0
         #: Per-channel rotation pointer for LUN tie-breaking.
         self._lun_rotation = [0] * len(array.channels)
+        #: LUNs per channel: the modulus of the LUN rotation.
+        self._luns_per_channel = len(array.lun_grid[0])
         #: Per-LUN rotation pointer over sources, for the FAIR policy.
         self._fair_rotation: dict[tuple[int, int], int] = {key: 0 for key in array.luns}
         self._pumping = False
@@ -101,21 +106,41 @@ class SsdScheduler:
     # Queue interface
     # ------------------------------------------------------------------
     def enqueue(self, cmd: FlashCommand) -> None:
-        """Add a command to its LUN's pending queue and try to dispatch."""
+        """Add a command to its LUN's pending queue and try to dispatch.
+
+        When no pump is running, no LUN is idle with queued work and
+        ``cmd``'s LUN is idle, a pump would start ``cmd`` or nothing,
+        whatever the policy: the one candidate is the best.  Then ``cmd``
+        starts here, never queued, if its channel is free and it is
+        eligible (:meth:`_start_alone`); otherwise it is queued and no
+        pump runs.
+        """
         now = self.sim.now
         if cmd.deadline is None and self._deadline_policy:
             cmd.deadline = self.deadline_for(cmd.kind, now)
         cmd.enqueue_time = now
         address = cmd.address
         lun, queue, _ = self._slots[address.channel][address.lun]
+        idle = False
         if not queue and lun.current_command is None:
+            idle = not self._ready_total and not self._pumping
+            if idle:
+                channel = self.array.channels[address.channel]
+                if (
+                    now >= channel.busy_until
+                    and not channel.continuations
+                    and self._eligible(cmd)
+                ):
+                    self._start_alone(lun, cmd)
+                    return
             self._ready[address.channel] += 1
             self._ready_total += 1
         queue[cmd.id] = cmd
         if len(queue) > self._queue_high_watermark:
             self._queue_high_watermark = len(queue)
         self._pending += 1
-        self.pump()
+        if not idle:
+            self.pump()
 
     def queue_depth(self, lun_key: tuple[int, int]) -> int:
         """Pending commands bound to a LUN (used by LEAST_QUEUED
@@ -164,8 +189,9 @@ class SsdScheduler:
     def pump(self) -> None:
         """Dispatch eligible commands until no more progress is possible.
 
-        Called on every enqueue and on every resource-free notification
-        from the array.  Re-entrant calls collapse into the outer loop.
+        Called on every resource-free notification from the array, and
+        by :meth:`enqueue` unless the device had no other work to start.
+        Re-entrant calls collapse into the outer loop.
         Without an idle LUN holding queued work nothing can start, so it
         returns at once; a channel without one is skipped without a
         scan.  The others are re-scanned until a full pass starts
@@ -217,19 +243,63 @@ class SsdScheduler:
                 if not key < best_key:
                     continue
                 best_key = key
-            cmd, lun, queue, best_lun_offset = candidate, slot_lun, slot_queue, offset
+            cmd, lun, queue = candidate, slot_lun, slot_queue
         if cmd is None:
             return False
-        self._take(lun, queue, cmd)
-        if queue:
-            # The LUN goes busy with work still queued behind ``cmd``.
+        self._start(lun, queue, cmd)
+        return True
+
+    def _start_alone(self, lun: Lun, cmd: FlashCommand) -> None:
+        """Start ``cmd``, the only command a pump could start, as that
+        pump would.
+
+        The pump's first pass would skip every channel before ``cmd``'s
+        and start ``cmd`` there, leaving the queues and ready counts as
+        they were and the high-watermark at least 1 (``cmd`` was queued
+        until the pump took it).  Commands enqueued by the start
+        itself (a GC trigger in ``bind_program``) collapse into this call
+        as into a pump and are dispatched in the pump's order: the rest
+        of the interrupted pass, from the next channel on, then full
+        passes until one starts nothing.
+        """
+        if not self._queue_high_watermark:
+            self._queue_high_watermark = 1
+        self._pumping = True
+        try:
+            self._start(lun, None, cmd)
+            if not self._ready_total:
+                return
+            now = self.sim.now
+            ready = self._ready
+            channels = self.array.channels
+            for channel_id in range(lun.channel_id + 1, len(channels)):
+                channel = channels[channel_id]
+                if (
+                    ready[channel_id]
+                    and now >= channel.busy_until
+                    and not channel.continuations
+                ):
+                    self._dispatch_on_channel(channel_id)
+        finally:
+            self._pumping = False
+        self.pump()
+
+    def _start(self, lun: Lun, queue: Optional[LunQueue], cmd: FlashCommand) -> None:
+        """Start ``cmd`` on its idle ``lun``: the one way a command goes
+        from the scheduler to the array.  ``queue`` is the LUN's queue,
+        which holds ``cmd``, or None for a command :meth:`_start_alone`
+        starts unqueued."""
+        channel_id = lun.channel_id
+        if queue is not None:
+            del queue[cmd.id]
+            self._pending -= 1
+            # The LUN goes busy, so it is no longer ready.
             self._ready[channel_id] -= 1
             self._ready_total -= 1
         if self.config.policy is SsdSchedulerPolicy.FAIR:
             self._advance_fair(cmd)
-        self._lun_rotation[channel_id] = (rotation + best_lun_offset + 1) % luns_per_channel
+        self._lun_rotation[channel_id] = (lun.lun_id + 1) % self._luns_per_channel
         self.array.start(cmd)
-        return True
 
     # ------------------------------------------------------------------
     # Policy: candidate selection within one LUN queue

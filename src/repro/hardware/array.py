@@ -84,10 +84,7 @@ class SsdArray:
         bad_blocks = bad_blocks or {}
         #: The device-wide structure-of-arrays state every LUN views into.
         self.state = FlashState(
-            geometry.total_luns,
-            geometry.blocks_per_lun,
-            geometry.pages_per_block,
-            sanitize=sanitize,
+            geometry.total_luns, geometry.blocks_per_lun, geometry.pages_per_block
         )
         self.codec = AddressCodec(
             geometry.luns_per_channel,

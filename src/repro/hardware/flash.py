@@ -83,7 +83,7 @@ class Lun:
     ):
         if state is None:
             #: Standalone construction: a private one-LUN state.
-            state = FlashState(1, blocks_per_lun, pages_per_block, sanitize=sanitize)
+            state = FlashState(1, blocks_per_lun, pages_per_block)
             lun_index = 0
         self.channel_id = channel_id
         self.lun_id = lun_id

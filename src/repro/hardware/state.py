@@ -63,17 +63,10 @@ class FlashState:
     word-row operations regardless of ``pages_per_block``.
     """
 
-    def __init__(
-        self,
-        num_luns: int,
-        blocks_per_lun: int,
-        pages_per_block: int,
-        sanitize: bool = False,
-    ) -> None:
+    def __init__(self, num_luns: int, blocks_per_lun: int, pages_per_block: int) -> None:
         self.num_luns = num_luns
         self.blocks_per_lun = blocks_per_lun
         self.pages_per_block = pages_per_block
-        self.sanitize = sanitize
         self.num_blocks = num_luns * blocks_per_lun
         self.num_pages = self.num_blocks * pages_per_block
         self.words_per_block = words_for(pages_per_block)

@@ -8,11 +8,13 @@ workloads under every policy, with and without command timeouts and
 power losses, are stepped one event at a time; after every event the
 counts must equal a recount over the queues and LUNs.  Work
 conservation -- no free channel left with an idle LUN holding an
-eligible command -- is checked after every outermost ``pump`` and after
-the last event of every instant: the guard for the pump the array skips
-after a completing bus phase.  (Mid-instant it may not hold: a bus
-phase ending at ``now`` frees its channel by the clock before its
-``_after_bus`` event, queued at the same instant, has run and pumped.)
+eligible command -- is checked after every outermost ``pump``, after
+every outermost ``enqueue`` (which starts a command that finds the
+device idle without pumping) and after the last event of every instant:
+the guard for the pump the array skips after a completing bus phase.
+(Mid-instant it may not hold: a bus phase ending at ``now`` frees its
+channel by the clock before its ``_after_bus`` event, queued at the same
+instant, has run and pumped.)
 """
 
 from __future__ import annotations
@@ -63,16 +65,17 @@ def _assert_quiescent(scheduler, array) -> None:
 
 
 def _install_checked_pump(scheduler, array) -> None:
-    pump = scheduler.pump
+    def checked(dispatch):
+        def run(*args) -> None:
+            outermost = not scheduler._pumping
+            dispatch(*args)
+            if outermost:
+                _assert_quiescent(scheduler, array)
 
-    def checked() -> None:
-        outermost = not scheduler._pumping
-        pump()
-        if outermost:
-            _assert_quiescent(scheduler, array)
+        return run
 
-    scheduler.pump = checked
-    array.on_resource_free = checked
+    scheduler.pump = array.on_resource_free = checked(scheduler.pump)
+    scheduler.enqueue = checked(scheduler.enqueue)
 
 
 def _checked_init(original):

@@ -95,8 +95,10 @@ CASES = {
         # 92.5 before the flash-command lifecycle rework, 77.8 before
         # statistics stored one row per IO, 67.8 before the leaner
         # phase path and block-bound programs, 63.2 before block
-        # operations became ``Lun`` methods taking a block id.
-        61.2,
+        # operations became ``Lun`` methods taking a block id, 61.2
+        # before a command finding the device idle started without a
+        # dispatch scan.
+        61.1,
     ),
     "page_gc_write": (
         FtlKind.PAGE,
@@ -115,8 +117,9 @@ CASES = {
         # 105.7 before the FTLs shared one logical-IO path, 105.6 before
         # statistics stored one row per IO, 95.6 before the leaner phase
         # path and block-bound programs, 88.3 before block operations
-        # became ``Lun`` methods.
-        85.2,
+        # became ``Lun`` methods, 85.2 before a command finding the
+        # device idle started without a dispatch scan.
+        85.1,
     ),
     "hybrid_write": (
         FtlKind.HYBRID,
@@ -127,8 +130,10 @@ CASES = {
         # one slotted job, 519.6 before log appends, merge order and the
         # merge commit each had one path, 514.2 before merges read the
         # victim block without building a page view per page, 499.1
-        # before block operations became ``Lun`` methods.
-        453.0,
+        # before block operations became ``Lun`` methods, 453.0 before a
+        # command finding the device idle started without a dispatch
+        # scan.
+        430.3,
     ),
     "dftl_write": (
         FtlKind.DFTL,
@@ -138,8 +143,9 @@ CASES = {
         2_000,
         # 434.8 before translation pages took the shared write and
         # relocation path, 431.1 before block operations became ``Lun``
-        # methods.
-        385.9,
+        # methods, 385.9 before a command finding the device idle started
+        # without a dispatch scan.
+        385.8,
     ),
     "page_open_loop": (
         FtlKind.PAGE,
@@ -147,8 +153,9 @@ CASES = {
         len(_OPEN_LOOP_TRACE),
         # 131.1 before the host lost its strict-admission path, which
         # made no simulator call per arrival, and before block
-        # operations became ``Lun`` methods.
-        120.2,
+        # operations became ``Lun`` methods, 120.2 before a command
+        # finding the device idle started without a dispatch scan.
+        119.3,
     ),
 }
 

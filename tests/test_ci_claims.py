@@ -7,7 +7,9 @@ shard names, a file named by two shards, or one that another job runs
 as well fails here.  The unit and integration suite under ``tests/``
 runs in the ``tests`` job only; a smoke job that re-runs part of it
 fails here too.  A perf smoke step names the file it writes, so it
-never replaces a committed full-run ``BENCH_*.json`` report.
+never replaces a committed full-run ``BENCH_*.json`` report.  Each claims
+shard logs every experiment's wall-clock time (``--durations=0``), the
+figure the shard balance and the claims-suite time are read from.
 """
 
 import re
@@ -53,6 +55,12 @@ def test_every_claims_file_runs_in_exactly_one_shard():
     assert set(listed) == on_disk
     assert all(count == 1 for count in listed.values()), listed
     assert len(re.findall(r"- shard: \d+", job)) == 3
+
+
+def test_claims_shards_log_every_duration():
+    runs = _steps(_jobs()["claims"], "pytest")
+    assert len(runs) == 1
+    assert "--durations=0" in runs[0].split()
 
 
 def test_no_other_job_runs_a_claims_file():
